@@ -12,11 +12,11 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 import mpmath
 
-from .exact import Angle, Cyclo, angle
+from .candidates import ALL_IDS
+from .exact import Cyclo, angle
 from .linalg import classify_isometry, eigenvalues3, hermitian_signature, projective_order
 from . import cosearch, reports
 from .trigroup import (
@@ -34,14 +34,15 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _default_prec() -> int:
+def _default_prec():
+    """CHTG_PREC, or 256 when unset; None when it is not an integer, which `_validate` rejects."""
     env = os.environ.get("CHTG_PREC")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 256
+    if not env:
+        return 256
+    try:
+        return int(env)
+    except ValueError:
+        return None
 
 
 def _cyclo_str(x: Cyclo) -> str:
@@ -73,10 +74,6 @@ def _entry(x, prec: int) -> dict:
 
 def _mat(m, prec: int) -> list:
     return [[_entry(x, prec) for x in row] for row in m.rows]
-
-
-def _angle_dict(t: Angle) -> dict:
-    return {"num": t.num, "den": t.den}
 
 
 def _write(text: str, out) -> None:
@@ -124,7 +121,6 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     tol = mpmath.mpf(10) ** (-args.tol)
     lines = []
-    failed = None
     try:
         g = build_symmetric(args.p, args.n, args.m, im_sign=args.im_sign, prec=args.prec)
     except InfeasibleGroupError as exc:
@@ -135,21 +131,18 @@ def cmd_verify(args) -> int:
     for name, res in rep.residuals.items():
         ok = res <= tol
         lines.append({"check": f"symmetry:{name}", "residual": mpmath.nstr(mpmath.mpf(res), 10), "pass": bool(ok)})
-        if not ok and failed is None:
-            failed = lines[-1]
     if rep.exact_square is not None:
         lines.append({"check": "symmetry:square_exact", "residual": "0" if rep.exact_square else "nonzero", "pass": bool(rep.exact_square)})
-        if not rep.exact_square and failed is None:
-            failed = lines[-1]
 
-    trace_invariants(g, prec=args.prec, tol=tol)
-    lines.append({"check": "trace_formulas", "residual": "0", "pass": True})
+    try:
+        trace_invariants(g, prec=args.prec, tol=tol)
+        lines.append({"check": "trace_formulas", "residual": "0", "pass": True})
+    except RuntimeError as exc:
+        lines.append({"check": "trace_formulas", "error": str(exc), "pass": False})
 
     res = lemma_eigenvalues_residual(g, prec=args.prec)
     ok = res <= tol
     lines.append({"check": "eigenvalue_lemma", "residual": mpmath.nstr(mpmath.mpf(res), 10), "pass": bool(ok)})
-    if not ok and failed is None:
-        failed = lines[-1]
 
     sig = hermitian_signature(g.H, prec=args.prec)
     if sig.verdict == "(2,1)":
@@ -166,8 +159,6 @@ def cmd_verify(args) -> int:
                 got = braid_length(a, b, max_l=args.max_braid, tol=tol, prec=args.prec)
                 ok = got == expect
                 lines.append({"check": name, "expected": expect, "got": got, "pass": bool(ok)})
-                if not ok and failed is None:
-                    failed = lines[-1]
     else:
         lines.append({"check": "braid", "skipped": f"signature {sig.verdict}", "pass": True})
 
@@ -175,6 +166,7 @@ def cmd_verify(args) -> int:
     summary = {"summary": True, "checks": len(lines), "passed": n_pass, "signature": sig.verdict}
     text = "\n".join(json.dumps(l) for l in lines + [summary]) + "\n"
     _write(text, args.out)
+    failed = next((l for l in lines if not l["pass"]), None)
     if failed is not None:
         print(f"FAILED: {json.dumps(failed)}", file=sys.stderr)
         return EXIT_FAIL
@@ -186,7 +178,6 @@ def cmd_search(args) -> int:
         den_max=args.den_max,
         n_max=args.n_max,
         m_max=args.m_max,
-        workers=args.workers,
     )
     if args.format == "json":
         text = cosearch.results_to_json(cands)
@@ -210,10 +201,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    if args.candidate == "all":
-        cids = ["(3,3)", "(3,3)-", "(3,4)", "(3,5)", "(3,5)-", "(4,3)", "(5,4)", "(8,6)", "(4,4)", "(5,5)"]
-    else:
-        cids = [args.candidate]
+    cids = ALL_IDS if args.candidate == "all" else [args.candidate]
     try:
         reps = [reports.signature_scan(c, args.p_min, args.p_max, prec=args.prec) for c in cids]
     except ValueError as exc:
@@ -348,7 +336,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--den-max", type=int, default=90)
     sp.add_argument("--n-max", type=int, default=12)
     sp.add_argument("--m-max", type=int, default=12)
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("tables", help="signature tables over a range of p")
@@ -374,14 +361,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> bool:
-    if getattr(args, "prec", 256) < 53:
+    if args.prec is None:
+        print("CHTG_PREC must be an integer", file=sys.stderr)
+        return False
+    if args.prec < 53:
         print("precision must be >= 53 bits", file=sys.stderr)
         return False
     if getattr(args, "tol", 30) < 6:
         print("tolerance exponent must be >= 6", file=sys.stderr)
-        return False
-    if getattr(args, "workers", 1) < 1:
-        print("worker count must be >= 1", file=sys.stderr)
         return False
     return True
 

@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 import mpmath
 import numpy as np
 
-from .exact import Angle, Cyclo, angle, cos_exact, root_of_unity
+from .exact import Angle, Cyclo, angle, angle_from_fraction, cos_exact, root_of_unity
 from .linalg import DEFAULT_PREC
 
 # ---------------------------------------------------------------------------
@@ -66,10 +66,6 @@ def parameter_feasible(n: int, m: int) -> bool:
 _TWO_THIRDS = Fraction(2, 3)
 
 
-def _canon_frac(q: Fraction) -> Fraction:
-    return q % 2
-
-
 def orbit(a: Angle, b: Angle) -> set:
     """All 36 images of (a, b) under the symmetries of s.
 
@@ -86,8 +82,8 @@ def orbit(a: Angle, b: Angle) -> set:
         for sign in (1, -1):
             for k in range(3):
                 shift = k * _TWO_THIRDS
-                x = _canon_frac(sign * base[perm[0]] + shift)
-                y = _canon_frac(sign * base[perm[1]] + shift)
+                x = (sign * base[perm[0]] + shift) % 2
+                y = (sign * base[perm[1]] + shift) % 2
                 out.add((x, y))
     return out
 
@@ -146,19 +142,11 @@ def _angle_grid(den_max: int):
     return fracs
 
 
-def _confirm(item):
-    n, m, (anum, aden), (bnum, bden) = item
-    a, b = angle(anum, aden), angle(bnum, bden)
-    ok = minor_residual(n, a, b).is_zero() and main_residual(m, n, a, b).is_zero()
-    return item, ok, parameter_feasible(n, m)
-
-
 def search(
     den_max: int = 90,
     n_max: int = 12,
     m_max: int = 12,
     prefilter_tol: float = 1e-9,
-    workers: int = 1,
 ) -> list:
     """Enumerate exact solutions of the minor/main equations on the grid.
 
@@ -169,6 +157,10 @@ def search(
     (n, m, a, b); entries that fail exact confirmation are kept but
     flagged.
     """
+    if den_max < 1:
+        raise ValueError("den_max must be >= 1")
+    if n_max < 3 or m_max < 3:
+        raise ValueError("n_max and m_max must be >= 3")
     fracs = _angle_grid(den_max)
     qs = np.array([f[0] / f[1] for f in fracs])
     th = np.pi * qs
@@ -202,28 +194,11 @@ def search(
                         prev = hits.get(key)
                         if prev is None or pair < prev:
                             hits[key] = pair
-    items = [
-        (key[0], key[1], pair[0], pair[1]) for key, pair in sorted(hits.items())
-    ]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            confirmed = list(pool.map(_confirm, items))
-    else:
-        confirmed = [_confirm(it) for it in items]
     out = []
-    for (n, m, af, bf), ok, feas in confirmed:
-        out.append(
-            Candidate(
-                n=n,
-                m=m,
-                a=angle(*af),
-                b=angle(*bf),
-                exact_confirmed=ok,
-                parameter_feasible=feas,
-            )
-        )
+    for (n, m, *_orbit), (af, bf) in sorted(hits.items()):
+        a, b = angle(*af), angle(*bf)
+        confirmed = minor_residual(n, a, b).is_zero() and main_residual(m, n, a, b).is_zero()
+        out.append(Candidate(n, m, a, b, exact_confirmed=confirmed, parameter_feasible=parameter_feasible(n, m)))
     out.sort(key=lambda c: (c.n, c.m, c.a.frac, c.b.frac))
     return out
 
@@ -355,30 +330,20 @@ def trace_table_angles(label: str, psi: Optional[Angle] = None):
         if psi is None:
             raise ValueError("row 'i' needs psi")
         two_theta = angle(2, 3)
-        a = angle(1, 1) - angle_div(psi, 3)
-        b = angle_div(psi, 6)
+        a = angle(1, 1) - angle_from_fraction(psi.frac / 3)
+        b = angle_from_fraction(psi.frac / 6)
         return two_theta, a, b
     if label == "ii":
         if psi is None:
             raise ValueError("row 'ii' needs psi")
         two_theta = psi
-        a = angle_div(psi, 3).scaled(2)
-        b = angle(1, 3) - angle_div(psi, 3)
+        a = angle_from_fraction(psi.frac / 3).scaled(2)
+        b = angle(1, 3) - angle_from_fraction(psi.frac / 3)
         return two_theta, a, b
     if label not in _TRACE_TABLE_FIXED:
         raise KeyError(f"unknown row {label!r}")
     tt, aa, bb = _TRACE_TABLE_FIXED[label]
     return angle(*tt), angle(*aa), angle(*bb)
-
-
-def angle_div(t: Angle, k: int) -> Angle:
-    """t / k as an Angle, dividing the canonical representative."""
-    q = t.frac / k
-    return angle(q.numerator, q.denominator)
-
-
-def _frac_angle(q: Fraction) -> Angle:
-    return angle(q.numerator, q.denominator)
 
 
 def trace_table_residual(label: str, psi: Optional[Angle] = None) -> Cyclo:
@@ -402,9 +367,9 @@ def factorization_residual(a: Angle, b: Angle) -> Cyclo:
     # halve a single coherent representative of each combination, so the
     # three half-angles satisfy h1 + h2 = h3 exactly
     af, bf = a.frac, b.frac
-    h1 = _frac_angle((af - bf) / 2)
-    h2 = _frac_angle((af + 2 * bf) / 2)
-    h3 = _frac_angle((2 * af + bf) / 2)
+    h1 = angle_from_fraction((af - bf) / 2)
+    h2 = angle_from_fraction((af + 2 * bf) / 2)
+    h3 = angle_from_fraction((2 * af + bf) / 2)
     rhs = cos_exact(h1) * cos_exact(h2) * cos_exact(h3) * 4
     return lhs - rhs
 
@@ -416,8 +381,8 @@ def half_angle_residuals(a: Angle, b: Angle) -> tuple:
     cos(a+2b) + 1          = 2 cos^2(a/2 + b)
     cos(a-b) + cos(2a+b)   = 2 cos(3a/2) cos(a/2 + b)
     """
-    half_a = _frac_angle(a.frac / 2)
-    mid = _frac_angle(a.frac / 2 + b.frac)
+    half_a = angle_from_fraction(a.frac / 2)
+    mid = angle_from_fraction(a.frac / 2 + b.frac)
     r1 = cos_exact(b) + cos_exact(a + b) - cos_exact(half_a) * cos_exact(mid) * 2
     r2 = cos_exact(a + b.scaled(2)) + 1 - cos_exact(mid) * cos_exact(mid) * 2
     r3 = (

@@ -132,6 +132,22 @@ def _reduce_mod_cyclotomic(n: int, dense: list[int]) -> list[int]:
     return a[:deg]
 
 
+def _canonical_coeffs(n: int, coeffs: dict[int, Fraction]) -> tuple[Fraction, ...]:
+    """Sparse rational coefficients in conductor n, reduced mod Phi_n, trailing zeros dropped."""
+    if not coeffs:
+        return ()
+    lcm = 1
+    for v in coeffs.values():
+        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    dense = [0] * n
+    for e, v in coeffs.items():
+        dense[e] = v.numerator * (lcm // v.denominator)
+    red = _reduce_mod_cyclotomic(n, dense)
+    while red and red[-1] == 0:
+        red.pop()
+    return tuple(Fraction(x, lcm) for x in red)
+
+
 # ---------------------------------------------------------------------------
 # Cyclotomic numbers
 
@@ -209,20 +225,7 @@ class Cyclo:
     def canonical(self) -> tuple[Fraction, ...]:
         """Coefficients on the power basis 1..zeta^{phi(n)-1}, reduced mod Phi_n."""
         if self._canon is None:
-            n = self.n
-            if not self.c:
-                self._canon = ()
-            else:
-                lcm = 1
-                for v in self.c.values():
-                    lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-                dense = [0] * n
-                for e, v in self.c.items():
-                    dense[e] = v.numerator * (lcm // v.denominator)
-                red = _reduce_mod_cyclotomic(n, dense)
-                while red and red[-1] == 0:
-                    red.pop()
-                self._canon = tuple(Fraction(x, lcm) for x in red)
+            self._canon = _canonical_coeffs(self.n, self.c)
         return self._canon
 
     def canonical_at(self, n: int) -> tuple[Fraction, ...]:
@@ -231,19 +234,7 @@ class Cyclo:
             return self.canonical()
         if n % self.n:
             raise ValueError("conductor must be a multiple")
-        if not self.c:
-            return ()
-        lifted = self.lifted(n)
-        lcm = 1
-        for v in lifted.values():
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        dense = [0] * n
-        for e, v in lifted.items():
-            dense[e] = v.numerator * (lcm // v.denominator)
-        red = _reduce_mod_cyclotomic(n, dense)
-        while red and red[-1] == 0:
-            red.pop()
-        return tuple(Fraction(x, lcm) for x in red)
+        return _canonical_coeffs(n, self.lifted(n))
 
     def __repr__(self) -> str:
         if not self.c:
@@ -311,7 +302,7 @@ class Cyclo:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * Fraction(1, 1) / Cyclo.rational(other) if False else self * (1 / Fraction(other))
+            return self * (1 / Fraction(other))
         if isinstance(other, Cyclo):
             return self * other.inverse()
         return NotImplemented
@@ -337,10 +328,6 @@ class Cyclo:
 
     def real_part(self) -> "Cyclo":
         return (self + self.conj()) * Fraction(1, 2)
-
-    def imag_times_i(self) -> "Cyclo":
-        """x - Re(x) = i*Im(x), kept exactly."""
-        return (self - self.conj()) * Fraction(1, 2)
 
     # -- predicates ---------------------------------------------------------
 
@@ -452,6 +439,6 @@ def sin_exact(t: Angle) -> Cyclo:
     return cos_exact(angle(t.den - 2 * t.num, 2 * t.den))
 
 
-def to_float(x: Cyclo, prec: int = 53):
-    """Numeric value of a Cyclo as an mpmath complex at `prec` bits."""
-    return x.to_mpc(prec)
+def to_float(x, prec: int = 53):
+    """Numeric value of a Cyclo (or an mpmath number) as an mpmath complex at `prec` bits."""
+    return x.to_mpc(prec) if isinstance(x, Cyclo) else mpmath.mpc(x)

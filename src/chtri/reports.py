@@ -16,34 +16,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import mpmath
 
-from .exact import Angle, Cyclo, angle, cos_exact, root_of_unity
+from .candidates import SPORADIC, claim, entry, parse_candidate
+from .exact import Cyclo, angle, cos_exact
 from .linalg import DEFAULT_PREC, hermitian_signature
 from .trigroup import Group, build_symmetric, candidate_s
-
-_ID_RE = re.compile(r"^\((\d+),(\d+)\)(-?)$")
-
-#: ids of the six rows of the classification (diagonal instantiated per k)
-SPORADIC_IDS = ("(3,4)", "(3,5)", "(4,3)", "(5,4)", "(8,6)")
-
-
-def parse_candidate(cid: str) -> tuple:
-    """'(n,m)' or '(n,m)-' -> (n, m, im_sign); the '-' suffix means conj(s)."""
-    mt = _ID_RE.match(cid)
-    if not mt:
-        raise ValueError(f"unknown candidate {cid!r}")
-    n, m = int(mt.group(1)), int(mt.group(2))
-    im_sign = -1 if mt.group(3) else 1
-    from .trigroup import is_candidate
-
-    if not is_candidate(n, m):
-        raise ValueError(f"unknown candidate {cid!r}")
-    return n, m, im_sign
 
 
 def build_candidate(cid: str, p: int, prec: int = DEFAULT_PREC) -> Group:
@@ -51,36 +32,13 @@ def build_candidate(cid: str, p: int, prec: int = DEFAULT_PREC) -> Group:
     return build_symmetric(p, n, m, im_sign=im_sign, prec=prec)
 
 
-# ---------------------------------------------------------------------------
-# Claimed signature patterns.  These record the externally tabulated
-# verdict for each candidate and p; the scan cross-checks them against the
-# exact determinant and reports mismatches.
-
-
 def claimed_verdict(cid: str, p: int) -> Optional[str]:
-    n, m, im_sign = parse_candidate(cid)
-    if n == m:
-        k = n
-        if im_sign < 0:
-            if k == 3:  # s = conj(omega) row
-                return "degenerate" if p == 6 else "(3,0)"
-            return None
-        if k == 3:
-            return "(3,0)" if p == 2 else ("degenerate" if p == 3 else "(2,1)")
-        if k == 4:
-            return "degenerate" if p == 2 else "(2,1)"
-        return "(2,1)"
-    if cid == "(3,4)":
-        return "(3,0)" if p <= 4 else "(2,1)"
-    if cid == "(3,5)":
-        return "(2,1)"
-    if cid == "(3,5)-":
-        return "(2,1)" if p <= 7 else "(3,0)"
-    if cid == "(4,3)":
-        return "(3,0)" if p == 2 else ("degenerate" if p == 3 else "(2,1)")
-    if cid in ("(5,4)", "(8,6)"):
-        return "(3,0)" if p == 2 else "(2,1)"
-    return None
+    """The externally tabulated verdict for `cid` at p, or None when none is recorded.
+
+    The scan cross-checks it against the exact determinant and reports
+    mismatches.
+    """
+    return claim(cid).verdict(p)
 
 
 # ---------------------------------------------------------------------------
@@ -147,55 +105,6 @@ def signature_scan(cid: str, p_min: int = 2, p_max: int = 20, prec: int = DEFAUL
 # ---------------------------------------------------------------------------
 # Closed-form determinants
 
-_SQ5 = "sqrt(5+2*sqrt(5))"
-
-
-def _cf_43(f):
-    return -2 * mpmath.sin(3 * f / 2)
-
-
-def _cf_33(f):
-    return -mpmath.sqrt(3) * mpmath.cos(f / 2) + mpmath.sin(f / 2) - 2 * mpmath.sin(3 * f / 2)
-
-
-def _cf_33m(f):
-    return mpmath.sqrt(3) * mpmath.cos(f / 2) + mpmath.sin(f / 2) - 2 * mpmath.sin(3 * f / 2)
-
-
-def _cf_34(f):
-    return (1 - 8 * mpmath.cos(f)) * mpmath.sin(f / 2) / 2
-
-
-def _cf_35(f):
-    return -mpmath.sqrt(5 + 2 * mpmath.sqrt(5)) * mpmath.cos(f / 2) - (
-        2 + mpmath.sqrt(5) + 4 * mpmath.cos(f)
-    ) * mpmath.sin(f / 2)
-
-
-def _cf_35m(f):
-    return mpmath.sqrt(5 + 2 * mpmath.sqrt(5)) * mpmath.cos(f / 2) - (
-        2 + mpmath.sqrt(5) + 4 * mpmath.cos(f)
-    ) * mpmath.sin(f / 2)
-
-
-def _cf_86(f):
-    return -2 * mpmath.cos(f) * (1 + 2 * mpmath.sin(f))
-
-
-def _cf_diagonal(k):
-    def ev(f):
-        th = 2 * mpmath.pi / k
-        val = (
-            1j
-            * mpmath.exp(-1j * (4 * th + 3 * f) / 2)
-            * (-1 + mpmath.exp(1j * (2 * th + f)))
-            * (mpmath.exp(1j * th) + mpmath.exp(1j * f)) ** 2
-        )
-        return val.real
-
-    return ev
-
-
 @dataclass(frozen=True)
 class ClosedForm:
     candidate: str
@@ -205,26 +114,10 @@ class ClosedForm:
 
 def closed_form(cid: str) -> ClosedForm:
     """Registered closed-form det(H) expression in phi = 2*pi/p."""
-    table = {
-        "(4,3)": ("-2*sin(3*phi/2)", _cf_43),
-        "(3,3)": ("-sqrt(3)*cos(phi/2)+sin(phi/2)-2*sin(3*phi/2)", _cf_33),
-        "(3,3)-": ("sqrt(3)*cos(phi/2)+sin(phi/2)-2*sin(3*phi/2)", _cf_33m),
-        "(3,4)": ("(1/2)*(1-8*cos(phi))*sin(phi/2)", _cf_34),
-        "(3,5)": (f"-{_SQ5}*cos(phi/2)-(2+sqrt(5)+4*cos(phi))*sin(phi/2)", _cf_35),
-        "(3,5)-": (f"{_SQ5}*cos(phi/2)-(2+sqrt(5)+4*cos(phi))*sin(phi/2)", _cf_35m),
-        "(8,6)": ("-2*cos(phi)*(1+2*sin(phi))", _cf_86),
-    }
-    if cid in table:
-        formula, ev = table[cid]
-        return ClosedForm(cid, formula, ev)
-    n, m, im_sign = parse_candidate(cid)
-    if n == m and im_sign > 0:
-        formula = (
-            "Re(i*exp(-i*(4*theta+3*phi)/2)*(-1+exp(i*(2*theta+phi)))"
-            f"*(exp(i*theta)+exp(i*phi))^2), theta=2*pi/{n}"
-        )
-        return ClosedForm(cid, formula, _cf_diagonal(n))
-    raise KeyError(f"no registered closed form for {cid!r}")
+    c = claim(cid)
+    if c.det_formula is None:
+        raise KeyError(f"no registered closed form for {cid!r}")
+    return ClosedForm(cid, c.det_formula, c.det_eval)
 
 
 @dataclass(frozen=True)
@@ -286,36 +179,6 @@ class ParameterRow:
             }
 
 
-def _printed_rho(cid: str, k: Optional[int] = None) -> Cyclo:
-    """The published algebraic form of rho, built independently of s."""
-    i = Cyclo.i()
-    one = Cyclo.one()
-    sqrt3 = cos_exact(angle(1, 6)) * 2
-    sqrt5 = cos_exact(angle(1, 5)) * 4 - 1
-    if cid == "(3,4)":
-        # (1 + i*sqrt(7))/2: verified via (2*rho - 1)^2 = -7 by the caller
-        s = candidate_s(3, 4)
-        return s + 1
-    if cid == "(3,5)":
-        # 2 e^{2 pi i/5} cos(pi/5) = e^{3 pi i/5} + e^{pi i/5}
-        return root_of_unity(angle(3, 5)) + root_of_unity(angle(1, 5))
-    if cid == "(4,3)":
-        return one
-    if cid == "(5,4)":
-        # (1 + i*sqrt(3)) (sqrt(5) - i*sqrt(3)) / 4
-        from fractions import Fraction
-
-        num = (one + i * sqrt3) * (sqrt5 - i * sqrt3)
-        return num * Cyclo.rational(Fraction(1, 4))
-    if cid == "(8,6)":
-        # (1 + i)(1 - i/sqrt(2)); 1/sqrt(2) = cos(pi/4)
-        return (one + i) * (one - i * cos_exact(angle(1, 4)))
-    if cid == "(k,k)":
-        # 2 e^{i pi/k} cos(pi/k)
-        return root_of_unity(angle(1, k)) * cos_exact(angle(1, k)) * 2
-    raise KeyError(cid)
-
-
 def parameter_table(k: int = 6) -> list:
     """The six parameter rows of the classification; diagonal row at this k.
 
@@ -323,22 +186,15 @@ def parameter_table(k: int = 6) -> list:
     sigma^2, s = rho - 1, and rho agrees with its published algebraic form.
     """
     rows = []
-    specs = [("(3,4)", 3, 4), ("(3,5)", 3, 5), ("(4,3)", 4, 3), ("(5,4)", 5, 4),
-             ("(8,6)", 8, 6), (f"({k},{k})", k, k)]
-    for cid, n, m in specs:
+    for n, m in list(SPORADIC) + [(k, k)]:
         s = candidate_s(n, m)
         rho = s + 1
         sigma = cos_exact(angle(1, n)) * 2
-        ok = True
-        # |rho|^2 = 4 cos^2(pi/m)
-        ok &= (rho.abs2() - (cos_exact(angle(1, m)) * 2) * (cos_exact(angle(1, m)) * 2)).is_zero()
+        two_cos_m = cos_exact(angle(1, m)) * 2
+        ok = (rho.abs2() - two_cos_m * two_cos_m).is_zero()
         ok &= (rho + rho.conj() - sigma * sigma).is_zero()
-        printed = _printed_rho("(k,k)" if n == m else cid, k=n if n == m else None)
-        ok &= (rho - printed).is_zero()
-        if cid == "(3,4)":
-            t = rho * 2 - 1
-            ok &= (t * t + 7).is_zero()
-        rows.append(ParameterRow(cid, n, m, rho, s, sigma, bool(ok)))
+        ok &= (rho - entry(n, m).printed_rho()).is_zero()
+        rows.append(ParameterRow(f"({n},{m})", n, m, rho, s, sigma, bool(ok)))
     return rows
 
 

@@ -11,18 +11,19 @@ entries; free-form parameters take the arbitrary-precision float path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import mpmath
 
-from .exact import Angle, Cyclo, angle, cos_exact, root_of_unity
+from .candidates import entry
+from .exact import Angle, Cyclo, _coerce, angle, cos_exact, root_of_unity, to_float
 from .linalg import (
     DEFAULT_PREC,
     DEFAULT_TOL,
     Mat3,
     eigenvalues3,
+    hermitian_signature,
     projective_residual,
 )
 
@@ -32,29 +33,17 @@ class InfeasibleGroupError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Candidate parameter table: (n, m) -> (a, b) with s = e^{ia}+e^{ib}+e^{-i(a+b)}
-
-_SPORADIC_AB = {
-    (3, 4): (angle(2, 7), angle(4, 7)),
-    (3, 5): (angle(2, 5), angle(7, 15)),
-    (4, 3): (angle(2, 3), angle(4, 3)),
-    (5, 4): (angle(2, 15), angle(8, 15)),
-    (8, 6): (angle(1, 2), angle(1, 12)),
-}
+# Candidate parameters, read from the registry in `candidates`
 
 
 def candidate_ab(n: int, m: int) -> Optional[tuple[Angle, Angle]]:
     """The (a, b) angles realizing tr(S) for a classified candidate, if any."""
-    if (n, m) in _SPORADIC_AB:
-        return _SPORADIC_AB[(n, m)]
-    if n == m and n >= 3:
-        # s = e^{2*pi*i/k}: a = 2pi/k with a + 2b an odd multiple of pi
-        return angle(2, n), angle(n - 2, 2 * n)
-    return None
+    e = entry(n, m)
+    return None if e is None else (e.a, e.b)
 
 
 def is_candidate(n: int, m: int) -> bool:
-    return candidate_ab(n, m) is not None
+    return entry(n, m) is not None
 
 
 def candidate_s(n: int, m: int, im_sign: int = 1) -> Cyclo:
@@ -105,6 +94,20 @@ def _alpha_exact(p: int) -> Cyclo:
     return cos_exact(angle(p - 2, 2 * p)) * 2
 
 
+def _scalars(params, consts, prec: int):
+    """(params, consts, conj) in one scalar type: Cyclo when every param is exact, else mpmath.
+
+    Exact params are Cyclo, int or Fraction; the constants are given as
+    Cyclo and converted with `to_mpc` only for a float group.  Call inside
+    mpmath.workprec(prec).
+    """
+    exact = [_coerce(x) for x in params]
+    if all(x is not None for x in exact):
+        return exact, consts, Cyclo.conj
+    floats = [mpmath.mpc(x) if c is None else c.to_mpc(prec) for x, c in zip(params, exact)]
+    return floats, [c.to_mpc(prec) for c in consts], mpmath.conj
+
+
 def build_group(p: int, rho, sigma, tau, prec: int = DEFAULT_PREC) -> Group:
     """Assemble generators and Hermitian form from free parameters.
 
@@ -113,90 +116,36 @@ def build_group(p: int, rho, sigma, tau, prec: int = DEFAULT_PREC) -> Group:
     """
     if p < 2:
         raise ValueError("reflection order p must be >= 2")
-
-    def as_exact(x):
-        if isinstance(x, Cyclo):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Cyclo.rational(x)
-        return None
-
-    exact_params = [as_exact(x) for x in (rho, sigma, tau)]
-    if all(x is not None for x in exact_params):
-        rho, sigma, tau = exact_params
-        u = Cyclo.root(3 * p, 1)
-        uh_bar = Cyclo.root(6 * p, 6 * p - 1)  # e^{-i*pi/(3p)}
-        alpha = _alpha_exact(p)
-        mi = -Cyclo.i()
-        zero, ub, u2 = Cyclo.zero(), u.conj(), u * u
-        b1, b2, b3 = mi * uh_bar * rho, mi * uh_bar * sigma, mi * uh_bar * tau
-        r1 = Mat3([[u2, rho, -(u * tau.conj())], [zero, ub, zero], [zero, zero, ub]])
-        r2 = Mat3([[ub, zero, zero], [-(u * rho.conj()), u2, sigma], [zero, zero, ub]])
-        r3 = Mat3([[ub, zero, zero], [zero, ub, zero], [tau, -(u * sigma.conj()), u2]])
-        h = Mat3(
-            [
-                [alpha, b1, b3.conj()],
-                [b1.conj(), alpha, b2],
-                [b3, b2.conj(), alpha],
-            ]
-        )
-        params = GroupParams(p, rho, sigma, tau, exact=True)
-        return Group(params, r1, r2, r3, h)
-
+    # u = e^{2 pi i/(3p)}, uh_bar = e^{-i pi/(3p)}, alpha, -i, 0
+    consts = (Cyclo.root(3 * p, 1), Cyclo.root(6 * p, 6 * p - 1), _alpha_exact(p), -Cyclo.i(), Cyclo.zero())
     with mpmath.workprec(prec):
-        def as_float(x):
-            if isinstance(x, Cyclo):
-                return x.to_mpc(prec)
-            if isinstance(x, (int, Fraction)):
-                return mpmath.mpc(Fraction(x).numerator) / Fraction(x).denominator
-            return mpmath.mpc(x)
-
-        rho_f, sigma_f, tau_f = (as_float(x) for x in (rho, sigma, tau))
-        u = mpmath.expjpi(mpmath.mpf(2) / (3 * p))
-        uh_bar = mpmath.expjpi(mpmath.mpf(-1) / (3 * p))
-        alpha = 2 * mpmath.sinpi(mpmath.mpf(1) / p)
-        mi = mpmath.mpc(0, -1)
-        zero, ub, u2 = mpmath.mpc(0), mpmath.conj(u), u * u
-        b1, b2, b3 = mi * uh_bar * rho_f, mi * uh_bar * sigma_f, mi * uh_bar * tau_f
-        r1 = Mat3([[u2, rho_f, -u * mpmath.conj(tau_f)], [zero, ub, zero], [zero, zero, ub]])
-        r2 = Mat3([[ub, zero, zero], [-u * mpmath.conj(rho_f), u2, sigma_f], [zero, zero, ub]])
-        r3 = Mat3([[ub, zero, zero], [zero, ub, zero], [tau_f, -u * mpmath.conj(sigma_f), u2]])
+        (rho, sigma, tau), (u, uh_bar, alpha, mi, zero), conj = _scalars((rho, sigma, tau), consts, prec)
+        ub, u2 = conj(u), u * u
+        b1, b2, b3 = mi * uh_bar * rho, mi * uh_bar * sigma, mi * uh_bar * tau
+        r1 = Mat3([[u2, rho, -(u * conj(tau))], [zero, ub, zero], [zero, zero, ub]])
+        r2 = Mat3([[ub, zero, zero], [-(u * conj(rho)), u2, sigma], [zero, zero, ub]])
+        r3 = Mat3([[ub, zero, zero], [zero, ub, zero], [tau, -(u * conj(sigma)), u2]])
         h = Mat3(
             [
-                [mpmath.mpc(alpha), b1, mpmath.conj(b3)],
-                [mpmath.conj(b1), mpmath.mpc(alpha), b2],
-                [b3, mpmath.conj(b2), mpmath.mpc(alpha)],
+                [alpha, b1, conj(b3)],
+                [conj(b1), alpha, b2],
+                [b3, conj(b2), alpha],
             ]
         )
-        params = GroupParams(p, rho_f, sigma_f, tau_f, exact=False)
-        return Group(params, r1, r2, r3, h)
+    return Group(GroupParams(p, rho, sigma, tau, exact=h.exact), r1, r2, r3, h)
 
 
 def symmetry_matrix(p: int, rho, sigma, prec: int = DEFAULT_PREC) -> Mat3:
     """The extra isometry S of a symmetric group (sigma^2 = rho + conj(rho))."""
-    if isinstance(rho, Cyclo) and isinstance(sigma, Cyclo):
-        u = Cyclo.root(3 * p, 1)
-        ub = u.conj()
-        one, zero = Cyclo.one(), Cyclo.zero()
-        rr = rho + rho.conj()
+    consts = (Cyclo.root(3 * p, 1), Cyclo.one(), Cyclo.zero())
+    with mpmath.workprec(prec):
+        (rho, sigma), (u, one, zero), conj = _scalars((rho, sigma), consts, prec)
+        ub = conj(u)
         return Mat3(
             [
-                [rho, u * (one - rr), u * u * sigma],
+                [rho, u * (one - (rho + conj(rho))), u * u * sigma],
                 [ub, zero, zero],
                 [zero, ub * sigma, -one],
-            ]
-        )
-    with mpmath.workprec(prec):
-        u = mpmath.expjpi(mpmath.mpf(2) / (3 * p))
-        ub = mpmath.conj(u)
-        rho_f, sigma_f = mpmath.mpc(rho), mpmath.mpc(sigma)
-        rr = 2 * rho_f.real
-        zero = mpmath.mpc(0)
-        return Mat3(
-            [
-                [rho_f, u * (1 - rr), u * u * sigma_f],
-                [ub, zero, zero],
-                [zero, ub * sigma_f, -mpmath.mpc(1)],
             ]
         )
 
@@ -220,23 +169,19 @@ def build_symmetric(p: int, n: int, m: int, im_sign: int = 1, prec: int = DEFAUL
         raise InfeasibleGroupError("no such symmetric group")
 
     if is_candidate(n, m):
-        s = candidate_s(n, m, im_sign)
-        rho = s + 1
+        rho = candidate_s(n, m, im_sign) + 1
         sigma = cos_exact(angle(1, n)) * 2
-        g = build_group(p, rho, sigma, sigma)
-        smat = symmetry_matrix(p, rho, sigma)
     else:
+        # rho is not cyclotomic: work it out in floats
         with mpmath.workprec(prec):
             abs_rho = 2 * mpmath.cospi(mpmath.mpf(1) / m)
             re_rho = 2 * mpmath.cospi(mpmath.mpf(1) / n) ** 2
             im_rho = im_sign * mpmath.sqrt(max(abs_rho**2 - re_rho**2, mpmath.mpf(0)))
             rho = mpmath.mpc(re_rho, im_rho)
             sigma = 2 * mpmath.cospi(mpmath.mpf(1) / n)
-            g = build_group(p, rho, sigma, sigma, prec=prec)
-            smat = symmetry_matrix(p, rho, sigma, prec=prec)
+    g = build_group(p, rho, sigma, sigma, prec=prec)
+    smat = symmetry_matrix(p, rho, sigma, prec=prec)
     warning = None
-    from .linalg import hermitian_signature
-
     sig = hermitian_signature(g.H, prec=prec)
     if sig.verdict != "(2,1)":
         warning = f"Hermitian form is {sig.verdict}, not (2,1)"
@@ -348,9 +293,7 @@ def trace_invariants(g: Group, prec: int = DEFAULT_PREC, tol=None):
         p = g.params.p
         u = mpmath.expjpi(mpmath.mpf(2) / (3 * p))
         ub2 = mpmath.conj(u) ** 2
-        rho = g.params.rho.to_mpc(prec) if g.exact else mpmath.mpc(g.params.rho)
-        sigma = g.params.sigma.to_mpc(prec) if g.exact else mpmath.mpc(g.params.sigma)
-        tau = g.params.tau.to_mpc(prec) if g.exact else mpmath.mpc(g.params.tau)
+        rho, sigma, tau = (to_float(x, prec) for x in (g.params.rho, g.params.sigma, g.params.tau))
         from_matrix = (
             (r1 * r2).trace(),
             (r2 * r3).trace(),
@@ -418,7 +361,7 @@ def lemma_eigenvalues_residual(g: Group, tol=None, prec: int = DEFAULT_PREC):
     non-loxodromic hypothesis fails).
     """
     with mpmath.workprec(prec + 20):
-        rho = g.params.rho.to_mpc(prec) if g.exact else mpmath.mpc(g.params.rho)
+        rho = to_float(g.params.rho, prec)
         half = abs(rho) / 2
         if half > 1 + mpmath.mpf(2) ** (-prec // 2):
             raise ValueError("lemma hypothesis violated: R1R2 is loxodromic")

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import chtri.cli
+
 CMD = [sys.executable, "-m", "chtri.cli"]
 
 
@@ -62,6 +64,19 @@ class TestVerify:
             "br(R1,R2)": 4,
             "br(R1,R3^-1R2R3)": 4,
         }
+
+    def test_trace_mismatch_is_a_failing_check(self, monkeypatch, capsys):
+        def mismatch(*args, **kwargs):
+            raise RuntimeError("trace formula mismatch: 1 vs 2")
+
+        monkeypatch.setattr(chtri.cli, "trace_invariants", mismatch)
+        code = chtri.cli.main(["verify", "--p", "5", "--n", "3", "--m", "4"])
+        assert code == 1
+        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        trace = [l for l in lines if l.get("check") == "trace_formulas"]
+        assert len(trace) == 1 and trace[0]["pass"] is False
+        summary = lines[-1]
+        assert summary["summary"] and summary["passed"] == summary["checks"] - 1
 
     def test_verify_json_lines(self):
         r = run("verify", "--p", "3", "--n", "6", "--m", "6")
@@ -145,3 +160,15 @@ class TestConfig:
     def test_missing_subcommand(self):
         r = run()
         assert r.returncode == 2
+
+    def test_bad_env_precision_rejected(self):
+        r = run("build", "--p", "4", "--n", "4", "--m", "3", env={"CHTG_PREC": "high"})
+        assert r.returncode == 2
+        assert "CHTG_PREC" in r.stderr and len(r.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flag,value", [("--den-max", "0"), ("--n-max", "2"), ("--m-max", "2")])
+    def test_search_bounds_rejected(self, flag, value):
+        args = {"--den-max": "4", "--n-max": "6", "--m-max": "6", flag: value}
+        r = run("search", *(x for kv in args.items() for x in kv))
+        assert r.returncode == 2
+        assert len(r.stderr.strip().splitlines()) == 1

@@ -107,11 +107,6 @@ class TestSearch:
         # 50 significant digits in the decimal strings
         assert len(row["s"]["re"].replace("-", "").replace(".", "").lstrip("0")) >= 45
 
-    def test_workers(self):
-        seq = search(den_max=10, n_max=6, m_max=6)
-        par = search(den_max=10, n_max=6, m_max=6, workers=2)
-        assert [(c.n, c.m, c.a, c.b) for c in seq] == [(c.n, c.m, c.a, c.b) for c in par]
-
 
 class TestIdentities:
     def test_all_labels_present(self):

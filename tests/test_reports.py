@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import json
 import pathlib
 
 import mpmath
 import pytest
 
+from chtri import candidates
+from chtri.exact import angle
 from chtri.reports import (
     build_candidate,
     claimed_verdict,
@@ -134,6 +137,15 @@ class TestParameterTable:
             rows = parameter_table(k)
             assert len(rows) == 6
             assert all(r.validated for r in rows)
+
+    def test_conjugate_angles_not_validated(self, monkeypatch):
+        # (-2pi/7, -4pi/7) gives conj(rho) = (1 - i sqrt(7))/2, which has the
+        # right modulus and real part but is not the published rho
+        conj = dataclasses.replace(candidates.SPORADIC[(3, 4)], a=angle(-2, 7), b=angle(-4, 7))
+        monkeypatch.setitem(candidates.SPORADIC, (3, 4), conj)
+        rows = {r.candidate: r for r in parameter_table(6)}
+        assert not rows["(3,4)"].validated
+        assert all(r.validated for cid, r in rows.items() if cid != "(3,4)")
 
     def test_row_dict(self):
         rows = parameter_table(6)

@@ -85,6 +85,21 @@ class TestBuild:
         rep = verify_symmetry(g, prec=128)
         assert rep.passed
 
+    @pytest.mark.parametrize("n,m", [(3, 4), (5, 4), (6, 6)])
+    def test_float_params_give_same_matrices(self, n, m):
+        # one formula serves both scalar types: float images of an exact
+        # group's rho, sigma, tau rebuild its matrices to 1e-60
+        g = build_symmetric(5, n, m)
+        with mpmath.workprec(256):
+            rho, sigma, tau = (x.to_mpc(256) for x in (g.params.rho, g.params.sigma, g.params.tau))
+            gf = build_group(5, rho, sigma, tau, prec=256)
+            sf = symmetry_matrix(5, rho, sigma, prec=256)
+            assert not gf.exact
+            pairs = list(zip(g.generators() + (g.H, g.S), gf.generators() + (gf.H, sf)))
+            for exact, flt in pairs:
+                ef = exact.to_float(256)
+                assert max(abs(ef[i, j] - flt[i, j]) for i in range(3) for j in range(3)) < 1e-60
+
     def test_build_group_free_params(self):
         g = build_group(3, Cyclo.one(), Cyclo.one(), Cyclo.one())
         assert g.exact
