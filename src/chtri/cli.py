@@ -17,17 +17,9 @@ import mpmath
 
 from .candidates import ALL_IDS
 from .exact import Cyclo, angle
-from .linalg import classify_isometry, eigenvalues3, hermitian_signature, projective_order
+from .linalg import classify_isometry, eigenvalues3, projective_order
 from . import cosearch, reports
-from .trigroup import (
-    InfeasibleGroupError,
-    braid_length,
-    build_symmetric,
-    evaluate_word,
-    lemma_eigenvalues_residual,
-    trace_invariants,
-    verify_symmetry,
-)
+from .trigroup import InfeasibleGroupError, build_symmetric, evaluate_word, verify
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -97,7 +89,6 @@ def cmd_build(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_FAIL
     with mpmath.workprec(args.prec):
-        sig = hermitian_signature(g.H, prec=args.prec)
         tr_s = g.S.trace()
         doc = {
             "p": args.p,
@@ -111,7 +102,7 @@ def cmd_build(args) -> int:
             "H": _mat(g.H, args.prec),
             "S": _mat(g.S, args.prec),
             "tr_S": _entry(tr_s, args.prec),
-            "signature": sig.verdict,
+            "signature": g.signature.verdict,
             "warning": g.warning,
         }
     _write(json.dumps(doc, indent=2), args.out)
@@ -119,51 +110,15 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = mpmath.mpf(10) ** (-args.tol)
-    lines = []
     try:
         g = build_symmetric(args.p, args.n, args.m, im_sign=args.im_sign, prec=args.prec)
     except InfeasibleGroupError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_FAIL
-
-    rep = verify_symmetry(g, tol=tol, prec=args.prec)
-    for name, res in rep.residuals.items():
-        ok = res <= tol
-        lines.append({"check": f"symmetry:{name}", "residual": mpmath.nstr(mpmath.mpf(res), 10), "pass": bool(ok)})
-    if rep.exact_square is not None:
-        lines.append({"check": "symmetry:square_exact", "residual": "0" if rep.exact_square else "nonzero", "pass": bool(rep.exact_square)})
-
-    try:
-        trace_invariants(g, prec=args.prec, tol=tol)
-        lines.append({"check": "trace_formulas", "residual": "0", "pass": True})
-    except RuntimeError as exc:
-        lines.append({"check": "trace_formulas", "error": str(exc), "pass": False})
-
-    res = lemma_eigenvalues_residual(g, prec=args.prec)
-    ok = res <= tol
-    lines.append({"check": "eigenvalue_lemma", "residual": mpmath.nstr(mpmath.mpf(res), 10), "pass": bool(ok)})
-
-    sig = hermitian_signature(g.H, prec=args.prec)
-    if sig.verdict == "(2,1)":
-        with mpmath.workprec(args.prec):
-            r3 = g.R3.to_float(args.prec)
-            pairs = {
-                "br(R1,R3)": (g.R1.to_float(args.prec), r3, args.n),
-                "br(R2,R3)": (g.R2.to_float(args.prec), r3, args.n),
-                "br(R1,R2)": (g.R1.to_float(args.prec), g.R2.to_float(args.prec), args.m),
-            }
-            conj = r3.inverse() * g.R2.to_float(args.prec) * r3
-            pairs["br(R1,R3^-1R2R3)"] = (g.R1.to_float(args.prec), conj, args.m)
-            for name, (a, b, expect) in pairs.items():
-                got = braid_length(a, b, max_l=args.max_braid, tol=tol, prec=args.prec)
-                ok = got == expect
-                lines.append({"check": name, "expected": expect, "got": got, "pass": bool(ok)})
-    else:
-        lines.append({"check": "braid", "skipped": f"signature {sig.verdict}", "pass": True})
-
-    n_pass = sum(1 for l in lines if l["pass"])
-    summary = {"summary": True, "checks": len(lines), "passed": n_pass, "signature": sig.verdict}
+    checks = verify(g, tol=mpmath.mpf(10) ** (-args.tol), prec=args.prec, max_braid=args.max_braid)
+    lines = [c.to_dict() for c in checks]
+    summary = {"summary": True, "checks": len(checks), "passed": sum(c.passed for c in checks),
+               "signature": g.signature.verdict}
     text = "\n".join(json.dumps(l) for l in lines + [summary]) + "\n"
     _write(text, args.out)
     failed = next((l for l in lines if not l["pass"]), None)

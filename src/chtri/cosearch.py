@@ -23,18 +23,13 @@ from math import gcd
 from typing import Iterable, Optional
 
 import mpmath
-import numpy as np
 
-from .exact import Angle, Cyclo, angle, angle_from_fraction, cos_exact, root_of_unity
+from .exact import Angle, Cyclo, angle, angle_from_fraction, cos_exact
 from .linalg import DEFAULT_PREC
+from .trigroup import parameter_feasible, trace_s  # noqa: F401 (trace_s: re-exported)
 
 # ---------------------------------------------------------------------------
 # Exact residuals
-
-
-def trace_s(a: Angle, b: Angle) -> Cyclo:
-    """s = e^{ia} + e^{ib} + e^{-i(a+b)}, exactly."""
-    return root_of_unity(a) + root_of_unity(b) + root_of_unity(-(a + b))
 
 
 def minor_residual(n: int, a: Angle, b: Angle) -> Cyclo:
@@ -52,12 +47,6 @@ def main_residual(m: int, n: int, a: Angle, b: Angle) -> Cyclo:
         - cos_exact(a.scaled(2) + b)
         - 1
     )
-
-
-def parameter_feasible(n: int, m: int) -> bool:
-    """Whether 2*cos(pi/m) >= 2*cos^2(pi/n), exactly."""
-    diff = cos_exact(angle(1, m)) * 2 - cos_exact(angle(2, n)) - 1
-    return diff.is_zero() or diff.real_sign() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +150,8 @@ def search(
         raise ValueError("den_max must be >= 1")
     if n_max < 3 or m_max < 3:
         raise ValueError("n_max and m_max must be >= 3")
+    import numpy as np  # only the prefilter needs it; importing chtri stays light
+
     fracs = _angle_grid(den_max)
     qs = np.array([f[0] / f[1] for f in fracs])
     th = np.pi * qs

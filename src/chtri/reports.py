@@ -23,7 +23,8 @@ import mpmath
 
 from .candidates import SPORADIC, claim, entry, parse_candidate
 from .exact import Cyclo, angle, cos_exact
-from .linalg import DEFAULT_PREC, hermitian_signature
+# hermitian_signature is only re-exported: the signature is computed once, in build_symmetric
+from .linalg import DEFAULT_PREC, hermitian_signature  # noqa: F401
 from .trigroup import Group, build_symmetric, candidate_s
 
 
@@ -50,7 +51,7 @@ class ScanRow:
     candidate: str
     p: int
     det: object  # mpmath.mpf; exactly 0 when degenerate
-    verdict: str  # from the sign of det: (2,1) / degenerate / (3,0)
+    verdict: str  # from the sign of det, read off the signature: (2,1) / degenerate / (3,0)
     signature: str  # full exact signature of H
     claimed: Optional[str]
     flags: tuple
@@ -76,23 +77,24 @@ def signature_scan(cid: str, p_min: int = 2, p_max: int = 20, prec: int = DEFAUL
     The verdict column follows the determinant-sign criterion (negative
     det <=> signature (2,1)); when the full exact signature disagrees with
     the verdict that criterion suggests (det > 0 can also mean (1,2)), the
-    row is flagged.
+    row is flagged.  det(H) is the product of the eigenvalues, so its
+    sign is read off the exact signature: zero with a zero eigenvalue,
+    negative with an odd count of negative ones.
     """
     if not (2 <= p_min <= p_max):
         raise ValueError("need 2 <= p_min <= p_max")
     rows = []
     for p in range(p_min, p_max + 1):
         g = build_candidate(cid, p, prec=prec)
-        det_exact = g.H.det()
-        sig = hermitian_signature(g.H, prec=prec)
+        sig = g.signature
         flags = []
-        if det_exact.is_zero():
+        if sig.n_zero:
             det_val = mpmath.mpf(0)
             verdict = "degenerate"
         else:
             with mpmath.workprec(prec):
                 det_val = g.H.to_float(prec).det().real
-            verdict = "(2,1)" if det_exact.real_sign() < 0 else "(3,0)"
+            verdict = "(2,1)" if sig.n_neg % 2 else "(3,0)"
         if verdict != sig.verdict:
             flags.append(f"det-sign verdict {verdict} but exact signature {sig.verdict}")
         claimed = claimed_verdict(cid, p)

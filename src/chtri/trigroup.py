@@ -11,6 +11,7 @@ entries; free-form parameters take the arbitrary-precision float path.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,6 +23,7 @@ from .linalg import (
     DEFAULT_PREC,
     DEFAULT_TOL,
     Mat3,
+    Signature,
     eigenvalues3,
     hermitian_signature,
     projective_residual,
@@ -46,13 +48,27 @@ def is_candidate(n: int, m: int) -> bool:
     return entry(n, m) is not None
 
 
+def parameter_feasible(n: int, m: int) -> bool:
+    """Whether 2*cos(pi/m) >= 2*cos^2(pi/n): the condition for rho to exist."""
+    with mpmath.workprec(128):  # error < 2^-120; exact test (conductor lcm(2m, n)) only near 0
+        diff = 2 * mpmath.cospi(mpmath.mpf(1) / m) - 1 - mpmath.cospi(mpmath.mpf(2) / n)
+        if abs(diff) > mpmath.mpf(2) ** -100:
+            return diff > 0
+    diff = cos_exact(angle(1, m)) * 2 - cos_exact(angle(2, n)) - 1
+    return diff.is_zero() or diff.real_sign() > 0
+
+
+def trace_s(a: Angle, b: Angle) -> Cyclo:
+    """s = e^{ia} + e^{ib} + e^{-i(a+b)}, exactly."""
+    return root_of_unity(a) + root_of_unity(b) + root_of_unity(-(a + b))
+
+
 def candidate_s(n: int, m: int, im_sign: int = 1) -> Cyclo:
     """Exact tr(S) for a classified candidate (n, m)."""
     ab = candidate_ab(n, m)
     if ab is None:
         raise ValueError(f"({n},{m}) is not a classified candidate")
-    a, b = ab
-    s = root_of_unity(a) + root_of_unity(b) + root_of_unity(-(a + b))
+    s = trace_s(*ab)
     return s if im_sign >= 0 else s.conj()
 
 
@@ -79,11 +95,17 @@ class Group:
     S: Optional[Mat3] = None
     n: Optional[int] = None
     m: Optional[int] = None
-    warning: Optional[str] = None
+    signature: Optional[Signature] = None  # of H; set by build_symmetric
 
     @property
     def exact(self) -> bool:
         return self.params.exact
+
+    @property
+    def warning(self) -> Optional[str]:
+        if self.signature is None or self.signature.verdict == "(2,1)":
+            return None
+        return f"Hermitian form is {self.signature.verdict}, not (2,1)"
 
     def generators(self) -> tuple[Mat3, Mat3, Mat3]:
         return self.R1, self.R2, self.R3
@@ -155,17 +177,14 @@ def build_symmetric(p: int, n: int, m: int, im_sign: int = 1, prec: int = DEFAUL
 
     Classified candidates get exact cyclotomic matrices; other (n, m) take
     the float path.  Raises InfeasibleGroupError when 2cos(pi/m) <
-    2cos^2(pi/n), where no such rho exists.
+    2cos^2(pi/n), where no such rho exists.  The signature of H is
+    computed here, once, and kept as `signature`.
     """
     if p < 2:
         raise ValueError("reflection order p must be >= 2")
     if n < 3 or m < 3:
         raise ValueError("n and m must be >= 3")
-    with mpmath.workprec(80):
-        abs_rho = 2 * mpmath.cospi(mpmath.mpf(1) / m)
-        re_rho = 2 * mpmath.cospi(mpmath.mpf(1) / n) ** 2
-        gap = abs_rho**2 - re_rho**2
-    if gap < -mpmath.mpf("1e-20"):
+    if not parameter_feasible(n, m):
         raise InfeasibleGroupError("no such symmetric group")
 
     if is_candidate(n, m):
@@ -181,11 +200,8 @@ def build_symmetric(p: int, n: int, m: int, im_sign: int = 1, prec: int = DEFAUL
             sigma = 2 * mpmath.cospi(mpmath.mpf(1) / n)
     g = build_group(p, rho, sigma, sigma, prec=prec)
     smat = symmetry_matrix(p, rho, sigma, prec=prec)
-    warning = None
     sig = hermitian_signature(g.H, prec=prec)
-    if sig.verdict != "(2,1)":
-        warning = f"Hermitian form is {sig.verdict}, not (2,1)"
-    return Group(g.params, g.R1, g.R2, g.R3, g.H, S=smat, n=n, m=m, warning=warning)
+    return Group(g.params, g.R1, g.R2, g.R3, g.H, S=smat, n=n, m=m, signature=sig)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +279,7 @@ def verify_symmetry(g: Group, tol=None, prec: int = DEFAULT_PREC) -> SymmetryRep
         residuals = {k: projective_residual(a, b, prec) for k, (a, b) in checks.items()}
         # polar-vector images: S v1 = R1 v2, S v2 = R1 R3 v1, S v3 = -u R1 v3
         u = mpmath.expjpi(mpmath.mpf(2) / (3 * g.params.p))
-        e = [
-            (mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0)),
-            (mpmath.mpc(0), mpmath.mpc(1), mpmath.mpc(0)),
-            (mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1)),
-        ]
+        e = [tuple(mpmath.mpc(int(i == j)) for j in range(3)) for i in range(3)]
         vec_checks = [
             (s.apply(e[0]), r1.apply(e[1])),
             (s.apply(e[1]), (r1 * r3).apply(e[0])),
@@ -300,12 +312,7 @@ def trace_invariants(g: Group, prec: int = DEFAULT_PREC, tol=None):
             (r1 * r3).trace(),
             (r1 * r3.inverse() * r2 * r3).trace(),
         )
-        closed = (
-            u * (2 - abs(rho) ** 2) + ub2,
-            u * (2 - abs(sigma) ** 2) + ub2,
-            u * (2 - abs(tau) ** 2) + ub2,
-            u * (2 - abs(sigma * tau - mpmath.conj(rho)) ** 2) + ub2,
-        )
+        closed = [u * (2 - abs(x) ** 2) + ub2 for x in (rho, sigma, tau, sigma * tau - mpmath.conj(rho))]
         for a, b in zip(from_matrix, closed):
             if abs(a - b) > tol:
                 raise RuntimeError(f"trace formula mismatch: {a} vs {b}")
@@ -335,23 +342,18 @@ def braid_length(a: Mat3, b: Mat3, max_l: int = 24, tol=None, prec: int = DEFAUL
 
 def evaluate_word(g: Group, word: Sequence[int], prec: int = DEFAULT_PREC, use_float: bool = False) -> Mat3:
     """Left-to-right product over signed generator indices (+-1, +-2, +-3)."""
-    gens = {1: g.R1, 2: g.R2, 3: g.R3}
-    if use_float or not g.exact:
-        with mpmath.workprec(prec):
-            mats = {k: v.to_float(prec) for k, v in gens.items()}
-            mats.update({-k: v.inverse() for k, v in mats.items() if k > 0})
-            out = Mat3.identity(exact=False)
-            for idx in word:
-                out = out * mats[idx]
-            return out
-    mats = dict(gens)
-    mats.update({-k: v.adjugate() for k, v in gens.items()})  # det = 1
-    out = Mat3.identity(exact=True)
     for idx in word:
-        if idx not in mats:
+        if idx not in (-3, -2, -1, 1, 2, 3):
             raise ValueError(f"bad generator index {idx}")
-        out = out * mats[idx]
-    return out
+    exact = g.exact and not use_float
+    with mpmath.workprec(prec):
+        gens = g.generators() if exact else [r.to_float(prec) for r in g.generators()]
+        mats = dict(enumerate(gens, start=1))
+        mats.update({-k: r.adjugate() if exact else r.inverse() for k, r in mats.items()})  # det = 1
+        out = Mat3.identity(exact=exact)
+        for idx in word:
+            out = out * mats[idx]
+        return out
 
 
 def lemma_eigenvalues_residual(g: Group, tol=None, prec: int = DEFAULT_PREC):
@@ -374,12 +376,62 @@ def lemma_eigenvalues_residual(g: Group, tol=None, prec: int = DEFAULT_PREC):
             -u * mpmath.exp(-2j * zeta),
         ]
         computed = eigenvalues3(g.R1 * g.R2, prec)
-        # multiset match: greedy minimal assignment over 3! pairings
-        import itertools
+        # multiset match: minimal assignment over the 3! pairings
+        return min(max(abs(c - predicted[j]) for c, j in zip(computed, perm))
+                   for perm in itertools.permutations(range(3)))
 
-        best = None
-        for perm in itertools.permutations(range(3)):
-            d = max(abs(computed[i] - predicted[perm[i]]) for i in range(3))
-            if best is None or d < best:
-                best = d
-        return best
+
+@dataclass(frozen=True)
+class Check:
+    """One verification result: its name, JSON-ready details, and whether it passed."""
+
+    name: str
+    passed: bool
+    details: dict
+
+    def to_dict(self) -> dict:
+        return {"check": self.name, **self.details, "pass": self.passed}
+
+
+def verify(g: Group, tol=None, prec: int = DEFAULT_PREC, max_braid: int = 24) -> list[Check]:
+    """Every check of a symmetric group, in order: symmetry relations, exact
+    square, trace formulas, eigenvalue lemma, then the four braid lengths.
+
+    The braid lengths are only checked when H has signature (2,1); otherwise
+    one passing "braid" check records the skip.
+    """
+    tol = DEFAULT_TOL if tol is None else tol
+    rep = verify_symmetry(g, tol=tol, prec=prec)
+    checks = [
+        Check(f"symmetry:{name}", bool(res <= tol), {"residual": mpmath.nstr(mpmath.mpf(res), 10)})
+        for name, res in rep.residuals.items()
+    ]
+    if rep.exact_square is not None:
+        residual = "0" if rep.exact_square else "nonzero"
+        checks.append(Check("symmetry:square_exact", bool(rep.exact_square), {"residual": residual}))
+
+    try:
+        trace_invariants(g, prec=prec, tol=tol)
+        checks.append(Check("trace_formulas", True, {"residual": "0"}))
+    except RuntimeError as exc:
+        checks.append(Check("trace_formulas", False, {"error": str(exc)}))
+
+    res = lemma_eigenvalues_residual(g, prec=prec)
+    checks.append(Check("eigenvalue_lemma", bool(res <= tol), {"residual": mpmath.nstr(mpmath.mpf(res), 10)}))
+
+    verdict = g.signature.verdict
+    if verdict != "(2,1)":
+        checks.append(Check("braid", True, {"skipped": f"signature {verdict}"}))
+        return checks
+    with mpmath.workprec(prec):
+        r1, r2, r3 = (x.to_float(prec) for x in g.generators())
+        pairs = {
+            "br(R1,R3)": (r1, r3, g.n),
+            "br(R2,R3)": (r2, r3, g.n),
+            "br(R1,R2)": (r1, r2, g.m),
+            "br(R1,R3^-1R2R3)": (r1, r3.inverse() * r2 * r3, g.m),
+        }
+        for name, (a, b, expect) in pairs.items():
+            got = braid_length(a, b, max_l=max_braid, tol=tol, prec=prec)
+            checks.append(Check(name, got == expect, {"expected": expect, "got": got}))
+    return checks

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import chtri.cli
+import chtri.trigroup
 
 CMD = [sys.executable, "-m", "chtri.cli"]
 
@@ -69,7 +70,7 @@ class TestVerify:
         def mismatch(*args, **kwargs):
             raise RuntimeError("trace formula mismatch: 1 vs 2")
 
-        monkeypatch.setattr(chtri.cli, "trace_invariants", mismatch)
+        monkeypatch.setattr(chtri.trigroup, "trace_invariants", mismatch)
         code = chtri.cli.main(["verify", "--p", "5", "--n", "3", "--m", "4"])
         assert code == 1
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
@@ -83,6 +84,12 @@ class TestVerify:
         assert r.returncode == 0
         for line in r.stdout.strip().splitlines():
             json.loads(line)
+
+
+class TestImport:
+    def test_cli_import_leaves_numpy_out(self):
+        code = "import sys, chtri.cli; sys.exit('numpy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestSearch:

@@ -97,6 +97,14 @@ class TestSignatureScan:
             got = {r.p for r in rep.rows if r.verdict == "degenerate"}
             assert got == degenerate_ps, cid
 
+    @pytest.mark.parametrize("cid", candidates.ALL_IDS)
+    def test_verdict_is_the_exact_det_sign(self, cid):
+        # oracle: the sign of the exact det(H), which the scan no longer computes
+        for r in signature_scan(cid, 2, 20).rows:
+            det = build_candidate(cid, r.p).H.det()
+            want = "degenerate" if det.is_zero() else ("(2,1)" if det.real_sign() < 0 else "(3,0)")
+            assert r.verdict == want, (cid, r.p)
+
     def test_bad_range(self):
         with pytest.raises(ValueError):
             signature_scan("(3,3)", 5, 4)

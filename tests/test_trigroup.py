@@ -1,6 +1,7 @@
 import mpmath
 import pytest
 
+from chtri.candidates import ALL_IDS, parse_candidate
 from chtri.exact import Cyclo, angle, cos_exact, root_of_unity
 from chtri.linalg import Mat3, form_residual, hermitian_signature, projective_equal
 from chtri.trigroup import (
@@ -13,9 +14,11 @@ from chtri.trigroup import (
     evaluate_word,
     is_candidate,
     lemma_eigenvalues_residual,
+    parameter_feasible,
     reflection_matrix,
     symmetry_matrix,
     trace_invariants,
+    verify,
     verify_symmetry,
 )
 
@@ -112,6 +115,50 @@ class TestBuild:
         assert hermitian_signature(g.H).verdict == "(3,0)"
         assert build_symmetric(5, 4, 3).warning is None
 
+    @staticmethod
+    def _gap(n, m):
+        # oracle: |rho|^2 - Re(rho)^2 at 400 bits, the gap the float build used to test
+        with mpmath.workprec(400):
+            return (2 * mpmath.cospi(mpmath.mpf(1) / m)) ** 2 - (2 * mpmath.cospi(mpmath.mpf(1) / n) ** 2) ** 2
+
+    def test_feasibility_matches_the_gap_oracle(self):
+        near_zero = []
+        for n in range(3, 61):
+            for m in range(3, 61):
+                gap = self._gap(n, m)
+                if abs(gap) < mpmath.mpf(10) ** -60:
+                    near_zero.append((n, m))
+                    assert parameter_feasible(n, m)
+                else:
+                    assert parameter_feasible(n, m) == (gap > 0), (n, m)
+        assert near_zero == [(4, 3)]  # the only equality case
+
+    def test_build_rejects_exactly_the_infeasible(self):
+        for n in range(3, 13):
+            for m in range(3, 13):
+                if self._gap(n, m) > -mpmath.mpf(10) ** -60:
+                    build_symmetric(2, n, m)
+                else:
+                    with pytest.raises(InfeasibleGroupError):
+                        build_symmetric(2, n, m)
+
+    @pytest.mark.parametrize("n,m", [(1001, 1000), (97, 101)])
+    def test_large_conductor_builds_a_float_group(self, n, m):
+        # lcm(2m, n) is 2,002,000 and 19,594: beyond or near the exact limit
+        g = build_symmetric(3, n, m)
+        assert not g.exact and g.signature.verdict == "(2,1)"
+
+    # (3,0), (2,1), degenerate and (1,2) forms
+    @pytest.mark.parametrize("cid,p", [("(4,3)", 2), ("(3,4)", 5), ("(8,6)", 2), ("(3,3)-", 20)])
+    def test_signature_kept_on_exact_group(self, cid, p):
+        n, m, im_sign = parse_candidate(cid)
+        g = build_symmetric(p, n, m, im_sign=im_sign)
+        assert g.exact and g.signature == hermitian_signature(g.H)
+
+    def test_signature_kept_on_float_group(self):
+        g = build_symmetric(4, 5, 6)
+        assert not g.exact and g.signature == hermitian_signature(g.H)
+
 
 class TestSymmetry:
     @pytest.mark.parametrize("n,m", SPORADICS)
@@ -167,6 +214,13 @@ class TestWords:
         assert projective_equal(lhs, rhs, tol=mpmath.mpf("1e-30"))
 
 
+    @pytest.mark.parametrize("use_float", [False, True])
+    def test_bad_index_rejected(self, use_float):
+        g = build_symmetric(4, 4, 3)
+        with pytest.raises(ValueError, match="bad generator index 4"):
+            evaluate_word(g, [1, 4], use_float=use_float)
+
+
 class TestEigenvalueLemma:
     @pytest.mark.parametrize("n,m", SPORADICS + [(4, 4), (6, 6)])
     def test_residual_small(self, n, m):
@@ -195,3 +249,27 @@ class TestReflection:
         if norm.is_real() and norm.real_sign() <= 0:
             with pytest.raises(ValueError, match="polar vector not positive"):
                 reflection_matrix(angle(2, 5), v, g.H)
+
+
+SYMMETRY_CHECKS = [f"symmetry:{k}" for k in
+                   ("square", "conj_r1", "conj_r2", "conj_r3", "pair_23", "pair_conj", "vec1", "vec2", "vec3")]
+BRAID_CHECKS = ["br(R1,R3)", "br(R2,R3)", "br(R1,R2)", "br(R1,R3^-1R2R3)"]
+
+
+class TestVerify:
+    @pytest.mark.parametrize("cid", ALL_IDS)
+    def test_all_checks_pass_in_order(self, cid):
+        n, m, im_sign = parse_candidate(cid)
+        for p in range(2, 7):
+            g = build_symmetric(p, n, m, im_sign=im_sign)
+            checks = verify(g)
+            braid = BRAID_CHECKS if g.signature.verdict == "(2,1)" else ["braid"]
+            names = SYMMETRY_CHECKS + ["symmetry:square_exact", "trace_formulas", "eigenvalue_lemma"] + braid
+            assert [c.name for c in checks] == names, (cid, p)
+            assert all(c.passed for c in checks), (cid, p, [c for c in checks if not c.passed])
+
+    def test_check_dict_key_order(self):
+        checks = verify(build_symmetric(5, 3, 4))
+        assert list(checks[0].to_dict()) == ["check", "residual", "pass"]
+        assert list(checks[-1].to_dict()) == ["check", "expected", "got", "pass"]
+        assert checks[-1].to_dict()["got"] == 4
