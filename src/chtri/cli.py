@@ -203,7 +203,7 @@ def cmd_identities(args) -> int:
                         run(f"trace-table:{lab}:psi={psi}", cosearch.trace_table_residual(lab, psi))
                 else:
                     run(f"trace-table:{lab}", cosearch.trace_table_residual(lab))
-        elif suite in ("factorization", "half-angle"):
+        else:  # "factorization" or "half-angle"
             for _ in range(args.trials):
                 da, db = rng.randint(1, 30), rng.randint(1, 30)
                 a = angle(rng.randint(0, 2 * da - 1), da)
@@ -213,9 +213,6 @@ def cmd_identities(args) -> int:
                 else:
                     for i, r in enumerate(cosearch.half_angle_residuals(a, b), start=1):
                         run(f"half-angle:{i}:a={a},b={b}", r)
-        else:
-            print(f"unknown suite {suite!r}", file=sys.stderr)
-            return EXIT_USAGE
     n_fail = sum(1 for r in results if not r["pass"])
     summary = {"summary": True, "checks": len(results), "failed": n_fail}
     text = "\n".join(json.dumps(r) for r in results + [summary]) + "\n"
@@ -237,12 +234,13 @@ def cmd_classify(args) -> int:
     except InfeasibleGroupError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_FAIL
+    tol = mpmath.mpf(10) ** (-args.tol)
     with mpmath.workprec(args.prec):
         mat = evaluate_word(g, word, prec=args.prec, use_float=True)
         tr = mat.trace()
-        kind = classify_isometry(tr, prec=args.prec)
+        kind = classify_isometry(tr, tol=tol, prec=args.prec)
         eigs = eigenvalues3(mat, args.prec)
-        order = projective_order(mat, max_order=200, prec=args.prec)
+        order = projective_order(mat, max_order=200, tol=tol, prec=args.prec)
         doc = {
             "word": word,
             "p": args.p,
@@ -261,11 +259,15 @@ def cmd_classify(args) -> int:
 # Parser
 
 
-def _add_common(sp, group=True):
-    sp.add_argument("--prec", type=int, default=_default_prec(), help="precision in bits")
-    sp.add_argument("--tol", type=int, default=30, help="tolerance exponent k for 10^-k")
+def _add_options(sp, prec=False, tol=False, fmt=False, group=False):
+    """Add --out and, where the subcommand reads them, the shared options."""
+    if prec:
+        sp.add_argument("--prec", type=int, default=_default_prec(), help="precision in bits")
+    if tol:
+        sp.add_argument("--tol", type=int, default=30, help="tolerance exponent k for 10^-k")
     sp.add_argument("--out", default=None, help="output file (default stdout)")
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    if fmt:
+        sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
     if group:
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--n", type=int, required=True)
@@ -278,30 +280,30 @@ def make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("build", help="construct a symmetric triangle group")
-    _add_common(sp)
+    _add_options(sp, prec=True, group=True)
     sp.set_defaults(func=cmd_build)
 
     sp = sub.add_parser("verify", help="verify symmetry, traces, braids, eigenvalues")
-    _add_common(sp)
+    _add_options(sp, prec=True, tol=True, group=True)
     sp.add_argument("--max-braid", type=int, default=24)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("search", help="enumerate exact (n,m) trace solutions")
-    _add_common(sp, group=False)
+    _add_options(sp, fmt=True)
     sp.add_argument("--den-max", type=int, default=90)
     sp.add_argument("--n-max", type=int, default=12)
     sp.add_argument("--m-max", type=int, default=12)
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("tables", help="signature tables over a range of p")
-    _add_common(sp, group=False)
+    _add_options(sp, prec=True, fmt=True)
     sp.add_argument("--candidate", default="all", help="'(n,m)', '(n,m)-' or 'all'")
     sp.add_argument("--p-min", type=int, default=2)
     sp.add_argument("--p-max", type=int, default=20)
     sp.set_defaults(func=cmd_tables)
 
     sp = sub.add_parser("identities", help="exact cosine-identity suites")
-    _add_common(sp, group=False)
+    _add_options(sp)
     sp.add_argument("--suite", default="all",
                     choices=("all", "cosine-sums", "trace-table", "factorization", "half-angle"))
     sp.add_argument("--trials", type=int, default=100)
@@ -309,17 +311,18 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_identities)
 
     sp = sub.add_parser("classify", help="classify the isometry type of a word")
-    _add_common(sp)
+    _add_options(sp, prec=True, tol=True, group=True)
     sp.add_argument("--word", required=True, help="signed generator indices, e.g. '1 2'")
     sp.set_defaults(func=cmd_classify)
     return ap
 
 
 def _validate(args) -> bool:
-    if args.prec is None:
+    prec = getattr(args, "prec", 256)
+    if prec is None:
         print("CHTG_PREC must be an integer", file=sys.stderr)
         return False
-    if args.prec < 53:
+    if prec < 53:
         print("precision must be >= 53 bits", file=sys.stderr)
         return False
     if getattr(args, "tol", 30) < 6:

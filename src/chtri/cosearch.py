@@ -7,9 +7,9 @@ are rational multiples of pi.  A pair (n, m) is admissible when
     main:   cos(2*pi/m) - cos(2*pi/n)
             - cos(a-b) - cos(a+2b) - cos(2a+b) = 1
 
-have a common solution.  `search` enumerates angle pairs on a rational grid,
-prefilters numerically with numpy, and confirms survivors in exact
-cyclotomic arithmetic.
+have a common solution.  `search` solves the minor equation for b at each
+angle a of a rational grid, screens the grid angles next to each root in
+float arithmetic, and confirms survivors in exact cyclotomic arithmetic.
 
 The module also carries exact residual evaluators for the classical
 vanishing-cosine-sum identities used to classify the solutions.
@@ -17,9 +17,10 @@ vanishing-cosine-sum identities used to classify the solutions.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Optional
 
 import mpmath
@@ -85,6 +86,9 @@ def canonicalize_ab(a: Angle, b: Angle) -> tuple:
 # ---------------------------------------------------------------------------
 # Search
 
+# Float screen: a grid pair survives when each equation holds to this tolerance.
+PREFILTER_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -126,65 +130,63 @@ def _angle_grid(den_max: int):
     fracs = []
     for den in range(1, den_max + 1):
         for num in range(0, 2 * den):
-            if gcd(num, den) == 1:
+            if math.gcd(num, den) == 1:
                 fracs.append((num, den))
     return fracs
 
 
-def search(
-    den_max: int = 90,
-    n_max: int = 12,
-    m_max: int = 12,
-    prefilter_tol: float = 1e-9,
-) -> list:
+def search(den_max: int = 90, n_max: int = 12, m_max: int = 12) -> list:
     """Enumerate exact solutions of the minor/main equations on the grid.
 
-    Angle pairs (a, b) with denominators <= den_max are screened in float
-    arithmetic against every n <= n_max and m <= m_max, deduplicated up to
-    the 36-element symmetry orbit of s, and the surviving representatives
-    are confirmed in exact arithmetic.  Returns Candidates sorted by
-    (n, m, a, b); entries that fail exact confirmation are kept but
-    flagged.
+    For each grid angle a and each n <= n_max the minor equation is solved
+    for b in closed form; the grid angles on either side of each root are
+    screened in float arithmetic against the minor and every main equation
+    with m <= m_max, deduplicated up to the 36-element symmetry orbit of s,
+    and the surviving representatives are confirmed in exact arithmetic.
+    Returns Candidates sorted by (n, m, a, b); entries that fail exact
+    confirmation are kept but flagged.
     """
     if den_max < 1:
         raise ValueError("den_max must be >= 1")
     if n_max < 3 or m_max < 3:
         raise ValueError("n_max and m_max must be >= 3")
-    import numpy as np  # only the prefilter needs it; importing chtri stays light
-
     fracs = _angle_grid(den_max)
-    qs = np.array([f[0] / f[1] for f in fracs])
-    th = np.pi * qs
-    cos_th = np.cos(th)
-    cos_n = {n: np.cos(2 * np.pi / n) for n in range(3, n_max + 1)}
-    cos_m = {m: np.cos(2 * np.pi / m) for m in range(3, m_max + 1)}
+    th = [math.pi * (num / den) for num, den in fracs]
+    cos_th = [math.cos(t) for t in th]
+    by_angle = sorted(range(len(th)), key=th.__getitem__)
+    sorted_th = [th[k] for k in by_angle]
+    cos_n = {n: math.cos(2 * math.pi / n) for n in range(3, n_max + 1)}
+    cos_m = {m: math.cos(2 * math.pi / m) for m in range(3, m_max + 1)}
 
     # orbit key -> per-(n, m) least grid hit
     hits: dict = {}
-    for i in range(len(fracs)):
-        a_th, a_cos = th[i], cos_th[i]
-        j_th = th[i:]
-        v = a_cos + cos_th[i:] + np.cos(a_th + j_th)
-        diff_cos = np.cos(a_th - j_th)
-        sum1 = np.cos(a_th + 2 * j_th)
-        sum2 = np.cos(2 * a_th + j_th)
-        lhs_core = -diff_cos - sum1 - sum2 - 1.0
+    for i, (a_th, a_cos) in enumerate(zip(th, cos_th)):
+        # minor: cos a + cos b + cos(a+b) = cos a + twice_half * cos(b + a/2)
+        twice_half = 2 * math.cos(a_th / 2)
         for n, cn in cos_n.items():
-            idx = np.nonzero(np.abs(v - cn) < prefilter_tol)[0]
-            if idx.size == 0:
-                continue
-            for j_off in idx:
-                j = i + int(j_off)
-                core = lhs_core[j_off] - cn
+            if abs(cn - a_cos) >= abs(twice_half) + PREFILTER_TOL:
+                continue  # no b comes within PREFILTER_TOL of the minor equation
+            phase = math.acos(max(-1.0, min(1.0, (cn - a_cos) / twice_half)))
+            # An exact grid solution b lies within 1e-7 of a computed root (arccos
+            # amplifies rounding near a double root), far inside the least gap
+            # pi/den_max**2 between grid angles: it is one of the two around a root.
+            near = set()
+            for root in (phase - a_th / 2, -phase - a_th / 2):
+                k = bisect_left(sorted_th, root % (2 * math.pi))
+                near.update((by_angle[k - 1], by_angle[k % len(th)]))
+            for j in near:
+                if j < i:
+                    continue
+                b_th = th[j]
+                if abs(a_cos + cos_th[j] + math.cos(a_th + b_th) - cn) >= PREFILTER_TOL:
+                    continue
+                core = (-math.cos(a_th - b_th) - math.cos(a_th + 2 * b_th)
+                        - math.cos(2 * a_th + b_th) - 1.0) - cn
                 for m, cm in cos_m.items():
-                    if abs(cm + core) < prefilter_tol:
+                    if abs(cm + core) < PREFILTER_TOL:
                         pair = (fracs[i], fracs[j])
-                        key = (n, m) + tuple(
-                            canonicalize_ab(angle(*fracs[i]), angle(*fracs[j]))
-                        )
-                        prev = hits.get(key)
-                        if prev is None or pair < prev:
-                            hits[key] = pair
+                        key = (n, m) + canonicalize_ab(angle(*fracs[i]), angle(*fracs[j]))
+                        hits[key] = min(hits.get(key, pair), pair)
     out = []
     for (n, m, *_orbit), (af, bf) in sorted(hits.items()):
         a, b = angle(*af), angle(*bf)

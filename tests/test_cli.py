@@ -88,8 +88,12 @@ class TestVerify:
 
 class TestImport:
     def test_cli_import_leaves_numpy_out(self):
-        code = "import sys, chtri.cli; sys.exit('numpy' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+        code = ("import sys, chtri.cli; "
+                "code = chtri.cli.main(['search', '--den-max', '12', '--n-max', '6', '--m-max', '6', "
+                "'--format', 'text']); "
+                "sys.exit(code or 'numpy' in sys.modules)")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0 and "(4,3)" in r.stdout
 
 
 class TestSearch:
@@ -144,6 +148,15 @@ class TestClassify:
         assert doc["type"] == "regular-elliptic"
         assert doc["projective_order"] == 12
 
+    def test_tol_is_honoured(self):
+        # R1 is a complex reflection of order 5; at 53 bits its residuals (~1e-14) pass only a loose tol
+        r = run("classify", "--word", "1", "--p", "5", "--n", "3", "--m", "4",
+                "--prec", "53", "--tol", "6")
+        assert r.returncode == 0
+        doc = json.loads(r.stdout)
+        assert doc["type"] == "boundary"
+        assert doc["projective_order"] == 5
+
     def test_bad_word(self):
         r = run("classify", "--word", "1 x", "--p", "4", "--n", "4", "--m", "3")
         assert r.returncode == 2
@@ -172,6 +185,25 @@ class TestConfig:
         r = run("build", "--p", "4", "--n", "4", "--m", "3", env={"CHTG_PREC": "high"})
         assert r.returncode == 2
         assert "CHTG_PREC" in r.stderr and len(r.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("build", "--tol", "30"), ("build", "--format", "json"),
+        ("verify", "--format", "json"), ("classify", "--format", "json"),
+        ("search", "--prec", "256"), ("search", "--tol", "30"),
+        ("tables", "--tol", "30"),
+        ("identities", "--prec", "256"), ("identities", "--tol", "30"),
+        ("identities", "--format", "json"),
+    ])
+    def test_unread_option_rejected(self, command, option, value, capsys):
+        needed = {
+            "build": ["--p", "4", "--n", "4", "--m", "3"],
+            "verify": ["--p", "4", "--n", "4", "--m", "3"],
+            "classify": ["--p", "4", "--n", "4", "--m", "3", "--word", "1"],
+        }.get(command, [])
+        with pytest.raises(SystemExit) as exc:
+            chtri.cli.main([command, *needed, option, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--den-max", "0"), ("--n-max", "2"), ("--m-max", "2")])
     def test_search_bounds_rejected(self, flag, value):

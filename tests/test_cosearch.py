@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,10 @@ import pytest
 from chtri.exact import angle
 from chtri.cosearch import (
     COSINE_SUM_LABELS,
+    PREFILTER_TOL,
     TRACE_TABLE_LABELS,
+    Candidate,
+    _angle_grid,
     canonicalize_ab,
     factorization_residual,
     half_angle_residuals,
@@ -89,7 +93,47 @@ class TestOrbit:
             assert any((sx - t).is_zero() for t in allowed)
 
 
+def pair_scan(den_max, n_max, m_max):
+    """The search as a scan of every grid pair (a, b) with b not before a: a test oracle."""
+    fracs = _angle_grid(den_max)
+    th = [math.pi * (num / den) for num, den in fracs]
+    cos_th = [math.cos(t) for t in th]
+    cos_n = {n: math.cos(2 * math.pi / n) for n in range(3, n_max + 1)}
+    cos_m = {m: math.cos(2 * math.pi / m) for m in range(3, m_max + 1)}
+    least = {}
+    for i, a_th in enumerate(th):
+        for j in range(i, len(th)):
+            b_th = th[j]
+            v = cos_th[i] + cos_th[j] + math.cos(a_th + b_th)
+            core = (-math.cos(a_th - b_th) - math.cos(a_th + 2 * b_th)
+                    - math.cos(2 * a_th + b_th) - 1.0)
+            for n, cn in cos_n.items():
+                if abs(v - cn) >= PREFILTER_TOL:
+                    continue
+                for m, cm in cos_m.items():
+                    if abs(cm + (core - cn)) < PREFILTER_TOL:
+                        pair = (fracs[i], fracs[j])
+                        key = (n, m) + canonicalize_ab(angle(*pair[0]), angle(*pair[1]))
+                        least[key] = min(least.get(key, pair), pair)
+    out = []
+    for (n, m, *_), (af, bf) in least.items():
+        a, b = angle(*af), angle(*bf)
+        confirmed = minor_residual(n, a, b).is_zero() and main_residual(m, n, a, b).is_zero()
+        out.append(Candidate(n, m, a, b, confirmed, parameter_feasible(n, m)))
+    return sorted(out, key=lambda c: (c.n, c.m, c.a.frac, c.b.frac))
+
+
 class TestSearch:
+    @pytest.mark.parametrize("bounds", [(12, 12, 7), (24, 12, 12), (24, 20, 20)])
+    def test_matches_the_pair_scan(self, bounds):
+        assert search(*bounds) == pair_scan(*bounds)
+
+    def test_finer_grid_finds_no_new_orbit(self):
+        # the 15 classified (n, m) representatives all have denominators <= 90
+        coarse = search(den_max=90)
+        assert len(coarse) == 15 and all(c.exact_confirmed for c in coarse)
+        assert search(den_max=210) == coarse
+
     def test_small_grid(self):
         # frozen output of the denominator-12 grid with m capped at 7
         res = search(den_max=12, n_max=12, m_max=7)
