@@ -59,7 +59,7 @@ def _num_str(v, digits: int = 30) -> dict:
 def _entry(x, prec: int) -> dict:
     if isinstance(x, Cyclo):
         d = {"exact": _cyclo_str(x)}
-        d.update(_num_str(x.to_mpc(prec)))
+        d.update(_num_str(mpmath.mpc(0) if x.is_zero() else x.to_mpc(prec)))
         return d
     return _num_str(mpmath.mpc(x))
 
@@ -83,11 +83,7 @@ def _write(text: str, out) -> None:
 
 
 def cmd_build(args) -> int:
-    try:
-        g = build_symmetric(args.p, args.n, args.m, im_sign=args.im_sign, prec=args.prec)
-    except InfeasibleGroupError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAIL
+    g = build_symmetric(args.p, args.n, args.m, im_sign=args.im_sign, prec=args.prec)
     with mpmath.workprec(args.prec):
         tr_s = g.S.trace()
         doc = {
@@ -110,11 +106,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = build_symmetric(args.p, args.n, args.m, im_sign=args.im_sign, prec=args.prec)
-    except InfeasibleGroupError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAIL
+    g = build_symmetric(args.p, args.n, args.m, im_sign=args.im_sign, prec=args.prec)
     checks = verify(g, tol=mpmath.mpf(10) ** (-args.tol), prec=args.prec, max_braid=args.max_braid)
     lines = [c.to_dict() for c in checks]
     summary = {"summary": True, "checks": len(checks), "passed": sum(c.passed for c in checks),
@@ -157,11 +149,7 @@ def cmd_search(args) -> int:
 
 def cmd_tables(args) -> int:
     cids = ALL_IDS if args.candidate == "all" else [args.candidate]
-    try:
-        reps = [reports.signature_scan(c, args.p_min, args.p_max, prec=args.prec) for c in cids]
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    reps = [reports.signature_scan(c, args.p_min, args.p_max, prec=args.prec) for c in cids]
     if args.format == "csv":
         text = reports.scan_to_csv(reps)
     elif args.format == "json":
@@ -229,11 +217,7 @@ def cmd_classify(args) -> int:
     if not word or any(w == 0 or abs(w) > 3 for w in word):
         print("bad word; indices must be in {-3..-1, 1..3}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        g = build_symmetric(args.p, args.n, args.m, im_sign=args.im_sign, prec=args.prec)
-    except InfeasibleGroupError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAIL
+    g = build_symmetric(args.p, args.n, args.m, im_sign=args.im_sign, prec=args.prec)
     tol = mpmath.mpf(10) ** (-args.tol)
     with mpmath.workprec(args.prec):
         mat = evaluate_word(g, word, prec=args.prec, use_float=True)
@@ -337,6 +321,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except InfeasibleGroupError as exc:  # a ValueError, but a failure rather than bad usage
+        print(str(exc), file=sys.stderr)
+        return EXIT_FAIL
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

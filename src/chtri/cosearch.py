@@ -26,8 +26,7 @@ from typing import Iterable, Optional
 import mpmath
 
 from .exact import Angle, Cyclo, angle, angle_from_fraction, cos_exact
-from .linalg import DEFAULT_PREC
-from .trigroup import parameter_feasible, trace_s  # noqa: F401 (trace_s: re-exported)
+from .trigroup import parameter_feasible, trace_s
 
 # ---------------------------------------------------------------------------
 # Exact residuals
@@ -99,21 +98,13 @@ class Candidate:
     exact_confirmed: bool
     parameter_feasible: bool
 
-    def s_value(self, prec: int = DEFAULT_PREC):
-        with mpmath.workprec(prec):
-            return (
-                mpmath.expjpi(mpmath.mpf(self.a.num) / self.a.den)
-                + mpmath.expjpi(mpmath.mpf(self.b.num) / self.b.den)
-                + mpmath.expjpi(
-                    -(Fraction(self.a.num, self.a.den) + Fraction(self.b.num, self.b.den))
-                )
-            )
-
     def to_dict(self, digits: int = 50) -> dict:
-        with mpmath.workprec(int(digits * 3.33) + 20):
-            s = self.s_value(int(digits * 3.33) + 20)
-            s_re = mpmath.nstr(s.real, digits, strip_zeros=False)
-            s_im = mpmath.nstr(s.imag, digits, strip_zeros=False)
+        prec = int(digits * 3.33) + 20
+        s = trace_s(self.a, self.b)
+        with mpmath.workprec(prec):
+            v = mpmath.mpc(0) if s.is_zero() else s.to_mpc(prec)
+            s_re = mpmath.nstr(v.real, digits, strip_zeros=False)
+            s_im = mpmath.nstr(v.imag, digits, strip_zeros=False)
         return {
             "n": self.n,
             "m": self.m,

@@ -81,55 +81,47 @@ def angle_from_fraction(q: Fraction) -> Angle:
 # Cyclotomic polynomials (integer coefficients, ascending order)
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (ascending); den must be monic.
 
-
-def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact division of integer polynomials; den must be monic."""
-    num = list(num)
-    dd = len(den) - 1
-    q = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
+    Each step subtracts only den's nonzero terms, so a sparse den is cheap.
+    """
+    deg = len(den) - 1
+    terms = [(j - deg, c) for j, c in enumerate(den[:-1]) if c]
+    rem = list(num)
+    quo = [0] * max(len(rem) - deg, 0)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
         if c:
-            q[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    return q
+            quo[i - deg] = c
+            for off, d in terms:
+                rem[i + off] -= c * d
+    return quo, rem[:deg]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending."""
+    """Coefficients of the n-th cyclotomic polynomial, ascending.
+
+    With q the largest prime factor of n = q*k: Phi_n(x) = Phi_k(x^q) when q
+    divides k, else Phi_k(x^q) / Phi_k(x).  The largest q keeps the divisor
+    Phi_k, and so the division, small.
+    """
     if n == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d < n:
-            poly = _polydiv_exact(poly, cyclotomic_poly(d))
-    return tuple(poly)
-
-
-def _reduce_mod_cyclotomic(n: int, dense: list[int]) -> list[int]:
-    """Reduce an integer coefficient vector (length <= n) mod Phi_n."""
-    phi = cyclotomic_poly(n)
-    deg = len(phi) - 1
-    a = list(dense) + [0] * (n - len(dense))
-    for i in range(len(a) - 1, deg - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(len(phi)):
-                a[i - deg + j] -= c * phi[j]
-    return a[:deg]
+    q, d = n, 2
+    while d * d <= q:
+        if q % d:
+            d += 1
+        else:
+            q //= d
+    k = n // q
+    base = cyclotomic_poly(k)
+    stretched = [0] * ((len(base) - 1) * q + 1)
+    stretched[::q] = base
+    if k % q == 0:
+        return tuple(stretched)
+    return tuple(_divmod_monic(stretched, base)[0])
 
 
 def _canonical_coeffs(n: int, coeffs: dict[int, Fraction]) -> tuple[Fraction, ...]:
@@ -139,10 +131,10 @@ def _canonical_coeffs(n: int, coeffs: dict[int, Fraction]) -> tuple[Fraction, ..
     lcm = 1
     for v in coeffs.values():
         lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    dense = [0] * n
+    dense = [0] * (max(coeffs) + 1)
     for e, v in coeffs.items():
         dense[e] = v.numerator * (lcm // v.denominator)
-    red = _reduce_mod_cyclotomic(n, dense)
+    red = _divmod_monic(dense, cyclotomic_poly(n))[1]
     while red and red[-1] == 0:
         red.pop()
     return tuple(Fraction(x, lcm) for x in red)
@@ -404,9 +396,10 @@ class Cyclo:
         return total
 
     def real_sign(self) -> int:
-        """Sign of a real cyclotomic number (-1, 0, or +1). Exact."""
-        if self.is_zero():
-            return 0
+        """Sign of a real cyclotomic number (-1, 0, or +1). Exact.
+
+        The zero test runs only when the 128-bit value cannot decide the sign.
+        """
         prec = 128
         mass = float(1 + self.coeff_mass())
         while True:
@@ -414,6 +407,8 @@ class Cyclo:
             bound = mpmath.mpf(2) ** (3 - prec) * mass
             if abs(val.real) > 4 * bound:
                 return 1 if val.real > 0 else -1
+            if prec == 128 and self.is_zero():
+                return 0
             prec *= 2
             if prec > 1 << 16:
                 raise RuntimeError("cannot determine sign; value may not be real")

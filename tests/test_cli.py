@@ -27,8 +27,8 @@ class TestBuild:
         doc = json.loads(r.stdout)
         assert doc["signature"] == "(2,1)"
         assert doc["exact"] is True
-        # rho = 1 for the (4,3) candidate
-        assert abs(float(doc["tr_S"]["re"]) - 0.0) < 1e-12
+        # rho = 1 for the (4,3) candidate, and tr(S) = 0 exactly prints as zero
+        assert doc["tr_S"] == {"exact": "0", "re": "0.0", "im": "0.0"}
         assert doc["warning"] is None
 
     def test_build_degenerate_warns(self):
@@ -38,8 +38,10 @@ class TestBuild:
         assert doc["signature"] == "degenerate"
         assert doc["warning"]
 
-    def test_build_infeasible(self):
-        r = run("build", "--p", "3", "--n", "6", "--m", "3")
+    @pytest.mark.parametrize("command", [["build"], ["verify"], ["classify", "--word", "1"]],
+                             ids=["build", "verify", "classify"])
+    def test_build_infeasible(self, command):
+        r = run(*command, "--p", "3", "--n", "6", "--m", "3")
         assert r.returncode == 1
         assert "no such symmetric group" in r.stderr
 
@@ -91,7 +93,7 @@ class TestImport:
         code = ("import sys, chtri.cli; "
                 "code = chtri.cli.main(['search', '--den-max', '12', '--n-max', '6', '--m-max', '6', "
                 "'--format', 'text']); "
-                "sys.exit(code or 'numpy' in sys.modules)")
+                "sys.exit(code or any(m in sys.modules for m in ('numpy', 'sympy', 'hypothesis')))")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0 and "(4,3)" in r.stdout
 
@@ -107,6 +109,8 @@ class TestSearch:
         assert (4, 3) in pairs and (6, 6) in pairs
         assert all(row["exact_confirmed"] for row in doc)
         assert set(doc[0]["a"]) == {"num", "den"}
+        # s = 0 exactly for (4,3), so it prints as zero rather than float noise
+        assert [row["s"] for row in doc if (row["n"], row["m"]) == (4, 3)] == [{"re": "0.0", "im": "0.0"}]
 
     def test_deterministic(self):
         a = run("search", "--den-max", "10", "--n-max", "6", "--m-max", "6")

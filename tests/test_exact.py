@@ -109,6 +109,10 @@ class TestCyclo:
         # pi/8 < pi/7 so cos(pi/8) > cos(pi/7)
         assert (cos_exact(angle(1, 8)) - cos_exact(angle(1, 7))).real_sign() > 0
         assert (cos_exact(angle(1, 7)) - cos_exact(angle(1, 8))).real_sign() < 0
+        # 1 + zeta3 + zeta3^2 cancels: the floats cannot decide, the zero test does
+        assert Cyclo(3, {0: 1, 1: 1, 2: 1}).real_sign() == 0
+        # below the 128-bit error bound but nonzero: decided after a precision doubling
+        assert Cyclo.rational(Fraction(1, 2**200)).real_sign() == 1
 
     def test_to_mpc_accuracy(self):
         # oracle: direct mpmath evaluation at high precision

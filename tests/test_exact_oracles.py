@@ -1,0 +1,99 @@
+"""The exact core against independent oracles: sympy for Phi_N and reduction, hypothesis for ring laws."""
+from fractions import Fraction
+
+import mpmath
+import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
+from sympy.abc import x as X
+
+from chtri.exact import Cyclo, cyclotomic_poly
+
+ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def sympy_coeffs(poly) -> tuple:
+    """Ascending coefficients of a sympy Poly as Fractions, trailing zeros dropped."""
+    out = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+class TestCyclotomicPolyOracle:
+    def test_matches_sympy_up_to_400(self):
+        for n in range(1, 401):
+            assert cyclotomic_poly(n) == sympy_coeffs(sympy.cyclotomic_poly(n, X, polys=True)), n
+
+    @pytest.mark.parametrize("n", [1680, 3276, 6780])
+    def test_matches_sympy_at_large_conductors(self, n):
+        assert cyclotomic_poly(n) == sympy_coeffs(sympy.cyclotomic_poly(n, X, polys=True))
+
+
+def sparse_vectors(n: int):
+    """Up to 8 nonzero rational coefficients on exponents 0..n-1."""
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    return st.dictionaries(st.integers(0, n - 1), coeff, max_size=8)
+
+
+class TestReductionOracle:
+    @pytest.mark.parametrize("n", [105, 360, 1680])
+    def test_canonical_at_matches_sympy_rem(self, n):
+        phi = sympy.cyclotomic_poly(n, X, polys=True).set_domain(sympy.QQ)
+
+        @ORACLE
+        @given(sparse_vectors(n))
+        def check(coeffs):
+            f = sympy.Poly(sum((sympy.Rational(v.numerator, v.denominator) * X**e
+                                for e, v in coeffs.items()), sympy.Integer(0)), X, domain=sympy.QQ)
+            assert Cyclo(n, coeffs).canonical_at(n) == sympy_coeffs(sympy.rem(f, phi))
+
+        check()
+
+
+# Small conductors and coefficients in -2..2, so that exact zeros (such as
+# 1 + zeta3 + zeta3^2) turn up among the draws.
+CONDUCTORS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20, 24])
+
+
+@st.composite
+def cyclos(draw):
+    n = draw(CONDUCTORS)
+    coeffs = draw(st.dictionaries(st.integers(0, n - 1), st.integers(-2, 2).map(Fraction), max_size=5))
+    return Cyclo(n, coeffs)
+
+
+class TestCycloRingLaws:
+    @ORACLE
+    @given(cyclos(), cyclos(), cyclos())
+    def test_ring_axioms(self, x, y, z):
+        assert (x + y) + z == x + (y + z)
+        assert x + y == y + x
+        assert (x * y) * z == x * (y * z)
+        assert x * y == y * x
+        assert x * (y + z) == x * y + x * z
+        assert x + 0 == x and x * 1 == x
+        assert (x - x).is_zero() and (x * 0).is_zero()
+
+    @ORACLE
+    @given(cyclos(), cyclos())
+    def test_conj_is_a_ring_homomorphism(self, x, y):
+        assert (x + y).conj() == x.conj() + y.conj()
+        assert (x * y).conj() == x.conj() * y.conj()
+        assert x.conj().conj() == x
+
+    @ORACLE
+    @given(cyclos())
+    def test_inverse(self, x):
+        assume(not x.is_zero())
+        assert x * x.inverse() == 1
+
+    @ORACLE
+    @given(cyclos())
+    def test_real_sign_matches_400_bits(self, x):
+        r = x + x.conj()
+        with mpmath.workprec(400):
+            value = sum((mpmath.mpf(v.numerator) / v.denominator * 2 * mpmath.cospi(mpmath.mpf(2 * e) / x.n)
+                         for e, v in x.c.items()), mpmath.mpf(0))
+            want = 0 if abs(value) < mpmath.mpf(2) ** -300 else (1 if value > 0 else -1)
+        assert r.real_sign() == want
