@@ -312,6 +312,12 @@ def _validate(args) -> bool:
     if getattr(args, "tol", 30) < 6:
         print("tolerance exponent must be >= 6", file=sys.stderr)
         return False
+    if getattr(args, "max_braid", 24) < 2:
+        print("--max-braid must be >= 2", file=sys.stderr)
+        return False
+    if getattr(args, "trials", 0) < 0:
+        print("--trials must be >= 0", file=sys.stderr)
+        return False
     return True
 
 

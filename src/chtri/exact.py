@@ -318,9 +318,6 @@ class Cyclo:
         """|x|^2 = x * conj(x)."""
         return self * self.conj()
 
-    def real_part(self) -> "Cyclo":
-        return (self + self.conj()) * Fraction(1, 2)
-
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -8,7 +8,6 @@ for residual checks, eigenvalues and braid searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
@@ -197,21 +196,14 @@ def _descartes_positive(signs: list[int]) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
 
-def hermitian_signature(h: Mat3, prec: int = DEFAULT_PREC, tol=None) -> Signature:
-    """Eigenvalue sign pattern of a Hermitian 3x3 matrix.
+def invariant_signature(tr, c1, det, prec: int = DEFAULT_PREC, tol=None) -> Signature:
+    """Eigenvalue sign pattern of a Hermitian 3x3 matrix with char poly x^3 - tr x^2 + c1 x - det.
 
-    Exact matrices are decided exactly (zero eigenvalues via exact
-    zero-tests of the characteristic coefficients); float matrices use a
-    numeric threshold.
+    Cyclo invariants are decided exactly, by Descartes' rule (all roots are
+    real); float ones from the roots, with a numeric threshold.
     """
-    if h.exact:
-        if not (h - h.adjoint()).is_zero_exact():
-            raise ValueError("matrix is not Hermitian")
-        c2 = h.trace().real_part()
-        c1 = h.minor_sum().real_part()
-        c0 = h.det().real_part()
-        s2, s1, s0 = c2.real_sign(), c1.real_sign(), c0.real_sign()
-        # char poly: x^3 - c2 x^2 + c1 x - c0, all roots real
+    if _is_cyclo(det):
+        s2, s1, s0 = tr.real_sign(), c1.real_sign(), det.real_sign()
         if s0 != 0:
             pos = _descartes_positive([1, -s2, s1, -s0])
             return Signature(pos, 3 - pos, 0)
@@ -222,14 +214,19 @@ def hermitian_signature(h: Mat3, prec: int = DEFAULT_PREC, tol=None) -> Signatur
             return Signature(1, 0, 2) if s2 > 0 else Signature(0, 1, 2)
         return Signature(0, 0, 3)
     tol = DEFAULT_TOL if tol is None else tol
-    with mpmath.workprec(prec):
-        res = max(abs(x) for r in (h - h.adjoint()).rows for x in r)
-        if res > mpmath.mpf(2) ** (-prec // 2):
+    eigs = _cubic_roots(-tr, c1, -det, prec)
+    pos = sum(1 for e in eigs if e.real > tol)
+    neg = sum(1 for e in eigs if e.real < -tol)
+    return Signature(pos, neg, 3 - pos - neg)
+
+
+def hermitian_signature(h: Mat3, prec: int = DEFAULT_PREC, tol=None) -> Signature:
+    """Eigenvalue sign pattern of a Hermitian 3x3 matrix, from its trace, minor sum and det."""
+    with mpmath.workprec(prec + 30):
+        skew = h - h.adjoint()
+        if not (skew.is_zero_exact() if h.exact else skew.max_abs() <= mpmath.mpf(2) ** (-prec // 2)):
             raise ValueError("matrix is not Hermitian")
-        eigs = eigenvalues3(h, prec)
-        pos = sum(1 for e in eigs if e.real > tol)
-        neg = sum(1 for e in eigs if e.real < -tol)
-        return Signature(pos, neg, 3 - pos - neg)
+        return invariant_signature(h.trace(), h.minor_sum(), h.det(), prec, tol)
 
 
 # ---------------------------------------------------------------------------

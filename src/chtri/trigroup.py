@@ -18,14 +18,14 @@ from typing import Optional, Sequence
 import mpmath
 
 from .candidates import entry
-from .exact import Angle, Cyclo, _coerce, angle, cos_exact, root_of_unity, to_float
+from .exact import Angle, Cyclo, _coerce, angle, cos_exact, root_of_unity, sin_exact, to_float
 from .linalg import (
     DEFAULT_PREC,
     DEFAULT_TOL,
     Mat3,
     Signature,
     eigenvalues3,
-    hermitian_signature,
+    invariant_signature,
     projective_residual,
 )
 
@@ -55,7 +55,7 @@ def parameter_feasible(n: int, m: int) -> bool:
         if abs(diff) > mpmath.mpf(2) ** -100:
             return diff > 0
     diff = cos_exact(angle(1, m)) * 2 - cos_exact(angle(2, n)) - 1
-    return diff.is_zero() or diff.real_sign() > 0
+    return diff.real_sign() >= 0
 
 
 def trace_s(a: Angle, b: Angle) -> Cyclo:
@@ -111,11 +111,6 @@ class Group:
         return self.R1, self.R2, self.R3
 
 
-def _alpha_exact(p: int) -> Cyclo:
-    # sqrt(2 - 2*cos(2*pi/p)) = 2*sin(pi/p) = 2*cos(pi*(p-2)/(2p)) >= 0
-    return cos_exact(angle(p - 2, 2 * p)) * 2
-
-
 def _scalars(params, consts, prec: int):
     """(params, consts, conj) in one scalar type: Cyclo when every param is exact, else mpmath.
 
@@ -138,8 +133,8 @@ def build_group(p: int, rho, sigma, tau, prec: int = DEFAULT_PREC) -> Group:
     """
     if p < 2:
         raise ValueError("reflection order p must be >= 2")
-    # u = e^{2 pi i/(3p)}, uh_bar = e^{-i pi/(3p)}, alpha, -i, 0
-    consts = (Cyclo.root(3 * p, 1), Cyclo.root(6 * p, 6 * p - 1), _alpha_exact(p), -Cyclo.i(), Cyclo.zero())
+    # u = e^{2 pi i/(3p)}, uh_bar = e^{-i pi/(3p)}, alpha = sqrt(2 - 2cos(2pi/p)) = 2sin(pi/p), -i, 0
+    consts = (Cyclo.root(3 * p, 1), Cyclo.root(6 * p, 6 * p - 1), sin_exact(angle(1, p)) * 2, -Cyclo.i(), Cyclo.zero())
     with mpmath.workprec(prec):
         (rho, sigma, tau), (u, uh_bar, alpha, mi, zero), conj = _scalars((rho, sigma, tau), consts, prec)
         ub, u2 = conj(u), u * u
@@ -172,13 +167,30 @@ def symmetry_matrix(p: int, rho, sigma, prec: int = DEFAULT_PREC) -> Mat3:
         )
 
 
+def form_invariants(p: int, rho, sigma, prec: int = DEFAULT_PREC):
+    """(tr H, c1 = sum of the principal 2x2 minors, det H) of a symmetric group, in closed form.
+
+    With tau = sigma real, Re(rho) = sigma^2/2, s = sin(pi/p), c = cos(pi/p):
+    tr H = 6s, c1 = 12s^2 - |rho|^2 - 2sigma^2 and
+    det H = 8s^3 - 2s(|rho|^2 + 2sigma^2 - sigma^4/2) - 2sigma^2 Im(rho) c.
+    """
+    consts = (sin_exact(angle(1, p)), cos_exact(angle(1, p)), Cyclo.i())
+    with mpmath.workprec(prec):
+        (rho, sigma), (s, c, i), conj = _scalars((rho, sigma), consts, prec)
+        s2, sig2 = s * s, sigma * sigma
+        q = rho * conj(rho) + 2 * sig2  # |rho|^2 + 2sigma^2
+        im_rho = (conj(rho) - rho) * i / 2
+        det = 2 * s * (4 * s2 - q + sig2 * sig2 / 2) - 2 * sig2 * im_rho * c
+        return 6 * s, 12 * s2 - q, det
+
+
 def build_symmetric(p: int, n: int, m: int, im_sign: int = 1, prec: int = DEFAULT_PREC) -> Group:
     """Group with braid data (n, n, m; m): |rho| = 2cos(pi/m), sigma = tau = 2cos(pi/n).
 
     Classified candidates get exact cyclotomic matrices; other (n, m) take
     the float path.  Raises InfeasibleGroupError when 2cos(pi/m) <
     2cos^2(pi/n), where no such rho exists.  The signature of H is
-    computed here, once, and kept as `signature`.
+    computed here, once, from `form_invariants`, and kept as `signature`.
     """
     if p < 2:
         raise ValueError("reflection order p must be >= 2")
@@ -200,7 +212,7 @@ def build_symmetric(p: int, n: int, m: int, im_sign: int = 1, prec: int = DEFAUL
             sigma = 2 * mpmath.cospi(mpmath.mpf(1) / n)
     g = build_group(p, rho, sigma, sigma, prec=prec)
     smat = symmetry_matrix(p, rho, sigma, prec=prec)
-    sig = hermitian_signature(g.H, prec=prec)
+    sig = invariant_signature(*form_invariants(p, rho, sigma, prec), prec=prec)
     return Group(g.params, g.R1, g.R2, g.R3, g.H, S=smat, n=n, m=m, signature=sig)
 
 

@@ -215,3 +215,13 @@ class TestConfig:
         r = run("search", *(x for kv in args.items() for x in kv))
         assert r.returncode == 2
         assert len(r.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--p", "2", "--n", "3", "--m", "3", "--max-braid", "1"],  # signature (3,0): braids skipped
+        ["verify", "--p", "5", "--n", "3", "--m", "3", "--max-braid", "1"],
+        ["identities", "--suite", "factorization", "--trials", "-3"],
+    ], ids=["max-braid-p2", "max-braid-p5", "trials"])
+    def test_bad_count_rejected(self, argv):
+        r = run(*argv)
+        assert r.returncode == 2 and r.stdout == ""
+        assert len(r.stderr.strip().splitlines()) == 1

@@ -12,6 +12,7 @@ from chtri.trigroup import (
     candidate_ab,
     candidate_s,
     evaluate_word,
+    form_invariants,
     is_candidate,
     lemma_eigenvalues_residual,
     parameter_feasible,
@@ -23,6 +24,9 @@ from chtri.trigroup import (
 )
 
 SPORADICS = [(3, 4), (3, 5), (4, 3), (5, 4), (8, 6)]
+# every candidate id at p with (3,0), (2,1), (1,2) and degenerate forms among them:
+# (3,3) p=3, (3,3)- p=6, (4,4) p=2 and (8,6) p=2 are degenerate
+EXACT_ROWS = [(cid, p) for cid in ALL_IDS for p in (2, 3, 5, 6, 7, 12, 20, 40)]
 
 
 class TestCandidates:
@@ -148,12 +152,24 @@ class TestBuild:
         g = build_symmetric(3, n, m)
         assert not g.exact and g.signature.verdict == "(2,1)"
 
-    # (3,0), (2,1), degenerate and (1,2) forms
-    @pytest.mark.parametrize("cid,p", [("(4,3)", 2), ("(3,4)", 5), ("(8,6)", 2), ("(3,3)-", 20)])
+    @pytest.mark.parametrize("cid,p", EXACT_ROWS)
     def test_signature_kept_on_exact_group(self, cid, p):
         n, m, im_sign = parse_candidate(cid)
         g = build_symmetric(p, n, m, im_sign=im_sign)
         assert g.exact and g.signature == hermitian_signature(g.H)
+
+    @pytest.mark.parametrize("n,m,im_sign,p", [(*parse_candidate(cid), p) for cid, p in EXACT_ROWS]
+                             + [(5, 6, 1, 4), (5, 6, -1, 7), (1001, 1000, 1, 3)])
+    def test_form_invariants_match_the_matrix(self, n, m, im_sign, p):
+        # the closed forms equal (tr H, c1, det H) of the matrix: exactly, or to 1e-60 in floats
+        g = build_symmetric(p, n, m, im_sign=im_sign)
+        with mpmath.workprec(256):
+            closed = form_invariants(p, g.params.rho, g.params.sigma)
+            matrix = (g.H.trace(), g.H.minor_sum(), g.H.det())
+            if g.exact:
+                assert all((a - b).is_zero() for a, b in zip(closed, matrix))
+            else:
+                assert max(abs(a - b) for a, b in zip(closed, matrix)) < 1e-60
 
     def test_signature_kept_on_float_group(self):
         g = build_symmetric(4, 5, 6)
