@@ -168,29 +168,26 @@ def cmd_identities(args) -> int:
         ok = residual_cyclo.is_zero()
         results.append({"check": name, "pass": bool(ok)})
 
+    # suite -> (labels, the parametric ones, residual, name of the angle parameter)
+    labelled = {
+        "cosine-sums": (cosearch.COSINE_SUM_LABELS, cosearch.PARAMETRIC_COSINE_SUMS,
+                        cosearch.cosine_sum_residual, "phi"),
+        "trace-table": (cosearch.TRACE_TABLE_LABELS, cosearch.PARAMETRIC_TRACE_ROWS,
+                        cosearch.trace_table_residual, "psi"),
+    }
     suites = ("cosine-sums", "trace-table", "factorization", "half-angle")
     chosen = suites if args.suite == "all" else (args.suite,)
     for suite in chosen:
-        if suite == "cosine-sums":
-            for lab in cosearch.COSINE_SUM_LABELS:
-                if lab in ("a", "b", "c"):
+        if suite in labelled:
+            labels, parametric, residual, var = labelled[suite]
+            for lab in labels:
+                if lab in parametric:
                     for _ in range(args.trials):
                         den = rng.randint(1, 60)
-                        num = rng.randint(0, 2 * den - 1)
-                        phi = angle(num, den)
-                        run(f"cosine-sums:{lab}:phi={phi}", cosearch.cosine_sum_residual(lab, phi))
+                        t = angle(rng.randint(0, 2 * den - 1), den)
+                        run(f"{suite}:{lab}:{var}={t}", residual(lab, t))
                 else:
-                    run(f"cosine-sums:{lab}", cosearch.cosine_sum_residual(lab))
-        elif suite == "trace-table":
-            for lab in cosearch.TRACE_TABLE_LABELS:
-                if lab in ("i", "ii"):
-                    for _ in range(args.trials):
-                        den = rng.randint(1, 60)
-                        num = rng.randint(0, 2 * den - 1)
-                        psi = angle(num, den)
-                        run(f"trace-table:{lab}:psi={psi}", cosearch.trace_table_residual(lab, psi))
-                else:
-                    run(f"trace-table:{lab}", cosearch.trace_table_residual(lab))
+                    run(f"{suite}:{lab}", residual(lab))
         else:  # "factorization" or "half-angle"
             for _ in range(args.trials):
                 da, db = rng.randint(1, 30), rng.randint(1, 30)
@@ -220,7 +217,7 @@ def cmd_classify(args) -> int:
     g = build_symmetric(args.p, args.n, args.m, im_sign=args.im_sign, prec=args.prec)
     tol = mpmath.mpf(10) ** (-args.tol)
     with mpmath.workprec(args.prec):
-        mat = evaluate_word(g, word, prec=args.prec, use_float=True)
+        mat = evaluate_word(g.to_float(args.prec), word, prec=args.prec)
         tr = mat.trace()
         kind = classify_isometry(tr, tol=tol, prec=args.prec)
         eigs = eigenvalues3(mat, args.prec)

@@ -269,6 +269,7 @@ _COSINE_SUMS = {
 }
 
 COSINE_SUM_LABELS = tuple(_COSINE_SUMS)
+PARAMETRIC_COSINE_SUMS = tuple(lab for lab, (_, _, parametric) in _COSINE_SUMS.items() if parametric)
 
 
 def cosine_sum_residual(label: str, phi: Optional[Angle] = None) -> Cyclo:
@@ -302,7 +303,8 @@ _TRACE_TABLE_FIXED = {
     "xiii": ((4, 5), (0, 1), (4, 5)),
 }
 
-TRACE_TABLE_LABELS = ("i", "ii") + tuple(_TRACE_TABLE_FIXED)
+PARAMETRIC_TRACE_ROWS = ("i", "ii")  # the rows that `trace_table_angles` maps from psi
+TRACE_TABLE_LABELS = PARAMETRIC_TRACE_ROWS + tuple(_TRACE_TABLE_FIXED)
 
 
 def trace_table_angles(label: str, psi: Optional[Angle] = None):

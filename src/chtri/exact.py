@@ -1,8 +1,9 @@
 """Exact angles (rational multiples of pi) and cyclotomic numbers.
 
 An ``Angle`` is pi times a reduced fraction, canonicalized to [0, 2pi).
-A ``Cyclo`` is an element of a cyclotomic field Q(zeta_N), stored as a
-sparse rational combination of powers of zeta_N = e^{2*pi*i/N}.  Zero
+A ``Cyclo`` is an element of a cyclotomic field Q(zeta_N), stored as
+sparse integer numerators on the powers of zeta_N = e^{2*pi*i/N} over one
+common denominator; ``Fraction`` appears only at the API edge.  Zero
 testing (and hence equality) is exact: the coefficient vector is reduced
 modulo the N-th cyclotomic polynomial, whose power basis is a Q-basis.
 """
@@ -124,20 +125,17 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(_divmod_monic(stretched, base)[0])
 
 
-def _canonical_coeffs(n: int, coeffs: dict[int, Fraction]) -> tuple[Fraction, ...]:
-    """Sparse rational coefficients in conductor n, reduced mod Phi_n, trailing zeros dropped."""
+def _canonical_coeffs(n: int, coeffs: dict[int, int], d: int) -> tuple[Fraction, ...]:
+    """Coefficients of sum(coeffs[e] * zeta_n^e) / d reduced mod Phi_n, trailing zeros dropped."""
     if not coeffs:
         return ()
-    lcm = 1
-    for v in coeffs.values():
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
     dense = [0] * (max(coeffs) + 1)
     for e, v in coeffs.items():
-        dense[e] = v.numerator * (lcm // v.denominator)
+        dense[e] = v
     red = _divmod_monic(dense, cyclotomic_poly(n))[1]
     while red and red[-1] == 0:
         red.pop()
-    return tuple(Fraction(x, lcm) for x in red)
+    return tuple(Fraction(x, d) for x in red)
 
 
 # ---------------------------------------------------------------------------
@@ -148,41 +146,54 @@ def _coerce(x):
     if isinstance(x, Cyclo):
         return x
     if isinstance(x, (int, Fraction)):
-        return Cyclo.rational(x)
+        return Cyclo(1, {0: x})
     return None
 
 
 class Cyclo:
-    """A cyclotomic number: a rational combination of N-th roots of unity."""
+    """A cyclotomic number sum(c[e] * zeta_n^e) / d: integer numerators c over one denominator d.
 
-    __slots__ = ("n", "c", "_canon")
+    The numerators and d >= 1 have no common factor; zero has n = d = 1.
+    """
 
-    def __init__(self, n: int, coeffs: dict[int, Fraction]):
+    __slots__ = ("n", "c", "d", "_canon")
+
+    def __init__(self, n: int, coeffs: dict):
+        """coeffs maps exponents to int or Fraction coefficients."""
         if n < 1:
             raise ValueError("conductor must be positive")
-        if n > CONDUCTOR_LIMIT:
-            raise ConductorError("conductor too large")
+        d = math.lcm(*(v.denominator for v in coeffs.values()))
         c = {}
         for e, v in coeffs.items():
             if v:
                 e %= n
-                c[e] = c.get(e, Fraction(0)) + v
+                c[e] = c.get(e, 0) + v.numerator * (d // v.denominator)
+        x = Cyclo._of(n, c, d)
+        self.n, self.c, self.d, self._canon = x.n, x.c, x.d, None
+
+    @classmethod
+    def _of(cls, n: int, c: dict[int, int], d: int) -> "Cyclo":
+        """sum(c[e] * zeta_n^e) / d from integer numerators with exponents in [0, n) and d >= 1.
+
+        Zeros are dropped, the conductor is shrunk and the common factor of c and d divided out.
+        """
+        if n > CONDUCTOR_LIMIT:
+            raise ConductorError("conductor too large")
         c = {e: v for e, v in c.items() if v}
-        # cheap conductor shrink: gcd of exponents with n
         if c:
-            g = n
-            for e in c:
-                g = math.gcd(g, e)
-                if g == 1:
-                    break
+            g = math.gcd(n, *c)  # cheap conductor shrink: gcd of exponents with n
             if g > 1:
                 n = n // g
                 c = {e // g: v for e, v in c.items()}
+            k = math.gcd(d, *c.values())
+            if k > 1:
+                d //= k
+                c = {e: v // k for e, v in c.items()}
         else:
-            n = 1
-        self.n = n
-        self.c = c
-        self._canon = None
+            n = d = 1
+        x = object.__new__(cls)
+        x.n, x.c, x.d, x._canon = n, c, d, None
+        return x
 
     # -- constructors -------------------------------------------------------
 
@@ -192,7 +203,7 @@ class Cyclo:
 
     @classmethod
     def one(cls) -> "Cyclo":
-        return cls(1, {0: Fraction(1)})
+        return cls(1, {0: 1})
 
     @classmethod
     def rational(cls, q) -> "Cyclo":
@@ -201,7 +212,7 @@ class Cyclo:
     @classmethod
     def root(cls, n: int, k: int = 1) -> "Cyclo":
         """zeta_n^k."""
-        return cls(n, {k % n: Fraction(1)})
+        return cls(n, {k % n: 1})
 
     @classmethod
     def i(cls) -> "Cyclo":
@@ -209,15 +220,15 @@ class Cyclo:
 
     # -- representation -----------------------------------------------------
 
-    def lifted(self, m: int) -> dict[int, Fraction]:
-        """Coefficients viewed in conductor m (n must divide m)."""
+    def _lift(self, m: int, k: int = 1) -> dict[int, int]:
+        """Numerators times k, viewed in conductor m (n must divide m)."""
         step = m // self.n
-        return {e * step: v for e, v in self.c.items()}
+        return {e * step: v * k for e, v in self.c.items()}
 
     def canonical(self) -> tuple[Fraction, ...]:
         """Coefficients on the power basis 1..zeta^{phi(n)-1}, reduced mod Phi_n."""
         if self._canon is None:
-            self._canon = _canonical_coeffs(self.n, self.c)
+            self._canon = _canonical_coeffs(self.n, self.c, self.d)
         return self._canon
 
     def canonical_at(self, n: int) -> tuple[Fraction, ...]:
@@ -226,36 +237,30 @@ class Cyclo:
             return self.canonical()
         if n % self.n:
             raise ValueError("conductor must be a multiple")
-        return _canonical_coeffs(n, self.lifted(n))
+        return _canonical_coeffs(n, self._lift(n), self.d)
 
     def __repr__(self) -> str:
-        if not self.c:
-            return "Cyclo(0)"
-        terms = []
-        for e in sorted(self.c):
-            v = self.c[e]
-            if e == 0:
-                terms.append(str(v))
-            else:
-                terms.append(f"{v}*z{self.n}^{e}")
-        return "Cyclo(" + " + ".join(terms) + ")"
+        terms = [f"{Fraction(v, self.d)}" + (f"*z{self.n}^{e}" if e else "") for e, v in sorted(self.c.items())]
+        return "Cyclo(" + (" + ".join(terms) or "0") + ")"
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _common(self, other: "Cyclo") -> tuple[int, dict, dict]:
+    def _conductor(self, other: "Cyclo") -> int:
         n = self.n * other.n // math.gcd(self.n, other.n)
         if n > CONDUCTOR_LIMIT:
             raise ConductorError("conductor too large")
-        return n, self.lifted(n), other.lifted(n)
+        return n
 
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        n, a, b = self._common(other)
-        for e, v in b.items():
-            a[e] = a.get(e, Fraction(0)) + v
-        return Cyclo(n, a)
+        n = self._conductor(other)
+        d = self.d * other.d // math.gcd(self.d, other.d)
+        a = self._lift(n, d // self.d)
+        for e, v in other._lift(n, d // other.d).items():
+            a[e] = a.get(e, 0) + v
+        return Cyclo._of(n, a, d)
 
     __radd__ = __add__
 
@@ -272,23 +277,23 @@ class Cyclo:
         return other + (-self)
 
     def __neg__(self):
-        return Cyclo(self.n, {e: -v for e, v in self.c.items()})
+        return Cyclo._of(self.n, {e: -v for e, v in self.c.items()}, self.d)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Cyclo(self.n, {e: v * q for e, v in self.c.items()})
+            return Cyclo._of(self.n, self._lift(self.n, other.numerator), self.d * other.denominator)
         if not isinstance(other, Cyclo):
             return NotImplemented
-        n, a, b = self._common(other)
-        out: dict[int, Fraction] = {}
+        n = self._conductor(other)
+        a, b = self._lift(n), other._lift(n)
+        out: dict[int, int] = {}
         for e1, v1 in a.items():
             for e2, v2 in b.items():
                 e = e1 + e2
                 if e >= n:
                     e -= n
-                out[e] = out.get(e, Fraction(0)) + v1 * v2
-        return Cyclo(n, out)
+                out[e] = out.get(e, 0) + v1 * v2
+        return Cyclo._of(n, out, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -312,7 +317,7 @@ class Cyclo:
         return result
 
     def conj(self) -> "Cyclo":
-        return Cyclo(self.n, {(self.n - e) % self.n: v for e, v in self.c.items()})
+        return Cyclo._of(self.n, {(self.n - e) % self.n: v for e, v in self.c.items()}, self.d)
 
     def abs2(self) -> "Cyclo":
         """|x|^2 = x * conj(x)."""
@@ -379,7 +384,8 @@ class Cyclo:
     # -- numeric conversion -------------------------------------------------
 
     def coeff_mass(self) -> Fraction:
-        return sum((abs(v) for v in self.c.values()), Fraction(0))
+        """sum |c[e]| / d, the sum of the absolute coefficients."""
+        return Fraction(sum(abs(v) for v in self.c.values()), self.d)
 
     def to_mpc(self, prec: int = 53):
         """Numeric value at `prec` bits; error <= 2^(3-prec)*(1+sum|coeffs|)."""
@@ -388,9 +394,8 @@ class Cyclo:
         with mpmath.workprec(prec + 10):
             total = mpmath.mpc(0)
             for e, v in self.c.items():
-                coeff = mpmath.mpf(v.numerator) / v.denominator
-                total += coeff * mpmath.expjpi(mpmath.mpf(2 * e) / self.n)
-        return total
+                total += v * mpmath.expjpi(mpmath.mpf(2 * e) / self.n)
+            return total / self.d
 
     def real_sign(self) -> int:
         """Sign of a real cyclotomic number (-1, 0, or +1). Exact.

@@ -110,6 +110,18 @@ class Group:
     def generators(self) -> tuple[Mat3, Mat3, Mat3]:
         return self.R1, self.R2, self.R3
 
+    def to_float(self, prec: int = DEFAULT_PREC) -> "Group":
+        """This group with its matrices and rho, sigma, tau as mpmath values at `prec` bits.
+
+        The one exact-to-float conversion of a group; a float group is returned as it is.
+        """
+        if not self.exact:
+            return self
+        pr = self.params
+        params = GroupParams(pr.p, *(to_float(x, prec) for x in (pr.rho, pr.sigma, pr.tau)), exact=False)
+        mats = (None if x is None else x.to_float(prec) for x in (self.R1, self.R2, self.R3, self.H, self.S))
+        return Group(params, *mats, n=self.n, m=self.m, signature=self.signature)
+
 
 def _scalars(params, consts, prec: int):
     """(params, consts, conj) in one scalar type: Cyclo when every param is exact, else mpmath.
@@ -253,31 +265,17 @@ def reflection_matrix(phi: Angle, v: Sequence[Cyclo], h: Mat3) -> Mat3:
 # Verification
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    residuals: dict
-    tolerance: object
-    exact_square: Optional[bool]
-
-    @property
-    def passed(self) -> bool:
-        ok = all(r <= self.tolerance for r in self.residuals.values())
-        if self.exact_square is not None:
-            ok = ok and self.exact_square
-        return ok
-
-
-def verify_symmetry(g: Group, tol=None, prec: int = DEFAULT_PREC) -> SymmetryReport:
-    """Residuals of the symmetry relations satisfied by S.
+def verify_symmetry(g: Group, prec: int = DEFAULT_PREC) -> dict:
+    """Float residuals of the symmetry relations satisfied by S, by name.
 
     Checks S^2 = R1R2R3, the three S-conjugation relations, the two
     derived pair relations, and the polar-vector images.
     """
     if g.S is None:
         raise ValueError("group has no symmetry S")
-    tol = DEFAULT_TOL if tol is None else tol
+    g = g.to_float(prec)
     with mpmath.workprec(prec):
-        r1, r2, r3, s = (x.to_float(prec) for x in (g.R1, g.R2, g.R3, g.S))
+        r1, r2, r3, s = g.R1, g.R2, g.R3, g.S
         s_inv = s.inverse()
         r1_inv, r3_inv = r1.inverse(), r3.inverse()
         checks = {
@@ -299,10 +297,7 @@ def verify_symmetry(g: Group, tol=None, prec: int = DEFAULT_PREC) -> SymmetryRep
         ]
         for i, (lhs, rhs) in enumerate(vec_checks, start=1):
             residuals[f"vec{i}"] = max(abs(x - y) for x, y in zip(lhs, rhs))
-    exact_square = None
-    if g.exact:
-        exact_square = (g.S * g.S) == (g.R1 * g.R2 * g.R3)
-    return SymmetryReport(residuals, tol, exact_square)
+    return residuals
 
 
 def trace_invariants(g: Group, prec: int = DEFAULT_PREC, tol=None):
@@ -312,8 +307,9 @@ def trace_invariants(g: Group, prec: int = DEFAULT_PREC, tol=None):
     beyond tolerance raises (internal consistency failure).
     """
     tol = DEFAULT_TOL if tol is None else tol
+    g = g.to_float(prec)
     with mpmath.workprec(prec):
-        r1, r2, r3 = (x.to_float(prec) for x in g.generators())
+        r1, r2, r3 = g.generators()
         p = g.params.p
         u = mpmath.expjpi(mpmath.mpf(2) / (3 * p))
         ub2 = mpmath.conj(u) ** 2
@@ -352,23 +348,21 @@ def braid_length(a: Mat3, b: Mat3, max_l: int = 24, tol=None, prec: int = DEFAUL
     return None
 
 
-def evaluate_word(g: Group, word: Sequence[int], prec: int = DEFAULT_PREC, use_float: bool = False) -> Mat3:
-    """Left-to-right product over signed generator indices (+-1, +-2, +-3)."""
+def evaluate_word(g: Group, word: Sequence[int], prec: int = DEFAULT_PREC) -> Mat3:
+    """Left-to-right product over signed generator indices (+-1, +-2, +-3), in g's scalar type."""
     for idx in word:
         if idx not in (-3, -2, -1, 1, 2, 3):
             raise ValueError(f"bad generator index {idx}")
-    exact = g.exact and not use_float
     with mpmath.workprec(prec):
-        gens = g.generators() if exact else [r.to_float(prec) for r in g.generators()]
-        mats = dict(enumerate(gens, start=1))
-        mats.update({-k: r.adjugate() if exact else r.inverse() for k, r in mats.items()})  # det = 1
-        out = Mat3.identity(exact=exact)
+        mats = dict(enumerate(g.generators(), start=1))
+        mats.update({-k: r.adjugate() if g.exact else r.inverse() for k, r in mats.items()})  # det = 1
+        out = Mat3.identity(exact=g.exact)
         for idx in word:
             out = out * mats[idx]
         return out
 
 
-def lemma_eigenvalues_residual(g: Group, tol=None, prec: int = DEFAULT_PREC):
+def lemma_eigenvalues_residual(g: Group, prec: int = DEFAULT_PREC):
     """Distance of the eigenvalues of R1R2 from {ub^2, -u e^{2i zeta}, -u e^{-2i zeta}}.
 
     zeta is defined by |rho| = 2 cos(zeta); raises when |rho| > 2 (the
@@ -409,21 +403,23 @@ def verify(g: Group, tol=None, prec: int = DEFAULT_PREC, max_braid: int = 24) ->
     """Every check of a symmetric group, in order: symmetry relations, exact
     square, trace formulas, eigenvalue lemma, then the four braid lengths.
 
-    The braid lengths are only checked when H has signature (2,1); otherwise
-    one passing "braid" check records the skip.
+    The float checks run on one float view of g; the exact square and the
+    eigenvalue lemma's product R1R2 use g itself.  The braid lengths are
+    only checked when H has signature (2,1); otherwise one passing "braid"
+    check records the skip.
     """
     tol = DEFAULT_TOL if tol is None else tol
-    rep = verify_symmetry(g, tol=tol, prec=prec)
+    gf = g.to_float(prec)
     checks = [
         Check(f"symmetry:{name}", bool(res <= tol), {"residual": mpmath.nstr(mpmath.mpf(res), 10)})
-        for name, res in rep.residuals.items()
+        for name, res in verify_symmetry(gf, prec=prec).items()
     ]
-    if rep.exact_square is not None:
-        residual = "0" if rep.exact_square else "nonzero"
-        checks.append(Check("symmetry:square_exact", bool(rep.exact_square), {"residual": residual}))
+    if g.exact:
+        square = g.S * g.S == g.R1 * g.R2 * g.R3
+        checks.append(Check("symmetry:square_exact", square, {"residual": "0" if square else "nonzero"}))
 
     try:
-        trace_invariants(g, prec=prec, tol=tol)
+        trace_invariants(gf, prec=prec, tol=tol)
         checks.append(Check("trace_formulas", True, {"residual": "0"}))
     except RuntimeError as exc:
         checks.append(Check("trace_formulas", False, {"error": str(exc)}))
@@ -436,7 +432,7 @@ def verify(g: Group, tol=None, prec: int = DEFAULT_PREC, max_braid: int = 24) ->
         checks.append(Check("braid", True, {"skipped": f"signature {verdict}"}))
         return checks
     with mpmath.workprec(prec):
-        r1, r2, r3 = (x.to_float(prec) for x in g.generators())
+        r1, r2, r3 = gf.generators()
         pairs = {
             "br(R1,R3)": (r1, r3, g.n),
             "br(R2,R3)": (r2, r3, g.n),

@@ -24,6 +24,7 @@ from chtri.trigroup import (
     candidate_s,
     evaluate_word,
     lemma_eigenvalues_residual,
+    verify,
     verify_symmetry,
 )
 
@@ -80,10 +81,11 @@ def test_acceptance_3_symmetry_suite():
     for n, m in CANDIDATES:
         for p in range(2, 10):
             g = build_symmetric(p, n, m)
-            rep = verify_symmetry(g, tol=TOL30)
-            ok &= rep.exact_square is True
-            worst = max(worst, max(rep.residuals.values()))
-            ok &= all(r <= TOL30 for r in rep.residuals.values())
+            square = [c for c in verify(g, tol=TOL30) if c.name == "symmetry:square_exact"]
+            ok &= [c.passed for c in square] == [True]
+            residuals = verify_symmetry(g).values()
+            worst = max(worst, max(residuals))
+            ok &= all(r <= TOL30 for r in residuals)
     report(3, ok, f"max residual {mpmath.nstr(worst, 3)}")
 
 
@@ -97,7 +99,7 @@ def test_acceptance_4_braid_suite():
                 continue
             checked += 1
             with mpmath.workprec(256):
-                r1, r2, r3 = (x.to_float(256) for x in g.generators())
+                r1, r2, r3 = g.to_float(256).generators()
                 conj = r3.inverse() * r2 * r3
                 got = (
                     braid_length(r1, r3),
@@ -180,10 +182,10 @@ def test_acceptance_8_word_identity():
         if m != 4:
             continue  # br(R1, R2) = m
         for p in range(2, 10):
-            g = build_symmetric(p, n, m)
+            g = build_symmetric(p, n, m).to_float(256)
             checked += 1
-            lhs = evaluate_word(g, [-2, 1, 2, 1, 2, -1], use_float=True)
-            rhs = evaluate_word(g, [1, 2], use_float=True)
+            lhs = evaluate_word(g, [-2, 1, 2, 1, 2, -1])
+            rhs = evaluate_word(g, [1, 2])
             ok &= projective_equal(lhs, rhs, tol=TOL30)
     report(8, ok, f"{checked} groups with br(R1,R2)=4")
 

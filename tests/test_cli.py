@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -142,6 +143,13 @@ class TestIdentities:
         a = run("identities", "--suite", "trace-table", "--trials", "5", "--seed", "7")
         b = run("identities", "--suite", "trace-table", "--trials", "5", "--seed", "7")
         assert a.stdout == b.stdout
+
+    def test_matches_the_golden_output(self):
+        # every suite, including the parametric rows and their draws from the seeded RNG
+        golden = pathlib.Path(__file__).parent / "data" / "identities_t3_s5.jsonl"
+        r = run("identities", "--trials", "3", "--seed", "5")
+        assert r.returncode == 0
+        assert r.stdout == golden.read_text()
 
 
 class TestClassify:

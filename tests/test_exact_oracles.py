@@ -1,4 +1,5 @@
 """The exact core against independent oracles: sympy for Phi_N and reduction, hypothesis for ring laws."""
+import math
 from fractions import Fraction
 
 import mpmath
@@ -97,3 +98,43 @@ class TestCycloRingLaws:
                          for e, v in x.c.items()), mpmath.mpf(0))
             want = 0 if abs(value) < mpmath.mpf(2) ** -300 else (1 if value > 0 else -1)
         assert r.real_sign() == want
+
+
+@st.composite
+def fraction_cyclos(draw):
+    """(n, coeffs) with Fraction coefficients of denominator up to 6, so that d > 1."""
+    n = draw(CONDUCTORS)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    return n, draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=5))
+
+
+def reduced(x: Cyclo) -> bool:
+    """Numerators and denominator are coprime, d >= 1, and zero is 0/1 in conductor 1."""
+    if not x.c:
+        return (x.n, x.d) == (1, 1)
+    return x.d >= 1 and math.gcd(x.d, *x.c.values()) == 1 and all(type(v) is int for v in x.c.values())
+
+
+class TestIntegerNumerators:
+    @ORACLE
+    @given(fraction_cyclos(), fraction_cyclos(), fraction_cyclos())
+    def test_ring_laws_over_a_common_denominator(self, a, b, c):
+        x, y, z = (Cyclo(*t) for t in (a, b, c))
+        results = [x, y, z, x + y, (x + y) + z, x + (y + z), x * y, (x * y) * z, x * (y * z),
+                   x * (y + z), x * y + x * z, -x, x - y, x.conj(), x * Fraction(-5, 4), x / 3]
+        assert all(reduced(r) for r in results)
+        assert (x + y) + z == x + (y + z) and x + y == y + x
+        assert (x * y) * z == x * (y * z) and x * y == y * x
+        assert x * (y + z) == x * y + x * z
+        assert (x - x).is_zero() and (x * 0).is_zero() and x + 0 == x and x * 1 == x
+        assert x * Fraction(-5, 4) * Fraction(4, 5) == -x
+
+    @ORACLE
+    @given(fraction_cyclos())
+    def test_fraction_coefficients_equal_integer_numerators(self, t):
+        n, coeffs = t
+        x = Cyclo(n, coeffs)
+        den = math.lcm(*(v.denominator for v in coeffs.values()))
+        y = Cyclo(n, {e: int(v * den) for e, v in coeffs.items()}) / den
+        assert (y.n, y.c, y.d) == (x.n, x.c, x.d)
+        assert x == y and reduced(x)

@@ -89,8 +89,27 @@ class TestBuild:
     def test_float_path(self):
         g = build_symmetric(4, 5, 6, prec=128)  # not a classified candidate
         assert not g.exact
-        rep = verify_symmetry(g, prec=128)
-        assert rep.passed
+        residuals = verify_symmetry(g, prec=128)
+        assert all(r <= mpmath.mpf("1e-30") for r in residuals.values())
+
+    @pytest.mark.parametrize("n,m", [(3, 4), (6, 6)])
+    def test_to_float(self, n, m):
+        g = build_symmetric(5, n, m)
+        gf = g.to_float(256)
+        assert g.exact and not gf.exact
+        assert (gf.params.p, gf.n, gf.m, gf.signature) == (5, n, m, g.signature)
+        for exact, flt in zip((g.R1, g.R2, g.R3, g.H, g.S), (gf.R1, gf.R2, gf.R3, gf.H, gf.S)):
+            assert not flt.exact
+            assert all(flt[i, j] == exact[i, j].to_mpc(256) for i in range(3) for j in range(3))
+        for name in ("rho", "sigma", "tau"):
+            assert getattr(gf.params, name) == getattr(g.params, name).to_mpc(256)
+        assert gf.to_float(256) is gf
+
+    def test_to_float_of_a_float_group_is_itself(self):
+        g = build_symmetric(4, 5, 6)
+        gf = g.to_float(256)
+        assert gf is g
+        assert (gf.signature, gf.n, gf.m) == (g.signature, 5, 6)
 
     @pytest.mark.parametrize("n,m", [(3, 4), (5, 4), (6, 6)])
     def test_float_params_give_same_matrices(self, n, m):
@@ -181,9 +200,9 @@ class TestSymmetry:
     @pytest.mark.parametrize("p", [2, 5])
     def test_relations(self, n, m, p):
         g = build_symmetric(p, n, m)
-        rep = verify_symmetry(g)
-        assert rep.exact_square is True
-        assert all(r <= mpmath.mpf("1e-30") for r in rep.residuals.values())
+        square = [c for c in verify(g) if c.name == "symmetry:square_exact"]
+        assert [(c.passed, c.details) for c in square] == [(True, {"residual": "0"})]
+        assert all(r <= mpmath.mpf("1e-30") for r in verify_symmetry(g).values())
 
     def test_trace_invariants(self):
         g = build_symmetric(4, 3, 4)
@@ -200,7 +219,7 @@ class TestBraids:
     def test_braid_lengths(self, n, m):
         g = build_symmetric(5, n, m)
         with mpmath.workprec(256):
-            r1, r2, r3 = (x.to_float(256) for x in g.generators())
+            r1, r2, r3 = g.to_float(256).generators()
             assert braid_length(r1, r3) == n
             assert braid_length(r2, r3) == n
             assert braid_length(r1, r2) == m
@@ -224,17 +243,17 @@ class TestWords:
 
     def test_braid4_word_identity(self):
         # br(R1,R2) = 4 makes R2^-1 R1R2R1R2 R1^-1 projectively equal R1R2
-        g = build_symmetric(5, 5, 4)
-        lhs = evaluate_word(g, [-2, 1, 2, 1, 2, -1], use_float=True)
-        rhs = evaluate_word(g, [1, 2], use_float=True)
+        g = build_symmetric(5, 5, 4).to_float(256)
+        lhs = evaluate_word(g, [-2, 1, 2, 1, 2, -1])
+        rhs = evaluate_word(g, [1, 2])
+        assert not lhs.exact and not rhs.exact
         assert projective_equal(lhs, rhs, tol=mpmath.mpf("1e-30"))
 
-
-    @pytest.mark.parametrize("use_float", [False, True])
-    def test_bad_index_rejected(self, use_float):
+    @pytest.mark.parametrize("to_float", [False, True])
+    def test_bad_index_rejected(self, to_float):
         g = build_symmetric(4, 4, 3)
         with pytest.raises(ValueError, match="bad generator index 4"):
-            evaluate_word(g, [1, 4], use_float=use_float)
+            evaluate_word(g.to_float(256) if to_float else g, [1, 4])
 
 
 class TestEigenvalueLemma:
