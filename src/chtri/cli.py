@@ -8,6 +8,7 @@ or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -38,18 +39,8 @@ def _default_prec():
 
 
 def _cyclo_str(x: Cyclo) -> str:
-    coeffs = x.canonical()
-    if not coeffs:
-        return "0"
-    terms = []
-    for e, q in enumerate(coeffs):
-        if q == 0:
-            continue
-        if e == 0:
-            terms.append(str(q))
-        else:
-            terms.append(f"({q})*z{x.n}^{e}")
-    return " + ".join(terms) if terms else "0"
+    terms = [str(q) if e == 0 else f"({q})*z{x.n}^{e}" for e, q in enumerate(x.canonical()) if q]
+    return " + ".join(terms) or "0"
 
 
 def _num_str(v, digits: int = 30) -> dict:
@@ -243,7 +234,7 @@ def cmd_classify(args) -> int:
 def _add_options(sp, prec=False, tol=False, fmt=False, group=False):
     """Add --out and, where the subcommand reads them, the shared options."""
     if prec:
-        sp.add_argument("--prec", type=int, default=_default_prec(), help="precision in bits")
+        sp.add_argument("--prec", type=int, default=None, help="precision in bits")  # None: CHTG_PREC
     if tol:
         sp.add_argument("--tol", type=int, default=30, help="tolerance exponent k for 10^-k")
     sp.add_argument("--out", default=None, help="output file (default stdout)")
@@ -256,6 +247,7 @@ def _add_options(sp, prec=False, tol=False, fmt=False, group=False):
         sp.add_argument("--im-sign", type=int, choices=(1, -1), default=1)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="chtri", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -320,6 +312,8 @@ def _validate(args) -> bool:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    if "prec" in vars(args) and args.prec is None:
+        args.prec = _default_prec()  # read per call, so a changed environment applies
     if not _validate(args):
         return EXIT_USAGE
     try:

@@ -138,6 +138,13 @@ def _canonical_coeffs(n: int, coeffs: dict[int, int], d: int) -> tuple[Fraction,
     return tuple(Fraction(x, d) for x in red)
 
 
+@lru_cache(maxsize=1024)
+def _expjpi(num: int, den: int, prec: int):
+    """e^{i*pi*num/den} at `prec` bits, num/den reduced; mpf division rounds correctly, so any form gives these bits."""
+    with mpmath.workprec(prec):
+        return mpmath.expjpi(mpmath.mpf(num) / den)
+
+
 # ---------------------------------------------------------------------------
 # Cyclotomic numbers
 
@@ -394,7 +401,8 @@ class Cyclo:
         with mpmath.workprec(prec + 10):
             total = mpmath.mpc(0)
             for e, v in self.c.items():
-                total += v * mpmath.expjpi(mpmath.mpf(2 * e) / self.n)
+                g = math.gcd(2 * e, self.n)
+                total += v * _expjpi(2 * e // g, self.n // g, prec + 10)
             return total / self.d
 
     def real_sign(self) -> int:

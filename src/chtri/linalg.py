@@ -8,6 +8,7 @@ for residual checks, eigenvalues and braid searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 
@@ -272,49 +273,65 @@ def eigenvalues3(m: Mat3, prec: int = DEFAULT_PREC):
 # ---------------------------------------------------------------------------
 # Projective comparisons
 
-_CUBE_ROOTS_EXACT = None
-
-
+@lru_cache(maxsize=1)
 def _cube_roots_exact():
-    global _CUBE_ROOTS_EXACT
-    if _CUBE_ROOTS_EXACT is None:
-        _CUBE_ROOTS_EXACT = (Cyclo.one(), Cyclo.root(3, 1), Cyclo.root(3, 2))
-    return _CUBE_ROOTS_EXACT
+    return (Cyclo.one(), Cyclo.root(3, 1), Cyclo.root(3, 2))
+
+
+@lru_cache(maxsize=16)
+def _cube_roots_float(prec: int) -> tuple:
+    """(w^0, w^1, w^2) for w = e^{2*pi*i/3}, each computed at `prec` bits."""
+    with mpmath.workprec(prec):
+        omega = mpmath.expjpi(mpmath.mpf(2) / 3)
+        return tuple(omega**k for k in range(3))
+
+
+def _entry_pairs(a: Mat3, b: Mat3, prec: int) -> list:
+    """The (a_ij, b_ij) pairs of the float views of a and b, row by row."""
+    af, bf = a.to_float(prec), b.to_float(prec)
+    return [(x, y) for r, s in zip(af.rows, bf.rows) for x, y in zip(r, s)]
 
 
 def projective_residual(a: Mat3, b: Mat3, prec: int = DEFAULT_PREC):
-    """min over cube roots of unity w of max|a_ij - w*b_ij|."""
+    """min over cube roots of unity w of max|a_ij - w*b_ij|; a root that reaches the best max so far is dropped."""
     with mpmath.workprec(prec):
-        af, bf = a.to_float(prec), b.to_float(prec)
-        omega = mpmath.expjpi(mpmath.mpf(2) / 3)
+        pairs = _entry_pairs(a, b, prec)
         best = None
-        for k in range(3):
-            w = omega**k
-            d = max(abs(x - w * y) for r, s in zip(af.rows, bf.rows) for x, y in zip(r, s))
-            if best is None or d < best:
+        for w in _cube_roots_float(prec):
+            d = None
+            for x, y in pairs:
+                e = abs(x - w * y)
+                if d is None or e > d:
+                    d = e
+                    if best is not None and d >= best:
+                        break
+            else:  # every entry read: d < best
                 best = d
         return best
 
 
 def projective_equal(a: Mat3, b: Mat3, tol=None, prec: int = DEFAULT_PREC) -> bool:
-    """True iff a = w*b for a cube root of unity w, entrywise within tol."""
+    """True iff a = w*b for a cube root of unity w, entrywise within tol.
+
+    For floats: projective_residual(a, b) <= tol, each root dropped at its first entry above tol."""
     if a.exact and b.exact:
         return any((a - b.scale(w)).is_zero_exact() for w in _cube_roots_exact())
     tol = DEFAULT_TOL if tol is None else tol
-    return projective_residual(a, b, prec) <= tol
+    with mpmath.workprec(prec):
+        pairs = _entry_pairs(a, b, prec)
+        return any(all(abs(x - w * y) <= tol for x, y in pairs) for w in _cube_roots_float(prec))
 
 
 def projective_order(m: Mat3, max_order: int, tol=None, prec: int = DEFAULT_PREC):
     """Least k <= max_order with m^k projectively the identity, else None."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    tol = DEFAULT_TOL if tol is None else tol
     with mpmath.workprec(prec):
         mf = m.to_float(prec)
         ident = Mat3.identity(exact=False)
         p = mf
         for k in range(1, max_order + 1):
-            if projective_residual(p, ident, prec) <= tol:
+            if projective_equal(p, ident, tol, prec):
                 return k
             p = p * mf
     return None

@@ -26,6 +26,7 @@ from .linalg import (
     Signature,
     eigenvalues3,
     invariant_signature,
+    projective_equal,
     projective_residual,
 )
 
@@ -117,9 +118,17 @@ class Group:
         """
         if not self.exact:
             return self
+        done = {}  # id of an entry object -> its value; the entries repeat across the matrices
+
+        def conv(x):
+            if id(x) not in done:
+                done[id(x)] = to_float(x, prec)
+            return done[id(x)]
+
         pr = self.params
-        params = GroupParams(pr.p, *(to_float(x, prec) for x in (pr.rho, pr.sigma, pr.tau)), exact=False)
-        mats = (None if x is None else x.to_float(prec) for x in (self.R1, self.R2, self.R3, self.H, self.S))
+        params = GroupParams(pr.p, *(conv(x) for x in (pr.rho, pr.sigma, pr.tau)), exact=False)
+        mats = (None if m is None else Mat3([[conv(x) for x in r] for r in m.rows])
+                for m in (self.R1, self.R2, self.R3, self.H, self.S))
         return Group(params, *mats, n=self.n, m=self.m, signature=self.signature)
 
 
@@ -265,6 +274,24 @@ def reflection_matrix(phi: Angle, v: Sequence[Cyclo], h: Mat3) -> Mat3:
 # Verification
 
 
+_LAST_WORDS = (None, 0, {})  # (float view, prec, its words) of the last `_words` call
+
+
+def _words(g: Group, prec: int) -> dict:
+    """Products of a float view's generators that several checks read, computed once per view
+    and precision (the last view's are kept), each in its left-to-right association."""
+    global _LAST_WORDS
+    view, at, words = _LAST_WORDS
+    if view is not g or at != prec:
+        with mpmath.workprec(prec):
+            r1, r2, r3 = g.generators()
+            r3_inv = r3.inverse()
+            words = {"R1^-1": r1.inverse(), "R3^-1": r3_inv, "R1R2": r1 * r2, "R1R3": r1 * r3,
+                     "R2R3": r2 * r3, "R1R3^-1R2R3": r1 * r3_inv * r2 * r3}
+        _LAST_WORDS = (g, prec, words)
+    return words
+
+
 def verify_symmetry(g: Group, prec: int = DEFAULT_PREC) -> dict:
     """Float residuals of the symmetry relations satisfied by S, by name.
 
@@ -274,17 +301,18 @@ def verify_symmetry(g: Group, prec: int = DEFAULT_PREC) -> dict:
     if g.S is None:
         raise ValueError("group has no symmetry S")
     g = g.to_float(prec)
+    w = _words(g, prec)
     with mpmath.workprec(prec):
         r1, r2, r3, s = g.R1, g.R2, g.R3, g.S
         s_inv = s.inverse()
-        r1_inv, r3_inv = r1.inverse(), r3.inverse()
+        r1_inv, r3_inv, r1r2, r1r3 = w["R1^-1"], w["R3^-1"], w["R1R2"], w["R1R3"]
         checks = {
-            "square": (s * s, r1 * r2 * r3),
-            "conj_r1": (s * r1 * s_inv, r1 * r2 * r1_inv),
-            "conj_r2": (s * r2 * s_inv, r1 * r3 * r1 * r3_inv * r1_inv),
-            "conj_r3": (s * r3 * s_inv, r1 * r3 * r1_inv),
-            "pair_23": (s * (r2 * r3) * s_inv, r1 * r3),
-            "pair_conj": (s * (r1 * r3_inv * r2 * r3) * s_inv, r1 * r2),
+            "square": (s * s, r1r2 * r3),
+            "conj_r1": (s * r1 * s_inv, r1r2 * r1_inv),
+            "conj_r2": (s * r2 * s_inv, r1r3 * r1 * r3_inv * r1_inv),
+            "conj_r3": (s * r3 * s_inv, r1r3 * r1_inv),
+            "pair_23": (s * w["R2R3"] * s_inv, r1r3),
+            "pair_conj": (s * w["R1R3^-1R2R3"] * s_inv, r1r2),
         }
         residuals = {k: projective_residual(a, b, prec) for k, (a, b) in checks.items()}
         # polar-vector images: S v1 = R1 v2, S v2 = R1 R3 v1, S v3 = -u R1 v3
@@ -292,7 +320,7 @@ def verify_symmetry(g: Group, prec: int = DEFAULT_PREC) -> dict:
         e = [tuple(mpmath.mpc(int(i == j)) for j in range(3)) for i in range(3)]
         vec_checks = [
             (s.apply(e[0]), r1.apply(e[1])),
-            (s.apply(e[1]), (r1 * r3).apply(e[0])),
+            (s.apply(e[1]), r1r3.apply(e[0])),
             (s.apply(e[2]), tuple(-u * x for x in r1.apply(e[2]))),
         ]
         for i, (lhs, rhs) in enumerate(vec_checks, start=1):
@@ -308,18 +336,12 @@ def trace_invariants(g: Group, prec: int = DEFAULT_PREC, tol=None):
     """
     tol = DEFAULT_TOL if tol is None else tol
     g = g.to_float(prec)
+    w = _words(g, prec)
     with mpmath.workprec(prec):
-        r1, r2, r3 = g.generators()
-        p = g.params.p
-        u = mpmath.expjpi(mpmath.mpf(2) / (3 * p))
+        u = mpmath.expjpi(mpmath.mpf(2) / (3 * g.params.p))
         ub2 = mpmath.conj(u) ** 2
         rho, sigma, tau = (to_float(x, prec) for x in (g.params.rho, g.params.sigma, g.params.tau))
-        from_matrix = (
-            (r1 * r2).trace(),
-            (r2 * r3).trace(),
-            (r1 * r3).trace(),
-            (r1 * r3.inverse() * r2 * r3).trace(),
-        )
+        from_matrix = tuple(w[k].trace() for k in ("R1R2", "R2R3", "R1R3", "R1R3^-1R2R3"))
         closed = [u * (2 - abs(x) ** 2) + ub2 for x in (rho, sigma, tau, sigma * tau - mpmath.conj(rho))]
         for a, b in zip(from_matrix, closed):
             if abs(a - b) > tol:
@@ -335,7 +357,6 @@ def braid_length(a: Mat3, b: Mat3, max_l: int = 24, tol=None, prec: int = DEFAUL
     """
     if max_l < 2:
         raise ValueError("max_l must be >= 2")
-    tol = DEFAULT_TOL if tol is None else tol
     with mpmath.workprec(prec):
         af, bf = a.to_float(prec), b.to_float(prec)
         lhs, rhs = af, bf  # alternating products of length l, starting a / b
@@ -343,7 +364,7 @@ def braid_length(a: Mat3, b: Mat3, max_l: int = 24, tol=None, prec: int = DEFAUL
             nxt_l = bf if l % 2 == 0 else af
             nxt_r = af if l % 2 == 0 else bf
             lhs, rhs = lhs * nxt_l, rhs * nxt_r
-            if projective_residual(lhs, rhs, prec) <= tol:
+            if projective_equal(lhs, rhs, tol, prec):
                 return l
     return None
 
@@ -437,7 +458,7 @@ def verify(g: Group, tol=None, prec: int = DEFAULT_PREC, max_braid: int = 24) ->
             "br(R1,R3)": (r1, r3, g.n),
             "br(R2,R3)": (r2, r3, g.n),
             "br(R1,R2)": (r1, r2, g.m),
-            "br(R1,R3^-1R2R3)": (r1, r3.inverse() * r2 * r3, g.m),
+            "br(R1,R3^-1R2R3)": (r1, _words(gf, prec)["R3^-1"] * r2 * r3, g.m),
         }
         for name, (a, b, expect) in pairs.items():
             got = braid_length(a, b, max_l=max_braid, tol=tol, prec=prec)

@@ -89,6 +89,26 @@ class TestVerify:
             json.loads(line)
 
 
+class TestVerifyGolden:
+    # one (2,1) case, (3,3)- at p = 7 (signature (1,2)), (8,6) at p = 2 (degenerate), (4,4) and a float group
+    CASES = (
+        ["--p", "5", "--n", "5", "--m", "4"],
+        ["--p", "7", "--n", "3", "--m", "3", "--im-sign", "-1"],
+        ["--p", "2", "--n", "8", "--m", "6"],
+        ["--p", "12", "--n", "4", "--m", "4"],
+        ["--p", "4", "--n", "5", "--m", "6"],
+    )
+
+    def test_matches_the_golden_output(self, capsys):
+        # pins every printed residual digit and braid length
+        golden = pathlib.Path(__file__).parent / "data" / "verify_golden.jsonl"
+        out = []
+        for case in self.CASES:
+            assert chtri.cli.main(["verify", *case]) == 0
+            out.append(capsys.readouterr().out)
+        assert "".join(out) == golden.read_text()
+
+
 class TestImport:
     def test_cli_import_leaves_numpy_out(self):
         code = ("import sys, chtri.cli; "
@@ -197,6 +217,24 @@ class TestConfig:
         r = run("build", "--p", "4", "--n", "4", "--m", "3", env={"CHTG_PREC": "high"})
         assert r.returncode == 2
         assert "CHTG_PREC" in r.stderr and len(r.stderr.strip().splitlines()) == 1
+
+    def test_env_precision_is_read_on_each_call(self, monkeypatch, capsys):
+        argv = ["build", "--p", "4", "--n", "4", "--m", "3"]
+        monkeypatch.setenv("CHTG_PREC", "high")
+        assert chtri.cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "CHTG_PREC" in err and len(err.strip().splitlines()) == 1
+        monkeypatch.setenv("CHTG_PREC", "40")
+        assert chtri.cli.main(argv) == 2
+        assert "precision must be >= 53 bits" in capsys.readouterr().err
+        monkeypatch.setenv("CHTG_PREC", "64")
+        assert chtri.cli.main(argv) == 0
+        at_64 = capsys.readouterr().out
+        monkeypatch.delenv("CHTG_PREC")
+        assert chtri.cli.main(argv) == 0
+        assert capsys.readouterr().out != at_64  # 256 bits print more correct digits
+        monkeypatch.setenv("CHTG_PREC", "high")
+        assert chtri.cli.main([*argv, "--prec", "128"]) == 0  # an explicit --prec wins
 
     @pytest.mark.parametrize("command,option,value", [
         ("build", "--tol", "30"), ("build", "--format", "json"),

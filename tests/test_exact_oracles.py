@@ -8,7 +8,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 from sympy.abc import x as X
 
-from chtri.exact import Cyclo, cyclotomic_poly
+from chtri.exact import Cyclo, _expjpi, cyclotomic_poly
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -138,3 +138,35 @@ class TestIntegerNumerators:
         y = Cyclo(n, {e: int(v * den) for e, v in coeffs.items()}) / den
         assert (y.n, y.c, y.d) == (x.n, x.c, x.d)
         assert x == y and reduced(x)
+
+
+def uncached_to_mpc(x: Cyclo, prec: int):
+    """sum(v * e^{2*pi*i*e/n}) / d at prec + 10 bits, each power from expjpi on the unreduced 2e/n."""
+    with mpmath.workprec(prec + 10):
+        total = mpmath.mpc(0)
+        for e, v in x.c.items():
+            total += v * mpmath.expjpi(mpmath.mpf(2 * e) / x.n)
+        return total / x.d
+
+
+class TestCachedToMpc:
+    @ORACLE
+    @given(fraction_cyclos(), st.sampled_from([53, 128, 256]))
+    def test_bit_identical_to_the_uncached_sum(self, t, prec):
+        x = Cyclo(*t)
+        assert x.to_mpc(prec)._mpc_ == uncached_to_mpc(x, prec)._mpc_
+
+    @pytest.mark.parametrize("prec", [53, 128, 256])
+    def test_one_angle_from_two_conductors(self, prec):
+        # zeta_6^2 = zeta_3: the term 2 of zeta_6 + zeta_6^2 (conductor 6) and zeta_3 share the entry for 2pi/3
+        z3, z6 = Cyclo.root(3), Cyclo(6, {1: 1, 2: 1})
+        assert z6.n == 6 and 2 in z6.c and (Cyclo.root(6, 2).n, Cyclo.root(6, 2).c) == (3, {1: 1})
+        for first, second in ((z3, z6), (z6, z3)):
+            _expjpi.cache_clear()
+            assert first.to_mpc(prec)._mpc_ == uncached_to_mpc(first, prec)._mpc_
+            hits = _expjpi.cache_info().hits
+            assert second.to_mpc(prec)._mpc_ == uncached_to_mpc(second, prec)._mpc_
+            assert _expjpi.cache_info().hits > hits
+
+    def test_the_cache_is_bounded(self):
+        assert _expjpi.cache_info().maxsize == 1024

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chtri.exact import Cyclo, angle, cos_exact, root_of_unity
 from chtri.linalg import (
+    DEFAULT_TOL,
     Mat3,
     SingularMatrixError,
     classify_isometry,
@@ -150,6 +152,72 @@ class TestProjective:
     def test_residual_small_for_equal(self):
         m = _rand_exact_mat(random.Random(8)).to_float(128)
         assert projective_residual(m, m, 128) < 1e-30
+
+
+def reference_residual(a, b, prec):
+    """min over k of max over all nine entries of |a_ij - w^k b_ij|: all 27 values, no early exit."""
+    with mpmath.workprec(prec):
+        omega = mpmath.expjpi(mpmath.mpf(2) / 3)
+        return min(max(abs(a[i, j] - omega**k * b[i, j]) for i in range(3) for j in range(3)) for k in range(3))
+
+
+PRECS = st.sampled_from([53, 128, 256])
+# few distinct small values, so that equal entry deviations (ties) are common
+TIED = st.sampled_from([0, 1, -1, 1j, -1j, 2, 0.5 + 0.5j]).map(mpmath.mpc)
+WIDE = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False).map(mpmath.mpc)
+
+
+def float_mats(entries):
+    return st.lists(entries, min_size=9, max_size=9).map(lambda xs: Mat3([xs[0:3], xs[3:6], xs[6:9]]))
+
+
+FAST_PATH = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+class TestProjectiveFastPaths:
+    """projective_residual stops reading a root early, and projective_equal at the first entry
+    above tol; both must give exactly what the full min-max gives."""
+
+    @FAST_PATH
+    @given(st.one_of(float_mats(WIDE), float_mats(TIED)), st.one_of(float_mats(WIDE), float_mats(TIED)), PRECS)
+    def test_residual_equals_the_full_min_max(self, a, b, prec):
+        got, want = projective_residual(a, b, prec), reference_residual(a, b, prec)
+        assert got == want and got._mpf_ == want._mpf_
+
+    @FAST_PATH
+    @given(float_mats(WIDE), st.integers(0, 2), PRECS, st.booleans())
+    def test_residual_of_a_root_multiple(self, b, k, prec, perturb):
+        with mpmath.workprec(prec):
+            a = b.scale(mpmath.expjpi(mpmath.mpf(2 * k) / 3))
+            if perturb:
+                a = a + Mat3([[mpmath.mpc(1e-3 * (i - j)) for j in range(3)] for i in range(3)])
+        got, want = projective_residual(a, b, prec), reference_residual(a, b, prec)
+        assert got._mpf_ == want._mpf_
+        assert projective_equal(a, b, prec=prec) == (want <= DEFAULT_TOL)
+
+    @FAST_PATH
+    @given(float_mats(WIDE), st.sampled_from([1 / 3, 1, 5 / 3]), st.floats(-1e-3, 1e-3), PRECS)
+    def test_residual_between_two_roots(self, b, mid, eps, prec):
+        # a = e^{i*pi*t} b with t near the midpoint of two cube roots: their maxes nearly tie
+        with mpmath.workprec(prec):
+            a = b.scale(mpmath.expjpi(mpmath.mpf(mid) + eps))
+        assert projective_residual(a, b, prec)._mpf_ == reference_residual(a, b, prec)._mpf_
+
+    @FAST_PATH
+    @given(st.one_of(float_mats(WIDE), float_mats(TIED)), st.one_of(float_mats(WIDE), float_mats(TIED)), PRECS,
+           st.sampled_from([0, 1e-30, 0.5, 1, 2, 5, None]))
+    def test_equal_agrees_with_the_residual(self, a, b, prec, tol):
+        res = projective_residual(a, b, prec)
+        tol = res if tol is None else mpmath.mpf(tol)  # None: tol is exactly the residual, a tie
+        assert projective_equal(a, b, tol, prec) == (res <= tol)
+
+    def test_ties(self):
+        zero = Mat3([[mpmath.mpc(0)] * 3] * 3)
+        m = Mat3([[mpmath.mpc(1), mpmath.mpc(-1), mpmath.mpc(1j)]] * 3)
+        for a, b in ((m, zero), (zero, m), (m, m), (zero, zero)):
+            assert projective_residual(a, b, 128)._mpf_ == reference_residual(a, b, 128)._mpf_
+        assert projective_residual(m, zero, 128) == 1  # every root ties at max|m_ij| = 1
+        assert projective_equal(m, zero, 1, 128) and not projective_equal(m, zero, 0.5, 128)
 
 
 class TestIsometryType:
