@@ -197,23 +197,30 @@ def _descartes_positive(signs: list[int]) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
 
+def sign_signature(s2: int, s1: int, s0: int) -> Signature:
+    """Eigenvalue sign pattern of a Hermitian 3x3 matrix from the signs of tr, c1 and det.
+
+    Descartes' rule on x^3 - tr x^2 + c1 x - det, whose roots are all real.
+    """
+    if s0 != 0:
+        pos = _descartes_positive([1, -s2, s1, -s0])
+        return Signature(pos, 3 - pos, 0)
+    if s1 != 0:
+        pos = _descartes_positive([1, -s2, s1])
+        return Signature(pos, 2 - pos, 1)
+    if s2 != 0:
+        return Signature(1, 0, 2) if s2 > 0 else Signature(0, 1, 2)
+    return Signature(0, 0, 3)
+
+
 def invariant_signature(tr, c1, det, prec: int = DEFAULT_PREC, tol=None) -> Signature:
     """Eigenvalue sign pattern of a Hermitian 3x3 matrix with char poly x^3 - tr x^2 + c1 x - det.
 
-    Cyclo invariants are decided exactly, by Descartes' rule (all roots are
-    real); float ones from the roots, with a numeric threshold.
+    Cyclo invariants are decided exactly, from their exact signs by
+    `sign_signature`; float ones from the roots, with a numeric threshold.
     """
     if _is_cyclo(det):
-        s2, s1, s0 = tr.real_sign(), c1.real_sign(), det.real_sign()
-        if s0 != 0:
-            pos = _descartes_positive([1, -s2, s1, -s0])
-            return Signature(pos, 3 - pos, 0)
-        if s1 != 0:
-            pos = _descartes_positive([1, -s2, s1])
-            return Signature(pos, 2 - pos, 1)
-        if s2 != 0:
-            return Signature(1, 0, 2) if s2 > 0 else Signature(0, 1, 2)
-        return Signature(0, 0, 3)
+        return sign_signature(tr.real_sign(), c1.real_sign(), det.real_sign())
     tol = DEFAULT_TOL if tol is None else tol
     eigs = _cubic_roots(-tr, c1, -det, prec)
     pos = sum(1 for e in eigs if e.real > tol)

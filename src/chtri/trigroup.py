@@ -12,6 +12,7 @@ entries; free-form parameters take the arbitrary-precision float path.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,6 +29,7 @@ from .linalg import (
     invariant_signature,
     projective_equal,
     projective_residual,
+    sign_signature,
 )
 
 
@@ -112,9 +114,11 @@ class Group:
         return self.R1, self.R2, self.R3
 
     def to_float(self, prec: int = DEFAULT_PREC) -> "Group":
-        """This group with its matrices and rho, sigma, tau as mpmath values at `prec` bits.
+        """This group with R1, R2, R3, S and rho, sigma, tau as mpmath values at `prec` bits.
 
         The one exact-to-float conversion of a group; a float group is returned as it is.
+        The view's H is the exact H itself, not converted: no float check reads it
+        (`H.to_float(prec)` converts it where needed).
         """
         if not self.exact:
             return self
@@ -127,9 +131,9 @@ class Group:
 
         pr = self.params
         params = GroupParams(pr.p, *(conv(x) for x in (pr.rho, pr.sigma, pr.tau)), exact=False)
-        mats = (None if m is None else Mat3([[conv(x) for x in r] for r in m.rows])
-                for m in (self.R1, self.R2, self.R3, self.H, self.S))
-        return Group(params, *mats, n=self.n, m=self.m, signature=self.signature)
+        r1, r2, r3, s = (None if m is None else Mat3([[conv(x) for x in r] for r in m.rows])
+                         for m in (self.R1, self.R2, self.R3, self.S))
+        return Group(params, r1, r2, r3, self.H, s, n=self.n, m=self.m, signature=self.signature)
 
 
 def _scalars(params, consts, prec: int):
@@ -205,13 +209,49 @@ def form_invariants(p: int, rho, sigma, prec: int = DEFAULT_PREC):
         return 6 * s, 12 * s2 - q, det
 
 
+def form_signature(p: int, rho, sigma, prec: int = DEFAULT_PREC) -> Signature:
+    """Signature of H from `form_invariants`: in floats when their signs are certain, else exactly.
+
+    For exact (Cyclo) rho and sigma of `build_symmetric`, where |rho| =
+    2cos(pi/m) <= 2 and sigma = 2cos(pi/n) <= 2, the invariants are first
+    evaluated on the floats of rho and sigma at wp = max(prec, 128) bits.
+    Each float invariant is within B = 2^(12-wp) * (2 + M) of the exact
+    one, M = max(1, coefficient mass of rho, of sigma) rounded up:
+    - inputs: `to_mpc` at wp bits errs by at most 2^(3-wp) * (1 + mass), so
+      rho, sigma and the constants s, c, i (mass 1 each) are each within
+      E = 2^(3-wp) * (1 + M) of their values;
+    - propagation: as written, tr, c1 and det are polynomials of degree <= 5
+      in s, c, i, rho, conj(rho), sigma whose terms add up in absolute value
+      to at most 6, 24 and 64 (det: 8 + 8 + 16 + 16 + 16) when |rho|, sigma
+      <= 2 and |s|, |c|, |i| <= 1; every such bound is >= 1, so moving each
+      input by at most E <= 2^-10 scales each term by at most (1 + E)^5 <
+      1 + 6E and moves an invariant by at most 64 * 6E < 2^(12-wp) * (1 + M);
+    - rounding: the terms at the rounded inputs add up to less than 65, and
+      each of the at most 10 operations on any path of the evaluation
+      rounds with relative error <= 2^(1-wp), so the computed value is
+      within 11 * 2^(1-wp) * 65 < 2^(12-wp) of the value at those inputs.
+    When every invariant's real part exceeds B in absolute value, its sign
+    is certain and `sign_signature` reads the signature from the signs.
+    Otherwise, and so whenever an invariant is zero, the exact Cyclo
+    invariants decide it with their exact zero test.  Float rho and sigma
+    take `invariant_signature` on the float invariants.
+    """
+    if isinstance(rho, Cyclo):
+        wp = max(prec, 128)
+        bound = mpmath.mpf(2) ** (12 - wp) * (2 + math.ceil(max(1, rho.coeff_mass(), sigma.coeff_mass())))
+        inv = form_invariants(p, to_float(rho, wp), to_float(sigma, wp), wp)
+        if all(abs(x.real) > bound for x in inv):
+            return sign_signature(*(1 if x.real > 0 else -1 for x in inv))
+    return invariant_signature(*form_invariants(p, rho, sigma, prec), prec=prec)
+
+
 def build_symmetric(p: int, n: int, m: int, im_sign: int = 1, prec: int = DEFAULT_PREC) -> Group:
     """Group with braid data (n, n, m; m): |rho| = 2cos(pi/m), sigma = tau = 2cos(pi/n).
 
     Classified candidates get exact cyclotomic matrices; other (n, m) take
     the float path.  Raises InfeasibleGroupError when 2cos(pi/m) <
     2cos^2(pi/n), where no such rho exists.  The signature of H is
-    computed here, once, from `form_invariants`, and kept as `signature`.
+    computed here, once, by `form_signature`, and kept as `signature`.
     """
     if p < 2:
         raise ValueError("reflection order p must be >= 2")
@@ -233,7 +273,7 @@ def build_symmetric(p: int, n: int, m: int, im_sign: int = 1, prec: int = DEFAUL
             sigma = 2 * mpmath.cospi(mpmath.mpf(1) / n)
     g = build_group(p, rho, sigma, sigma, prec=prec)
     smat = symmetry_matrix(p, rho, sigma, prec=prec)
-    sig = invariant_signature(*form_invariants(p, rho, sigma, prec), prec=prec)
+    sig = form_signature(p, rho, sigma, prec)
     return Group(g.params, g.R1, g.R2, g.R3, g.H, S=smat, n=n, m=m, signature=sig)
 
 
@@ -383,14 +423,15 @@ def evaluate_word(g: Group, word: Sequence[int], prec: int = DEFAULT_PREC) -> Ma
         return out
 
 
-def lemma_eigenvalues_residual(g: Group, prec: int = DEFAULT_PREC):
+def lemma_eigenvalues_residual(g: Group, prec: int = DEFAULT_PREC, view: Optional[Group] = None):
     """Distance of the eigenvalues of R1R2 from {ub^2, -u e^{2i zeta}, -u e^{-2i zeta}}.
 
     zeta is defined by |rho| = 2 cos(zeta); raises when |rho| > 2 (the
-    non-loxodromic hypothesis fails).
+    non-loxodromic hypothesis fails).  R1R2 is g's product; rho is read
+    from `view`, g's float view at `prec`, when one is given.
     """
     with mpmath.workprec(prec + 20):
-        rho = to_float(g.params.rho, prec)
+        rho = to_float((g if view is None else view).params.rho, prec)
         half = abs(rho) / 2
         if half > 1 + mpmath.mpf(2) ** (-prec // 2):
             raise ValueError("lemma hypothesis violated: R1R2 is loxodromic")
@@ -425,9 +466,9 @@ def verify(g: Group, tol=None, prec: int = DEFAULT_PREC, max_braid: int = 24) ->
     square, trace formulas, eigenvalue lemma, then the four braid lengths.
 
     The float checks run on one float view of g; the exact square and the
-    eigenvalue lemma's product R1R2 use g itself.  The braid lengths are
-    only checked when H has signature (2,1); otherwise one passing "braid"
-    check records the skip.
+    eigenvalue lemma's product R1R2 use g itself, and the lemma reads rho
+    from the view.  The braid lengths are only checked when H has
+    signature (2,1); otherwise one passing "braid" check records the skip.
     """
     tol = DEFAULT_TOL if tol is None else tol
     gf = g.to_float(prec)
@@ -445,7 +486,7 @@ def verify(g: Group, tol=None, prec: int = DEFAULT_PREC, max_braid: int = 24) ->
     except RuntimeError as exc:
         checks.append(Check("trace_formulas", False, {"error": str(exc)}))
 
-    res = lemma_eigenvalues_residual(g, prec=prec)
+    res = lemma_eigenvalues_residual(g, prec=prec, view=gf)
     checks.append(Check("eigenvalue_lemma", bool(res <= tol), {"residual": mpmath.nstr(mpmath.mpf(res), 10)}))
 
     verdict = g.signature.verdict

@@ -6,8 +6,8 @@ import pathlib
 import mpmath
 import pytest
 
-from chtri import candidates
-from chtri.exact import angle
+from chtri import candidates, cli, reports, trigroup
+from chtri.exact import Cyclo, angle
 from chtri.reports import (
     build_candidate,
     claimed_verdict,
@@ -108,6 +108,28 @@ class TestSignatureScan:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             signature_scan("(3,3)", 5, 4)
+
+    def test_long_scan_golden_and_exact_fallback_rows(self, capsys, monkeypatch):
+        # the whole p <= 60 scan byte for byte, and the rows whose signature needed the
+        # exact Cyclo invariants: a slide back to the exact path shows up as a work count
+        row, exact_rows = [None], []
+        build, invariants = reports.build_candidate, trigroup.form_invariants
+
+        def spy_build(cid, p, prec=256):
+            row[0] = (cid, p)
+            return build(cid, p, prec)
+
+        def spy_invariants(p, rho, sigma, prec=256):
+            if isinstance(rho, Cyclo):
+                exact_rows.append(row[0])
+            return invariants(p, rho, sigma, prec)
+
+        monkeypatch.setattr(reports, "build_candidate", spy_build)
+        monkeypatch.setattr(trigroup, "form_invariants", spy_invariants)
+        assert cli.main(["tables", "--candidate", "all", "--p-min", "2", "--p-max", "60", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (DATA / "scan_all_p2_60.csv").read_text()
+        assert exact_rows == [("(3,3)", 3), ("(3,3)", 6), ("(3,3)-", 6), ("(4,3)", 3),
+                              ("(8,6)", 2), ("(4,4)", 2), ("(4,4)", 4)]
 
 
 class TestClosedForms:

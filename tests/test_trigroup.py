@@ -1,9 +1,10 @@
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chtri.candidates import ALL_IDS, parse_candidate
 from chtri.exact import Cyclo, angle, cos_exact, root_of_unity
-from chtri.linalg import Mat3, form_residual, hermitian_signature, projective_equal
+from chtri.linalg import Mat3, form_residual, hermitian_signature, invariant_signature, projective_equal
 from chtri.trigroup import (
     InfeasibleGroupError,
     braid_length,
@@ -13,6 +14,7 @@ from chtri.trigroup import (
     candidate_s,
     evaluate_word,
     form_invariants,
+    form_signature,
     is_candidate,
     lemma_eigenvalues_residual,
     parameter_feasible,
@@ -98,7 +100,8 @@ class TestBuild:
         gf = g.to_float(256)
         assert g.exact and not gf.exact
         assert (gf.params.p, gf.n, gf.m, gf.signature) == (5, n, m, g.signature)
-        for exact, flt in zip((g.R1, g.R2, g.R3, g.H, g.S), (gf.R1, gf.R2, gf.R3, gf.H, gf.S)):
+        assert gf.H is g.H  # no float check reads H, so the view keeps the exact one
+        for exact, flt in zip((g.R1, g.R2, g.R3, g.S), (gf.R1, gf.R2, gf.R3, gf.S)):
             assert not flt.exact
             assert all(flt[i, j] == exact[i, j].to_mpc(256) for i in range(3) for j in range(3))
         for name in ("rho", "sigma", "tau"):
@@ -193,6 +196,48 @@ class TestBuild:
     def test_signature_kept_on_float_group(self):
         g = build_symmetric(4, 5, 6)
         assert not g.exact and g.signature == hermitian_signature(g.H)
+
+
+def _exact_params(cid, p):
+    n, m, im_sign = parse_candidate(cid)
+    g = build_symmetric(p, n, m, im_sign=im_sign)
+    return g, g.params.rho, g.params.sigma
+
+
+class TestFormSignature:
+    @pytest.mark.parametrize("cid", ALL_IDS)
+    def test_matches_the_exact_invariants(self, cid):
+        for p in range(2, 41):
+            g, rho, sigma = _exact_params(cid, p)
+            assert g.signature == invariant_signature(*form_invariants(p, rho, sigma)), (cid, p)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(ALL_IDS), st.integers(2, 200), st.sampled_from([64, 128, 192, 256]))
+    def test_float_invariants_within_the_documented_bound(self, cid, p, prec):
+        # B = 2^(12-wp) * (2 + M) from the form_signature docstring, against the exact invariants at 512 bits
+        _, rho, sigma = _exact_params(cid, p)
+        wp = max(prec, 128)
+        bound = mpmath.mpf(2) ** (12 - wp) * (2 + max(1, rho.coeff_mass(), sigma.coeff_mass()))
+        with mpmath.workprec(512):
+            floats = form_invariants(p, rho.to_mpc(wp), sigma.to_mpc(wp), wp)
+            for x, exact in zip(floats, form_invariants(p, rho, sigma)):
+                assert abs(x - exact.to_mpc(512)) <= bound
+
+    def test_exact_zeros_take_the_exact_path(self, monkeypatch):
+        # the float det of (4,3) at p = 3 is a rounding error (about -6e-77), not 0; only the
+        # exact path sees the zero
+        _, rho, sigma = _exact_params("(4,3)", 3)
+        with mpmath.workprec(256):
+            det = form_invariants(3, rho.to_mpc(256), sigma.to_mpc(256), 256)[2]
+        assert det.real != 0 and form_invariants(3, rho, sigma)[2].is_zero()
+        calls = []
+        monkeypatch.setattr("chtri.trigroup.invariant_signature",
+                            lambda *a, **k: calls.append(a) or invariant_signature(*a, **k))
+        assert form_signature(3, rho, sigma).verdict == "degenerate"
+        assert len(calls) == 1 and all(isinstance(x, Cyclo) for x in calls[0])
+        calls.clear()
+        _, rho, sigma = _exact_params("(3,3)", 5)
+        assert form_signature(5, rho, sigma).verdict == "(2,1)" and calls == []
 
 
 class TestSymmetry:
@@ -302,6 +347,16 @@ class TestVerify:
             names = SYMMETRY_CHECKS + ["symmetry:square_exact", "trace_formulas", "eigenvalue_lemma"] + braid
             assert [c.name for c in checks] == names, (cid, p)
             assert all(c.passed for c in checks), (cid, p, [c for c in checks if not c.passed])
+
+    def test_each_exact_entry_is_converted_once(self, monkeypatch):
+        # one to_mpc call per (object, precision) in a verify call, and none on an entry of H
+        g = build_symmetric(5, 5, 4)
+        seen, orig = [], Cyclo.to_mpc
+        monkeypatch.setattr(Cyclo, "to_mpc", lambda x, prec=53: seen.append((x, prec)) or orig(x, prec))
+        verify(g)
+        assert len({(id(x), prec) for x, prec in seen}) == len(seen)
+        h_entries = {id(x) for row in g.H.rows for x in row}
+        assert not any(id(x) in h_entries for x, _ in seen)
 
     def test_check_dict_key_order(self):
         checks = verify(build_symmetric(5, 3, 4))
