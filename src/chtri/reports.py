@@ -2,17 +2,17 @@
 
 Every candidate group carries a Hermitian form H whose signature decides
 whether the group acts on complex hyperbolic space.  This module scans
-det(H) and the exact signature over ranges of the reflection order p,
+det(H) and the signature over ranges of the reflection order p,
 cross-checks the claimed closed-form determinant expressions against the
 matrix determinant, and reproduces the parameter table of the
 classification.
 
 The source of truth is `trigroup.form_invariants`, the closed form of
-(tr H, c1, det H) in rho and sigma: the signature is decided exactly from
-it and the printed det is its float value.  The tests check it against the
-trace, minors and determinant of the matrix H.  The recorded closed-form
-expressions and tabulated verdicts are treated as claims under test and
-any disagreement is flagged rather than papered over.
+(tr H, c1, det H) in rho and sigma: `trigroup.form_signature` certifies
+the signature from it and the printed det is its float value.  The tests
+check it against the trace, minors and determinant of the matrix H.  The
+recorded closed-form expressions and tabulated verdicts are treated as
+claims under test and any disagreement is flagged rather than papered over.
 """
 from __future__ import annotations
 
@@ -25,10 +25,10 @@ from typing import Callable, Optional
 import mpmath
 
 from .candidates import SPORADIC, claim, entry, parse_candidate
-from .exact import Cyclo, angle, cos_exact, to_float
+from .exact import Cyclo, angle, cos_exact
 # unused here: perfbench/test_smoke.py checks that its tracer patches chtri.reports.hermitian_signature
 from .linalg import DEFAULT_PREC, hermitian_signature  # noqa: F401
-from .trigroup import Group, build_symmetric, candidate_s, form_invariants
+from .trigroup import Group, build_symmetric, form_signature, symmetric_params
 
 
 def build_candidate(cid: str, p: int, prec: int = DEFAULT_PREC) -> Group:
@@ -55,7 +55,7 @@ class ScanRow:
     p: int
     det: object  # mpmath.mpf; exactly 0 when degenerate
     verdict: str  # from the sign of det, read off the signature: (2,1) / degenerate / (3,0)
-    signature: str  # full exact signature of H
+    signature: str  # signature of H, certified by form_signature
     claimed: Optional[str]
     flags: tuple
 
@@ -75,30 +75,24 @@ class SignatureReport:
 
 
 def signature_scan(cid: str, p_min: int = 2, p_max: int = 20, prec: int = DEFAULT_PREC) -> SignatureReport:
-    """Exact det(H) sign and signature of H for p in [p_min, p_max].
+    """det(H) and the signature of H for p in [p_min, p_max], with no group built.
 
-    The verdict column follows the determinant-sign criterion (negative
-    det <=> signature (2,1)); when the full exact signature disagrees with
-    the verdict that criterion suggests (det > 0 can also mean (1,2)), the
-    row is flagged.  det(H) is the product of the eigenvalues, so its
-    sign is read off the exact signature: zero with a zero eigenvalue,
-    negative with an odd count of negative ones.  The printed det is
-    `form_invariants` evaluated on the floats of rho and sigma.
+    rho and sigma depend on the candidate alone; `form_signature` runs once
+    per p.  The verdict column follows the determinant-sign criterion
+    (negative det <=> signature (2,1)), read off the signature; a row is
+    flagged when the signature disagrees with it (det > 0 can also mean
+    (1,2)).  The printed det is the float det `form_signature` read, at
+    max(prec, 128) bits, and an exact 0 on degenerate rows.
     """
     if not (2 <= p_min <= p_max):
         raise ValueError("need 2 <= p_min <= p_max")
+    rho, sigma = symmetric_params(*parse_candidate(cid), prec)
     rows = []
     for p in range(p_min, p_max + 1):
-        g = build_candidate(cid, p, prec=prec)
-        sig = g.signature
+        sig, det = form_signature(p, rho, sigma, prec)
         flags = []
-        if sig.n_zero:
-            det_val = mpmath.mpf(0)
-            verdict = "degenerate"
-        else:
-            rho, sigma = (to_float(x, prec) for x in (g.params.rho, g.params.sigma))
-            det_val = form_invariants(p, rho, sigma, prec)[2].real
-            verdict = "(2,1)" if sig.n_neg % 2 else "(3,0)"
+        verdict = "degenerate" if sig.n_zero else "(2,1)" if sig.n_neg % 2 else "(3,0)"
+        det_val = mpmath.mpf(0) if sig.n_zero else det
         if verdict != sig.verdict:
             flags.append(f"det-sign verdict {verdict} but exact signature {sig.verdict}")
         claimed = claimed_verdict(cid, p)
@@ -188,19 +182,17 @@ class ParameterRow:
 def parameter_table(k: int = 6) -> list:
     """The six parameter rows of the classification; diagonal row at this k.
 
-    Each row is validated exactly: |rho| = 2cos(pi/m), rho + conj(rho) =
-    sigma^2, s = rho - 1, and rho agrees with its published algebraic form.
+    rho and sigma are `symmetric_params`, s = rho - 1 = tr(S).  Each row is validated exactly:
+    |rho| = 2cos(pi/m), rho + conj(rho) = sigma^2, and rho agrees with its published form.
     """
     rows = []
     for n, m in list(SPORADIC) + [(k, k)]:
-        s = candidate_s(n, m)
-        rho = s + 1
-        sigma = cos_exact(angle(1, n)) * 2
+        rho, sigma = symmetric_params(n, m)
         two_cos_m = cos_exact(angle(1, m)) * 2
         ok = (rho.abs2() - two_cos_m * two_cos_m).is_zero()
         ok &= (rho + rho.conj() - sigma * sigma).is_zero()
         ok &= (rho - entry(n, m).printed_rho()).is_zero()
-        rows.append(ParameterRow(f"({n},{m})", n, m, rho, s, sigma, bool(ok)))
+        rows.append(ParameterRow(f"({n},{m})", n, m, rho, rho - 1, sigma, bool(ok)))
     return rows
 
 

@@ -209,10 +209,10 @@ def form_invariants(p: int, rho, sigma, prec: int = DEFAULT_PREC):
         return 6 * s, 12 * s2 - q, det
 
 
-def form_signature(p: int, rho, sigma, prec: int = DEFAULT_PREC) -> Signature:
-    """Signature of H from `form_invariants`: in floats when their signs are certain, else exactly.
+def form_signature(p: int, rho, sigma, prec: int = DEFAULT_PREC) -> tuple[Signature, object]:
+    """Signature and float det of H from `form_invariants`: in floats when their signs are certain.
 
-    For exact (Cyclo) rho and sigma of `build_symmetric`, where |rho| =
+    For exact (Cyclo) rho and sigma of `symmetric_params`, where |rho| =
     2cos(pi/m) <= 2 and sigma = 2cos(pi/n) <= 2, the invariants are first
     evaluated on the floats of rho and sigma at wp = max(prec, 128) bits.
     Each float invariant is within B = 2^(12-wp) * (2 + M) of the exact
@@ -234,46 +234,51 @@ def form_signature(p: int, rho, sigma, prec: int = DEFAULT_PREC) -> Signature:
     is certain and `sign_signature` reads the signature from the signs.
     Otherwise, and so whenever an invariant is zero, the exact Cyclo
     invariants decide it with their exact zero test.  Float rho and sigma
-    take `invariant_signature` on the float invariants.
+    take `invariant_signature` on the float invariants.  The det returned is
+    the real part of the float det H read on the way (at wp bits if exact).
     """
-    if isinstance(rho, Cyclo):
-        wp = max(prec, 128)
-        bound = mpmath.mpf(2) ** (12 - wp) * (2 + math.ceil(max(1, rho.coeff_mass(), sigma.coeff_mass())))
-        inv = form_invariants(p, to_float(rho, wp), to_float(sigma, wp), wp)
-        if all(abs(x.real) > bound for x in inv):
-            return sign_signature(*(1 if x.real > 0 else -1 for x in inv))
-    return invariant_signature(*form_invariants(p, rho, sigma, prec), prec=prec)
+    if not isinstance(rho, Cyclo):
+        inv = form_invariants(p, rho, sigma, prec)
+        return invariant_signature(*inv, prec=prec), inv[2].real
+    wp = max(prec, 128)
+    bound = mpmath.mpf(2) ** (12 - wp) * (2 + math.ceil(max(1, rho.coeff_mass(), sigma.coeff_mass())))
+    inv = form_invariants(p, to_float(rho, wp), to_float(sigma, wp), wp)
+    if all(abs(x.real) > bound for x in inv):
+        return sign_signature(*(1 if x.real > 0 else -1 for x in inv)), inv[2].real
+    return invariant_signature(*form_invariants(p, rho, sigma, prec), prec=prec), inv[2].real
 
 
-def build_symmetric(p: int, n: int, m: int, im_sign: int = 1, prec: int = DEFAULT_PREC) -> Group:
-    """Group with braid data (n, n, m; m): |rho| = 2cos(pi/m), sigma = tau = 2cos(pi/n).
+def symmetric_params(n: int, m: int, im_sign: int = 1, prec: int = DEFAULT_PREC):
+    """(rho, sigma) of braid data (n, n, m; m): |rho| = 2cos(pi/m), sigma = 2cos(pi/n), sigma^2 = 2 Re rho.
 
-    Classified candidates get exact cyclotomic matrices; other (n, m) take
-    the float path.  Raises InfeasibleGroupError when 2cos(pi/m) <
-    2cos^2(pi/n), where no such rho exists.  The signature of H is
-    computed here, once, by `form_signature`, and kept as `signature`.
+    Exact for a classified candidate (rho = tr(S) + 1), else mpmath at `prec` bits; Im(rho) has
+    the sign of `im_sign`.  Raises InfeasibleGroupError when 2cos(pi/m) < 2cos^2(pi/n).
     """
-    if p < 2:
-        raise ValueError("reflection order p must be >= 2")
     if n < 3 or m < 3:
         raise ValueError("n and m must be >= 3")
     if not parameter_feasible(n, m):
         raise InfeasibleGroupError("no such symmetric group")
-
     if is_candidate(n, m):
-        rho = candidate_s(n, m, im_sign) + 1
-        sigma = cos_exact(angle(1, n)) * 2
-    else:
-        # rho is not cyclotomic: work it out in floats
-        with mpmath.workprec(prec):
-            abs_rho = 2 * mpmath.cospi(mpmath.mpf(1) / m)
-            re_rho = 2 * mpmath.cospi(mpmath.mpf(1) / n) ** 2
-            im_rho = im_sign * mpmath.sqrt(max(abs_rho**2 - re_rho**2, mpmath.mpf(0)))
-            rho = mpmath.mpc(re_rho, im_rho)
-            sigma = 2 * mpmath.cospi(mpmath.mpf(1) / n)
+        return candidate_s(n, m, im_sign) + 1, cos_exact(angle(1, n)) * 2
+    # rho is not cyclotomic: work it out in floats
+    with mpmath.workprec(prec):
+        abs_rho = 2 * mpmath.cospi(mpmath.mpf(1) / m)
+        re_rho = 2 * mpmath.cospi(mpmath.mpf(1) / n) ** 2
+        im_rho = im_sign * mpmath.sqrt(max(abs_rho**2 - re_rho**2, mpmath.mpf(0)))
+        return mpmath.mpc(re_rho, im_rho), 2 * mpmath.cospi(mpmath.mpf(1) / n)
+
+
+def build_symmetric(p: int, n: int, m: int, im_sign: int = 1, prec: int = DEFAULT_PREC) -> Group:
+    """The group with symmetry S on the (rho, sigma) of `symmetric_params`, tau = sigma.
+
+    The signature of H is computed here, once, by `form_signature`, and kept as `signature`.
+    """
+    if p < 2:
+        raise ValueError("reflection order p must be >= 2")
+    rho, sigma = symmetric_params(n, m, im_sign, prec)
     g = build_group(p, rho, sigma, sigma, prec=prec)
     smat = symmetry_matrix(p, rho, sigma, prec=prec)
-    sig = form_signature(p, rho, sigma, prec)
+    sig, _ = form_signature(p, rho, sigma, prec)
     return Group(g.params, g.R1, g.R2, g.R3, g.H, S=smat, n=n, m=m, signature=sig)
 
 

@@ -151,6 +151,26 @@ class TestTables:
         r = run("tables", "--candidate", "(9,2)")
         assert r.returncode == 2
 
+    def test_prec_changes_no_verdict(self, capsys):
+        # detH is read at max(prec, 128) bits, so 64 bits prints the bytes of 256 bits;
+        # verdicts, signatures and flags do not depend on --prec
+        def table(prec, *rows):
+            argv = ["tables", *(rows or ("--candidate", "all", "--p-max", "20")), "--format", "json",
+                    "--prec", str(prec)]
+            assert chtri.cli.main(argv) == 0
+            return capsys.readouterr().out
+
+        at_256 = table(256)
+        assert table(64) == at_256
+        # a row whose det evaluated at 64 bits would print differently
+        row = ("--candidate", "(4,4)", "--p-min", "70", "--p-max", "70")
+        assert table(64, *row) == table(256, *row)
+        keep = ("candidate", "p", "verdict", "signature", "claimed", "flags")
+        want = [{k: r[k] for k in keep} for r in json.loads(at_256)]
+        assert len(want) == 190 and any(r["flags"] for r in want)
+        for prec in (128, 512):
+            assert [{k: r[k] for k in keep} for r in json.loads(table(prec))] == want, prec
+
 
 class TestIdentities:
     def test_pass(self):

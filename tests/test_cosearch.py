@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from chtri.exact import angle
 from chtri.cosearch import (
@@ -58,6 +59,18 @@ class TestResiduals:
         assert parameter_feasible(4, 3)  # equality case
         assert parameter_feasible(3, 4)
         assert not parameter_feasible(6, 3)
+
+    def test_feasibility_matches_the_sympy_sign(self):
+        # oracle: sympy's sign of 2cos(pi/m) - 1 - cos(2pi/n), zero only where it simplifies to 0
+        zeros = []
+        for n in range(3, 31):
+            for m in range(3, 31):
+                sign = sympy.sign(2 * sympy.cos(sympy.pi / m) - 1 - sympy.cos(2 * sympy.pi / n))
+                assert sign in (-1, 0, 1), (n, m)
+                if sign == 0:
+                    zeros.append((n, m))
+                assert parameter_feasible(n, m) == (sign >= 0), (n, m)
+        assert zeros == [(4, 3)]
 
 
 class TestOrbit:

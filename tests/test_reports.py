@@ -109,27 +109,46 @@ class TestSignatureScan:
         with pytest.raises(ValueError):
             signature_scan("(3,3)", 5, 4)
 
+    @staticmethod
+    def _spy_invariants(monkeypatch):
+        # every (p, rho) that trigroup.form_invariants receives, exact or float
+        calls, invariants = [], trigroup.form_invariants
+
+        def spy(p, rho, sigma, prec=256):
+            calls.append((p, rho))
+            return invariants(p, rho, sigma, prec)
+
+        monkeypatch.setattr(trigroup, "form_invariants", spy)
+        return calls
+
     def test_long_scan_golden_and_exact_fallback_rows(self, capsys, monkeypatch):
         # the whole p <= 60 scan byte for byte, and the rows whose signature needed the
         # exact Cyclo invariants: a slide back to the exact path shows up as a work count
-        row, exact_rows = [None], []
-        build, invariants = reports.build_candidate, trigroup.form_invariants
-
-        def spy_build(cid, p, prec=256):
-            row[0] = (cid, p)
-            return build(cid, p, prec)
-
-        def spy_invariants(p, rho, sigma, prec=256):
-            if isinstance(rho, Cyclo):
-                exact_rows.append(row[0])
-            return invariants(p, rho, sigma, prec)
-
-        monkeypatch.setattr(reports, "build_candidate", spy_build)
-        monkeypatch.setattr(trigroup, "form_invariants", spy_invariants)
+        calls = self._spy_invariants(monkeypatch)
         assert cli.main(["tables", "--candidate", "all", "--p-min", "2", "--p-max", "60", "--format", "csv"]) == 0
         assert capsys.readouterr().out == (DATA / "scan_all_p2_60.csv").read_text()
+        rho_of = {cid: trigroup.symmetric_params(*parse_candidate(cid))[0] for cid in candidates.ALL_IDS}
+        exact_rows = [(cid, p) for p, rho in calls if isinstance(rho, Cyclo)
+                      for cid in candidates.ALL_IDS if rho == rho_of[cid]]
         assert exact_rows == [("(3,3)", 3), ("(3,3)", 6), ("(3,3)-", 6), ("(4,3)", 3),
                               ("(8,6)", 2), ("(4,4)", 2), ("(4,4)", 4)]
+
+    def test_scan_builds_no_group_and_evaluates_once_per_row(self, capsys, monkeypatch):
+        # work counts of `tables --candidate all` for p = 2..60 (590 rows): no group is built,
+        # the float closed form runs once per row and the exact one on the 7 fallback rows
+        builds = []
+        for mod, name in ((trigroup, "build_symmetric"), (reports, "build_symmetric"),
+                          (reports, "build_candidate")):
+            def spy(*a, f=getattr(mod, name), name=name, **k):
+                builds.append(name)
+                return f(*a, **k)
+            monkeypatch.setattr(mod, name, spy)
+        calls = self._spy_invariants(monkeypatch)
+        assert cli.main(["tables", "--candidate", "all", "--p-min", "2", "--p-max", "60", "--format", "csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 590
+        assert builds == []
+        assert sum(not isinstance(rho, Cyclo) for _, rho in calls) == 590
+        assert sum(isinstance(rho, Cyclo) for _, rho in calls) == 7
 
 
 class TestClosedForms:

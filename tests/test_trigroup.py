@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chtri.candidates import ALL_IDS, parse_candidate
-from chtri.exact import Cyclo, angle, cos_exact, root_of_unity
+from chtri.exact import Cyclo, angle, cos_exact, root_of_unity, to_float
 from chtri.linalg import Mat3, form_residual, hermitian_signature, invariant_signature, projective_equal
 from chtri.trigroup import (
     InfeasibleGroupError,
@@ -19,6 +19,7 @@ from chtri.trigroup import (
     lemma_eigenvalues_residual,
     parameter_feasible,
     reflection_matrix,
+    symmetric_params,
     symmetry_matrix,
     trace_invariants,
     verify,
@@ -87,6 +88,24 @@ class TestBuild:
     def test_infeasible(self):
         with pytest.raises(InfeasibleGroupError, match="no such symmetric group"):
             build_symmetric(3, 6, 3)
+
+    def test_errors_keep_their_order(self):
+        # p is checked first, then n, m >= 3, then feasibility (in symmetric_params)
+        with pytest.raises(ValueError, match="reflection order"):
+            build_symmetric(1, 2, 3)
+        with pytest.raises(ValueError, match="n and m must be >= 3"):
+            build_symmetric(2, 2, 3)
+        with pytest.raises(ValueError, match="n and m must be >= 3"):
+            symmetric_params(6, 2)
+        with pytest.raises(InfeasibleGroupError):
+            symmetric_params(6, 3)
+
+    @pytest.mark.parametrize("n,m,im_sign", [(3, 4, 1), (3, 5, -1), (7, 7, 1), (5, 6, 1), (5, 6, -1)])
+    def test_group_is_built_on_symmetric_params(self, n, m, im_sign):
+        rho, sigma = symmetric_params(n, m, im_sign, prec=128)
+        pr = build_symmetric(3, n, m, im_sign=im_sign, prec=128).params
+        assert pr.rho == rho and pr.sigma == sigma and pr.tau == sigma
+        assert isinstance(rho, Cyclo) == is_candidate(n, m)
 
     def test_float_path(self):
         g = build_symmetric(4, 5, 6, prec=128)  # not a classified candidate
@@ -233,11 +252,21 @@ class TestFormSignature:
         calls = []
         monkeypatch.setattr("chtri.trigroup.invariant_signature",
                             lambda *a, **k: calls.append(a) or invariant_signature(*a, **k))
-        assert form_signature(3, rho, sigma).verdict == "degenerate"
+        assert form_signature(3, rho, sigma)[0].verdict == "degenerate"
         assert len(calls) == 1 and all(isinstance(x, Cyclo) for x in calls[0])
         calls.clear()
         _, rho, sigma = _exact_params("(3,3)", 5)
-        assert form_signature(5, rho, sigma).verdict == "(2,1)" and calls == []
+        assert form_signature(5, rho, sigma)[0].verdict == "(2,1)" and calls == []
+
+    @pytest.mark.parametrize("cid,p,prec", [("(4,3)", 3, 256), ("(3,3)", 5, 256), ("(5,4)-", 7, 64),
+                                            ("(8,6)", 2, 512)])
+    def test_det_is_the_float_det_at_the_working_precision(self, cid, p, prec):
+        # the returned det is the real part of form_invariants on the floats of rho and sigma at
+        # wp = max(prec, 128) bits, on the float path and the exact fallback alike
+        _, rho, sigma = _exact_params(cid, p)
+        wp = max(prec, 128)
+        _, det = form_signature(p, rho, sigma, prec)
+        assert det == form_invariants(p, to_float(rho, wp), to_float(sigma, wp), wp)[2].real
 
 
 class TestSymmetry:
