@@ -236,7 +236,9 @@ def _add_options(sp, prec=False, tol=False, fmt=False, group=False):
     if prec:
         sp.add_argument("--prec", type=int, default=None, help="precision in bits")  # None: CHTG_PREC
     if tol:
-        sp.add_argument("--tol", type=int, default=30, help="tolerance exponent k for 10^-k")
+        sp.add_argument("--tol", type=int, default=30,
+                        help="tolerance exponent k for 10^-k of the float checks; verify checks a classified "
+                             "candidate exactly, without it")
     sp.add_argument("--out", default=None, help="output file (default stdout)")
     if fmt:
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")

@@ -425,6 +425,98 @@ class Cyclo:
 
 
 # ---------------------------------------------------------------------------
+# Laurent polynomials over Q(zeta_N)
+
+
+class Laurent:
+    """sum(c[k] * t^k) with Cyclo coefficients, for t on the unit circle (t = e^{i*pi/(3p)} in `trigroup`).
+
+    conj maps t to 1/t and conjugates each coefficient, so it is complex
+    conjugation at every such t.  Coefficients that are zero as written are
+    dropped; `is_zero` tests the others exactly.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs: dict):
+        """coeffs maps integer exponents to Cyclo coefficients."""
+        self.c = {k: v for k, v in coeffs.items() if v.c}
+
+    @classmethod
+    def t(cls, k: int) -> "Laurent":
+        """t^k."""
+        return cls({k: Cyclo.one()})
+
+    def __add__(self, other):
+        other = _lift_laurent(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.c)
+        for k, v in other.c.items():
+            out[k] = out[k] + v if k in out else v
+        return Laurent(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Laurent({k: -v for k, v in self.c.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = _lift_laurent(other)
+        if other is None:
+            return NotImplemented
+        out: dict = {}
+        for k1, v1 in self.c.items():
+            for k2, v2 in other.c.items():
+                k = k1 + k2
+                out[k] = out[k] + v1 * v2 if k in out else v1 * v2
+        return Laurent(out)
+
+    __rmul__ = __mul__
+
+    def conj(self) -> "Laurent":
+        return Laurent({-k: v.conj() for k, v in self.c.items()})
+
+    def is_zero(self) -> bool:
+        return all(v.is_zero() for v in self.c.values())
+
+    def _terms(self) -> list:
+        return [(k, v) for k, v in self.c.items() if not v.is_zero()]
+
+    def is_monomial(self) -> bool:
+        """Exactly one nonzero coefficient: c*t^k with c != 0, which is nonzero at every t on the circle."""
+        return len(self._terms()) == 1
+
+    def inverse(self) -> "Laurent":
+        """1/(c*t^k) = c^-1 * t^-k: the nonzero monomials are the units of the ring."""
+        terms = self._terms()
+        if len(terms) != 1:
+            raise ZeroDivisionError("only a nonzero monomial has an inverse")
+        (k, v), = terms
+        return Laurent({-k: v.inverse()})
+
+    def at(self, n: int) -> Cyclo:
+        """The value at t = zeta_n, exactly."""
+        return sum((v * Cyclo.root(n, k) for k, v in self.c.items()), Cyclo.zero())
+
+    def __repr__(self) -> str:
+        return "Laurent(" + (" + ".join(f"{v!r}*t^{k}" for k, v in sorted(self.c.items())) or "0") + ")"
+
+
+def _lift_laurent(x):
+    if isinstance(x, Laurent):
+        return x
+    x = _coerce(x)
+    return None if x is None else Laurent({0: x})
+
+
+# ---------------------------------------------------------------------------
 # Trigonometric constructors
 
 

@@ -1,7 +1,8 @@
 """3x3 complex linear algebra over an indefinite Hermitian form.
 
-Matrices carry either exact cyclotomic entries or arbitrary-precision
-mpmath complex entries.  Exact matrices support exact determinants,
+Matrices carry either exact entries (cyclotomic numbers, or Laurent
+polynomials in t over them) or arbitrary-precision mpmath complex
+entries.  Exact matrices support exact determinants,
 exact equality and exact signature computation; the float path is used
 for residual checks, eigenvalues and braid searches.
 """
@@ -12,7 +13,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .exact import Cyclo
+from .exact import Cyclo, Laurent
 
 DEFAULT_PREC = 256
 DEFAULT_TOL = mpmath.mpf("1e-30")
@@ -22,12 +23,12 @@ class SingularMatrixError(ZeroDivisionError):
     pass
 
 
-def _is_cyclo(x) -> bool:
-    return isinstance(x, Cyclo)
+def _is_exact(x) -> bool:
+    return isinstance(x, (Cyclo, Laurent))
 
 
 class Mat3:
-    """A 3x3 matrix with Cyclo (exact) or mpmath (float) entries."""
+    """A 3x3 matrix with exact (Cyclo or Laurent) or mpmath (float) entries."""
 
     __slots__ = ("rows", "exact")
 
@@ -36,7 +37,7 @@ class Mat3:
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("Mat3 needs 3x3 entries")
         self.rows = rows
-        self.exact = all(_is_cyclo(x) for r in rows for x in r)
+        self.exact = all(_is_exact(x) for r in rows for x in r)
 
     @classmethod
     def identity(cls, exact: bool = True) -> "Mat3":
@@ -131,8 +132,7 @@ class Mat3:
         d = self.det()
         adj = self.adjugate()
         if self.exact:
-            q = d.is_rational()
-            if q == 1:
+            if (d - 1).is_zero():
                 return adj
             if d.is_zero():
                 raise SingularMatrixError("singular matrix")
@@ -219,7 +219,7 @@ def invariant_signature(tr, c1, det, prec: int = DEFAULT_PREC, tol=None) -> Sign
     Cyclo invariants are decided exactly, from their exact signs by
     `sign_signature`; float ones from the roots, with a numeric threshold.
     """
-    if _is_cyclo(det):
+    if isinstance(det, Cyclo):
         return sign_signature(tr.real_sign(), c1.real_sign(), det.real_sign())
     tol = DEFAULT_TOL if tol is None else tol
     eigs = _cubic_roots(-tr, c1, -det, prec)

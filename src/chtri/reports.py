@@ -201,9 +201,8 @@ def parameter_table(k: int = 6) -> list:
 
 
 def _det_str(v, digits: int = 30) -> str:
-    if v == 0:
-        return "0"
-    return mpmath.nstr(mpmath.mpf(v), digits)
+    """v to `digits` significant digits, from all the bits it was computed with (no rounding to 53 first)."""
+    return "0" if v == 0 else mpmath.nstr(v, digits)
 
 
 def scan_to_csv(reports) -> str:

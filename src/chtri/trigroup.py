@@ -8,23 +8,29 @@ conjugates the generator pairs into each other with S^2 = R1*R2*R3.
 
 Groups from the classified candidate list are built with exact cyclotomic
 entries; free-form parameters take the arbitrary-precision float path.
+A candidate is verified once for every p, on its generic group: entries
+are Laurent polynomials in t = e^{i pi/(3p)}, and the value at t = zeta_{6p}
+is the group at p.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import mpmath
 
 from .candidates import entry
-from .exact import Angle, Cyclo, _coerce, angle, cos_exact, root_of_unity, sin_exact, to_float
+from .exact import Angle, Cyclo, Laurent, _coerce, angle, cos_exact, root_of_unity, sin_exact, to_float
 from .linalg import (
     DEFAULT_PREC,
     DEFAULT_TOL,
     Mat3,
     Signature,
+    _cube_roots_exact,
     eigenvalues3,
     invariant_signature,
     projective_equal,
@@ -35,6 +41,9 @@ from .linalg import (
 
 class InfeasibleGroupError(ValueError):
     pass
+
+
+_conj = operator.methodcaller("conj")  # of an exact scalar, Cyclo or Laurent
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +90,7 @@ def candidate_s(n: int, m: int, im_sign: int = 1) -> Cyclo:
 
 @dataclass(frozen=True)
 class GroupParams:
-    p: int
+    p: Optional[int]  # None for the generic group in t
     rho: object  # Cyclo or mpmath.mpc
     sigma: object
     tau: object
@@ -99,6 +108,7 @@ class Group:
     n: Optional[int] = None
     m: Optional[int] = None
     signature: Optional[Signature] = None  # of H; set by build_symmetric
+    im_sign: int = 1  # the sign of Im(rho) given to build_symmetric
 
     @property
     def exact(self) -> bool:
@@ -122,44 +132,50 @@ class Group:
         """
         if not self.exact:
             return self
-        done = {}  # id of an entry object -> its value; the entries repeat across the matrices
-
-        def conv(x):
-            if id(x) not in done:
-                done[id(x)] = to_float(x, prec)
-            return done[id(x)]
-
         pr = self.params
-        params = GroupParams(pr.p, *(conv(x) for x in (pr.rho, pr.sigma, pr.tau)), exact=False)
-        r1, r2, r3, s = (None if m is None else Mat3([[conv(x) for x in r] for r in m.rows])
-                         for m in (self.R1, self.R2, self.R3, self.S))
-        return Group(params, r1, r2, r3, self.H, s, n=self.n, m=self.m, signature=self.signature)
+        params = GroupParams(pr.p, *(to_float(x, prec) for x in (pr.rho, pr.sigma, pr.tau)), exact=False)
+        r1, r2, r3, s = (None if m is None else m.to_float(prec) for m in (self.R1, self.R2, self.R3, self.S))
+        return Group(params, r1, r2, r3, self.H, s, n=self.n, m=self.m, signature=self.signature,
+                     im_sign=self.im_sign)
 
 
 def _scalars(params, consts, prec: int):
-    """(params, consts, conj) in one scalar type: Cyclo when every param is exact, else mpmath.
+    """(params, consts, conj) in one scalar type: exact when every param is exact, else mpmath.
 
-    Exact params are Cyclo, int or Fraction; the constants are given as
-    Cyclo and converted with `to_mpc` only for a float group.  Call inside
-    mpmath.workprec(prec).
+    Exact params are Cyclo, int or Fraction; the constants are given exact
+    and converted with `to_mpc` only for a float group.  Laurent constants
+    make the generic group: the params are then lifted to constant Laurent
+    polynomials, so that every entry is one.  Call inside mpmath.workprec(prec).
     """
     exact = [_coerce(x) for x in params]
     if all(x is not None for x in exact):
-        return exact, consts, Cyclo.conj
+        if isinstance(consts[0], Laurent):
+            exact = [Laurent({0: x}) for x in exact]
+        return exact, consts, _conj
     floats = [mpmath.mpc(x) if c is None else c.to_mpc(prec) for x, c in zip(params, exact)]
     return floats, [c.to_mpc(prec) for c in consts], mpmath.conj
 
 
-def build_group(p: int, rho, sigma, tau, prec: int = DEFAULT_PREC) -> Group:
+def build_group(p: Optional[int], rho, sigma, tau, prec: int = DEFAULT_PREC) -> Group:
     """Assemble generators and Hermitian form from free parameters.
 
     All of rho, sigma, tau exact (Cyclo / int / Fraction) gives an exact
     group; otherwise everything is converted to mpmath at `prec` bits.
+    p None gives the generic group of exact rho, sigma, tau: its entries are
+    Laurent polynomials in t = e^{i pi/(3p)}, and its value at t = zeta_{6p}
+    is the group at p.
     """
-    if p < 2:
+    # u = e^{2 pi i/(3p)} = t^2, uh_bar = e^{-i pi/(3p)} = t^-1,
+    # alpha = sqrt(2 - 2cos(2pi/p)) = 2sin(pi/p) = -i(t^3 - t^-3), -i, 0
+    if p is None:
+        t = Laurent.t
+        mi = -Cyclo.i()
+        consts = (t(2), t(-1), (t(3) - t(-3)) * mi, Laurent({0: mi}), Laurent({}))
+    elif p < 2:
         raise ValueError("reflection order p must be >= 2")
-    # u = e^{2 pi i/(3p)}, uh_bar = e^{-i pi/(3p)}, alpha = sqrt(2 - 2cos(2pi/p)) = 2sin(pi/p), -i, 0
-    consts = (Cyclo.root(3 * p, 1), Cyclo.root(6 * p, 6 * p - 1), sin_exact(angle(1, p)) * 2, -Cyclo.i(), Cyclo.zero())
+    else:
+        consts = (Cyclo.root(3 * p, 1), Cyclo.root(6 * p, 6 * p - 1), sin_exact(angle(1, p)) * 2, -Cyclo.i(),
+                  Cyclo.zero())
     with mpmath.workprec(prec):
         (rho, sigma, tau), (u, uh_bar, alpha, mi, zero), conj = _scalars((rho, sigma, tau), consts, prec)
         ub, u2 = conj(u), u * u
@@ -177,9 +193,12 @@ def build_group(p: int, rho, sigma, tau, prec: int = DEFAULT_PREC) -> Group:
     return Group(GroupParams(p, rho, sigma, tau, exact=h.exact), r1, r2, r3, h)
 
 
-def symmetry_matrix(p: int, rho, sigma, prec: int = DEFAULT_PREC) -> Mat3:
-    """The extra isometry S of a symmetric group (sigma^2 = rho + conj(rho))."""
-    consts = (Cyclo.root(3 * p, 1), Cyclo.one(), Cyclo.zero())
+def symmetry_matrix(p: Optional[int], rho, sigma, prec: int = DEFAULT_PREC) -> Mat3:
+    """The extra isometry S of a symmetric group (sigma^2 = rho + conj(rho)); generic in t for p None."""
+    if p is None:
+        consts = (Laurent.t(2), Laurent({0: Cyclo.one()}), Laurent({}))
+    else:
+        consts = (Cyclo.root(3 * p, 1), Cyclo.one(), Cyclo.zero())
     with mpmath.workprec(prec):
         (rho, sigma), (u, one, zero), conj = _scalars((rho, sigma), consts, prec)
         ub = conj(u)
@@ -279,7 +298,7 @@ def build_symmetric(p: int, n: int, m: int, im_sign: int = 1, prec: int = DEFAUL
     g = build_group(p, rho, sigma, sigma, prec=prec)
     smat = symmetry_matrix(p, rho, sigma, prec=prec)
     sig, _ = form_signature(p, rho, sigma, prec)
-    return Group(g.params, g.R1, g.R2, g.R3, g.H, S=smat, n=n, m=m, signature=sig)
+    return Group(g.params, g.R1, g.R2, g.R3, g.H, S=smat, n=n, m=m, signature=sig, im_sign=im_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -319,79 +338,77 @@ def reflection_matrix(phi: Angle, v: Sequence[Cyclo], h: Mat3) -> Mat3:
 # Verification
 
 
-_LAST_WORDS = (None, 0, {})  # (float view, prec, its words) of the last `_words` call
+def _relations(r1: Mat3, r2: Mat3, r3: Mat3, s: Mat3, u) -> dict:
+    """The symmetry relations satisfied by S, by name, as (lhs, rhs) pairs in the scalar type of the matrices.
+
+    First matrices equal up to a cube root of unity: S^2 = R1R2R3, the three
+    S-conjugation relations and the two derived pair relations; then vectors
+    equal exactly, the polar-vector images S v1 = R1 v2, S v2 = R1 R3 v1 and
+    S v3 = -u R1 v3.  Products are taken left to right.
+    """
+    s_inv, r1_inv, r3_inv = s.inverse(), r1.inverse(), r3.inverse()
+    r1r2, r1r3 = r1 * r2, r1 * r3
+    e = Mat3.identity(s.exact).rows
+    return {
+        "square": (s * s, r1r2 * r3),
+        "conj_r1": (s * r1 * s_inv, r1r2 * r1_inv),
+        "conj_r2": (s * r2 * s_inv, r1r3 * r1 * r3_inv * r1_inv),
+        "conj_r3": (s * r3 * s_inv, r1r3 * r1_inv),
+        "pair_23": (s * (r2 * r3) * s_inv, r1r3),
+        "pair_conj": (s * (r1 * r3_inv * r2 * r3) * s_inv, r1r2),
+        "vec1": (s.apply(e[0]), r1.apply(e[1])),
+        "vec2": (s.apply(e[1]), r1r3.apply(e[0])),
+        "vec3": (s.apply(e[2]), tuple(-u * x for x in r1.apply(e[2]))),
+    }
 
 
-def _words(g: Group, prec: int) -> dict:
-    """Products of a float view's generators that several checks read, computed once per view
-    and precision (the last view's are kept), each in its left-to-right association."""
-    global _LAST_WORDS
-    view, at, words = _LAST_WORDS
-    if view is not g or at != prec:
-        with mpmath.workprec(prec):
-            r1, r2, r3 = g.generators()
-            r3_inv = r3.inverse()
-            words = {"R1^-1": r1.inverse(), "R3^-1": r3_inv, "R1R2": r1 * r2, "R1R3": r1 * r3,
-                     "R2R3": r2 * r3, "R1R3^-1R2R3": r1 * r3_inv * r2 * r3}
-        _LAST_WORDS = (g, prec, words)
-    return words
+def _trace_pairs(r1: Mat3, r2: Mat3, r3: Mat3, u, rho, sigma, tau, conj) -> list:
+    """(tr w, closed form) for w = R1R2, R2R3, R1R3, R1R3^-1R2R3: u(2 - |x|^2) + ub^2 for
+    x = rho, sigma, tau, sigma*tau - conj(rho)."""
+    words = (r1 * r2, r2 * r3, r1 * r3, r1 * r3.inverse() * r2 * r3)
+    ub = conj(u)
+    closed = [u * (2 - x * conj(x)) + ub * ub for x in (rho, sigma, tau, sigma * tau - conj(rho))]
+    return [(w.trace(), c) for w, c in zip(words, closed)]
+
+
+def _braid_pairs(g: Group) -> dict:
+    """The generator pairs whose braid lengths are checked, by name, with the expected lengths (n, n, m, m)."""
+    r1, r2, r3 = g.generators()
+    return {"br(R1,R3)": (r1, r3, g.n), "br(R2,R3)": (r2, r3, g.n), "br(R1,R2)": (r1, r2, g.m),
+            "br(R1,R3^-1R2R3)": (r1, r3.inverse() * r2 * r3, g.m)}
 
 
 def verify_symmetry(g: Group, prec: int = DEFAULT_PREC) -> dict:
-    """Float residuals of the symmetry relations satisfied by S, by name.
+    """Float residuals of the symmetry relations satisfied by S (`_relations`), by name.
 
-    Checks S^2 = R1R2R3, the three S-conjugation relations, the two
-    derived pair relations, and the polar-vector images.
+    A matrix relation's residual is its `projective_residual`, a vector
+    relation's the largest entry of the difference.
     """
     if g.S is None:
         raise ValueError("group has no symmetry S")
     g = g.to_float(prec)
-    w = _words(g, prec)
     with mpmath.workprec(prec):
-        r1, r2, r3, s = g.R1, g.R2, g.R3, g.S
-        s_inv = s.inverse()
-        r1_inv, r3_inv, r1r2, r1r3 = w["R1^-1"], w["R3^-1"], w["R1R2"], w["R1R3"]
-        checks = {
-            "square": (s * s, r1r2 * r3),
-            "conj_r1": (s * r1 * s_inv, r1r2 * r1_inv),
-            "conj_r2": (s * r2 * s_inv, r1r3 * r1 * r3_inv * r1_inv),
-            "conj_r3": (s * r3 * s_inv, r1r3 * r1_inv),
-            "pair_23": (s * w["R2R3"] * s_inv, r1r3),
-            "pair_conj": (s * w["R1R3^-1R2R3"] * s_inv, r1r2),
-        }
-        residuals = {k: projective_residual(a, b, prec) for k, (a, b) in checks.items()}
-        # polar-vector images: S v1 = R1 v2, S v2 = R1 R3 v1, S v3 = -u R1 v3
         u = mpmath.expjpi(mpmath.mpf(2) / (3 * g.params.p))
-        e = [tuple(mpmath.mpc(int(i == j)) for j in range(3)) for i in range(3)]
-        vec_checks = [
-            (s.apply(e[0]), r1.apply(e[1])),
-            (s.apply(e[1]), r1r3.apply(e[0])),
-            (s.apply(e[2]), tuple(-u * x for x in r1.apply(e[2]))),
-        ]
-        for i, (lhs, rhs) in enumerate(vec_checks, start=1):
-            residuals[f"vec{i}"] = max(abs(x - y) for x, y in zip(lhs, rhs))
-    return residuals
+        return {name: projective_residual(lhs, rhs, prec) if isinstance(lhs, Mat3)
+                else max(abs(x - y) for x, y in zip(lhs, rhs))
+                for name, (lhs, rhs) in _relations(*g.generators(), g.S, u).items()}
 
 
 def trace_invariants(g: Group, prec: int = DEFAULT_PREC, tol=None):
-    """(tr R1R2, tr R2R3, tr R1R3, tr R1R3^-1R2R3), matrix vs closed form.
+    """(tr R1R2, tr R2R3, tr R1R3, tr R1R3^-1R2R3), matrix vs closed form (`_trace_pairs`).
 
-    The closed forms are u(2-|rho|^2)+ub^2 and friends; disagreement
-    beyond tolerance raises (internal consistency failure).
+    Disagreement beyond tolerance raises (internal consistency failure).
     """
     tol = DEFAULT_TOL if tol is None else tol
     g = g.to_float(prec)
-    w = _words(g, prec)
     with mpmath.workprec(prec):
         u = mpmath.expjpi(mpmath.mpf(2) / (3 * g.params.p))
-        ub2 = mpmath.conj(u) ** 2
-        rho, sigma, tau = (to_float(x, prec) for x in (g.params.rho, g.params.sigma, g.params.tau))
-        from_matrix = tuple(w[k].trace() for k in ("R1R2", "R2R3", "R1R3", "R1R3^-1R2R3"))
-        closed = [u * (2 - abs(x) ** 2) + ub2 for x in (rho, sigma, tau, sigma * tau - mpmath.conj(rho))]
-        for a, b in zip(from_matrix, closed):
+        params = (to_float(x, prec) for x in (g.params.rho, g.params.sigma, g.params.tau))
+        pairs = _trace_pairs(*g.generators(), u, *params, mpmath.conj)
+        for a, b in pairs:
             if abs(a - b) > tol:
                 raise RuntimeError(f"trace formula mismatch: {a} vs {b}")
-        return from_matrix
+        return tuple(a for a, _ in pairs)
 
 
 def braid_length(a: Mat3, b: Mat3, max_l: int = 24, tol=None, prec: int = DEFAULT_PREC):
@@ -414,6 +431,83 @@ def braid_length(a: Mat3, b: Mat3, max_l: int = 24, tol=None, prec: int = DEFAUL
     return None
 
 
+def _generic_braid(a: Mat3, b: Mat3, max_l: int):
+    """Braid length of generic matrices: (least l, undecided), exactly and for every p.
+
+    l is the least length <= max_l whose alternating products are equal up
+    to a cube root of unity w as an identity in t, or None.  A shorter
+    length fails at every p when, for each w, the difference has an entry
+    c*t^k with c != 0; `undecided` lists the others as (l, differences),
+    to be evaluated at t = zeta_{6p}.
+    """
+    lhs, rhs, undecided = a, b, []
+    for l in range(2, max_l + 1):
+        lhs, rhs = lhs * (b if l % 2 == 0 else a), rhs * (a if l % 2 == 0 else b)
+        diffs = []
+        for w in _cube_roots_exact():
+            d = lhs - rhs.scale(w)
+            if not any(x.is_monomial() for r in d.rows for x in r):
+                if d.is_zero_exact():
+                    return l, tuple(undecided)
+                diffs.append(d)
+        if diffs:
+            undecided.append((l, tuple(diffs)))
+    return None, tuple(undecided)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """The verdicts of `verify` on a classified candidate, each proved once for every p.
+
+    Every verdict is an identity in t = e^{i pi/(3p)} on the generic group.
+    `relations` holds (name, holds) pairs; `braids` holds (name, expected
+    length, least generic length or None, undecided shorter lengths) as
+    in `_generic_braid`.
+    """
+
+    relations: tuple
+    traces: bool
+    lemma: bool
+    braids: tuple
+
+    def braid_lengths(self, p: int) -> list:
+        """(name, expected, length at p) of each pair: the least undecided length whose difference
+        vanishes at t = zeta_{6p} (exact zero test), else the generic one."""
+        def vanishes(d: Mat3) -> bool:
+            return all(x.at(6 * p).is_zero() for r in d.rows for x in r)
+
+        return [(name, expect, next((l for l, diffs in undecided if any(map(vanishes, diffs))), generic))
+                for name, expect, generic, undecided in self.braids]
+
+
+@functools.lru_cache(maxsize=64)
+def certificate(n: int, m: int, im_sign: int, max_braid: int) -> Certificate:
+    """The `Certificate` of candidate (n, m) with Im(rho) of sign im_sign, braid lengths searched up to max_braid.
+
+    It reads the generic group of `build_group` and `symmetry_matrix` (p
+    None), whose entries are Laurent polynomials in t over Q(zeta_N): the
+    relations of `_relations`, the traces of `_trace_pairs`, the eigenvalue
+    lemma as the characteristic polynomial of R1R2, (X - a)(X^2 + bX + c)
+    with a = ub^2, b = u(|rho|^2 - 2), c = u^2 and u = t^2, and the braid
+    lengths of `_braid_pairs`.
+    """
+    rho, sigma = symmetric_params(n, m, im_sign)
+    g = build_group(None, rho, sigma, sigma)
+    g = Group(g.params, g.R1, g.R2, g.R3, g.H, symmetry_matrix(None, rho, sigma), n=n, m=m, im_sign=im_sign)
+    pr, u = g.params, Laurent.t(2)
+    relations = tuple((name, projective_equal(lhs, rhs) if isinstance(lhs, Mat3)
+                       else all((x - y).is_zero() for x, y in zip(lhs, rhs)))
+                      for name, (lhs, rhs) in _relations(*g.generators(), g.S, u).items())
+    traces = all((x - y).is_zero() for x, y in _trace_pairs(*g.generators(), u, pr.rho, pr.sigma, pr.tau, _conj))
+    r1r2, a, b, c = g.R1 * g.R2, Laurent.t(-4), u * (pr.rho * pr.rho.conj() - 2), u * u
+    # X^3 - tr X^2 + c1 X - det = (X - a)(X^2 + bX + c) = X^3 - (a - b)X^2 + (c - ab)X - ac
+    lemma = all((x - y).is_zero() for x, y in zip((r1r2.trace(), r1r2.minor_sum(), r1r2.det()),
+                                                   (a - b, c - a * b, a * c)))
+    braids = tuple((name, expect, *_generic_braid(x, y, max_braid))
+                   for name, (x, y, expect) in _braid_pairs(g).items())
+    return Certificate(relations, traces, lemma, braids)
+
+
 def evaluate_word(g: Group, word: Sequence[int], prec: int = DEFAULT_PREC) -> Mat3:
     """Left-to-right product over signed generator indices (+-1, +-2, +-3), in g's scalar type."""
     for idx in word:
@@ -428,15 +522,14 @@ def evaluate_word(g: Group, word: Sequence[int], prec: int = DEFAULT_PREC) -> Ma
         return out
 
 
-def lemma_eigenvalues_residual(g: Group, prec: int = DEFAULT_PREC, view: Optional[Group] = None):
+def lemma_eigenvalues_residual(g: Group, prec: int = DEFAULT_PREC):
     """Distance of the eigenvalues of R1R2 from {ub^2, -u e^{2i zeta}, -u e^{-2i zeta}}.
 
     zeta is defined by |rho| = 2 cos(zeta); raises when |rho| > 2 (the
-    non-loxodromic hypothesis fails).  R1R2 is g's product; rho is read
-    from `view`, g's float view at `prec`, when one is given.
+    non-loxodromic hypothesis fails).
     """
     with mpmath.workprec(prec + 20):
-        rho = to_float((g if view is None else view).params.rho, prec)
+        rho = to_float(g.params.rho, prec)
         half = abs(rho) / 2
         if half > 1 + mpmath.mpf(2) ** (-prec // 2):
             raise ValueError("lemma hypothesis violated: R1R2 is loxodromic")
@@ -466,47 +559,47 @@ class Check:
         return {"check": self.name, **self.details, "pass": self.passed}
 
 
+def _exact_check(name: str, passed: bool) -> Check:
+    return Check(name, passed, {"residual": "0" if passed else "nonzero"})
+
+
 def verify(g: Group, tol=None, prec: int = DEFAULT_PREC, max_braid: int = 24) -> list[Check]:
-    """Every check of a symmetric group, in order: symmetry relations, exact
-    square, trace formulas, eigenvalue lemma, then the four braid lengths.
+    """Every check of a symmetric group, in order: symmetry relations, trace
+    formulas, eigenvalue lemma, then the four braid lengths.
 
-    The float checks run on one float view of g; the exact square and the
-    eigenvalue lemma's product R1R2 use g itself, and the lemma reads rho
-    from the view.  The braid lengths are only checked when H has
-    signature (2,1); otherwise one passing "braid" check records the skip.
+    An exact group (a classified candidate) reads its `certificate`: each
+    verdict is an exact identity in t, so it holds for every p, and tol and
+    prec are not read.  Any other group is checked in floats at `prec` bits
+    against `tol`.  The braid lengths are only checked when H has signature
+    (2,1); otherwise one passing "braid" check records the skip.
     """
-    tol = DEFAULT_TOL if tol is None else tol
-    gf = g.to_float(prec)
-    checks = [
-        Check(f"symmetry:{name}", bool(res <= tol), {"residual": mpmath.nstr(mpmath.mpf(res), 10)})
-        for name, res in verify_symmetry(gf, prec=prec).items()
-    ]
     if g.exact:
-        square = g.S * g.S == g.R1 * g.R2 * g.R3
-        checks.append(Check("symmetry:square_exact", square, {"residual": "0" if square else "nonzero"}))
-
-    try:
-        trace_invariants(gf, prec=prec, tol=tol)
-        checks.append(Check("trace_formulas", True, {"residual": "0"}))
-    except RuntimeError as exc:
-        checks.append(Check("trace_formulas", False, {"error": str(exc)}))
-
-    res = lemma_eigenvalues_residual(g, prec=prec, view=gf)
-    checks.append(Check("eigenvalue_lemma", bool(res <= tol), {"residual": mpmath.nstr(mpmath.mpf(res), 10)}))
+        cert = certificate(g.n, g.m, g.im_sign, max_braid)
+        checks = [_exact_check(f"symmetry:{name}", ok) for name, ok in cert.relations]
+        checks += [_exact_check("trace_formulas", cert.traces), _exact_check("eigenvalue_lemma", cert.lemma)]
+    else:
+        tol = DEFAULT_TOL if tol is None else tol
+        checks = [
+            Check(f"symmetry:{name}", bool(res <= tol), {"residual": mpmath.nstr(mpmath.mpf(res), 10)})
+            for name, res in verify_symmetry(g, prec=prec).items()
+        ]
+        try:
+            trace_invariants(g, prec=prec, tol=tol)
+            checks.append(Check("trace_formulas", True, {"residual": "0"}))
+        except RuntimeError as exc:
+            checks.append(Check("trace_formulas", False, {"error": str(exc)}))
+        res = lemma_eigenvalues_residual(g, prec=prec)
+        checks.append(Check("eigenvalue_lemma", bool(res <= tol), {"residual": mpmath.nstr(mpmath.mpf(res), 10)}))
 
     verdict = g.signature.verdict
     if verdict != "(2,1)":
         checks.append(Check("braid", True, {"skipped": f"signature {verdict}"}))
         return checks
-    with mpmath.workprec(prec):
-        r1, r2, r3 = gf.generators()
-        pairs = {
-            "br(R1,R3)": (r1, r3, g.n),
-            "br(R2,R3)": (r2, r3, g.n),
-            "br(R1,R2)": (r1, r2, g.m),
-            "br(R1,R3^-1R2R3)": (r1, _words(gf, prec)["R3^-1"] * r2 * r3, g.m),
-        }
-        for name, (a, b, expect) in pairs.items():
-            got = braid_length(a, b, max_l=max_braid, tol=tol, prec=prec)
-            checks.append(Check(name, got == expect, {"expected": expect, "got": got}))
+    if g.exact:
+        lengths = cert.braid_lengths(g.params.p)
+    else:
+        with mpmath.workprec(prec):
+            lengths = [(name, expect, braid_length(a, b, max_l=max_braid, tol=tol, prec=prec))
+                       for name, (a, b, expect) in _braid_pairs(g).items()]
+    checks += [Check(name, got == expect, {"expected": expect, "got": got}) for name, expect, got in lengths]
     return checks

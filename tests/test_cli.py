@@ -73,8 +73,9 @@ class TestVerify:
         def mismatch(*args, **kwargs):
             raise RuntimeError("trace formula mismatch: 1 vs 2")
 
+        # a float group: a candidate's trace formulas come from its certificate, not trace_invariants
         monkeypatch.setattr(chtri.trigroup, "trace_invariants", mismatch)
-        code = chtri.cli.main(["verify", "--p", "5", "--n", "3", "--m", "4"])
+        code = chtri.cli.main(["verify", "--p", "4", "--n", "5", "--m", "6"])
         assert code == 1
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         trace = [l for l in lines if l.get("check") == "trace_formulas"]

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 from sympy.abc import x as X
 
-from chtri.exact import Cyclo, _expjpi, cyclotomic_poly
+from chtri.exact import Cyclo, Laurent, _expjpi, cyclotomic_poly
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -170,3 +170,31 @@ class TestCachedToMpc:
 
     def test_the_cache_is_bounded(self):
         assert _expjpi.cache_info().maxsize == 1024
+
+
+@st.composite
+def laurents(draw):
+    """Up to 4 terms c_k * t^k, k in -6..6, with coefficients from `cyclos`."""
+    return Laurent(draw(st.dictionaries(st.integers(-6, 6), cyclos(), max_size=4)))
+
+
+class TestLaurentEvaluation:
+    # evaluation at t = zeta_n is a ring homomorphism, and conj is complex conjugation there
+    @ORACLE
+    @given(laurents(), laurents(), st.integers(1, 60))
+    def test_evaluation_respects_the_ring_and_conj(self, a, b, n):
+        x, y = a.at(n), b.at(n)
+        assert ((a + b).at(n) - (x + y)).is_zero()
+        assert ((a - b).at(n) - (x - y)).is_zero()
+        assert ((a * b).at(n) - x * y).is_zero()
+        assert (a.conj().at(n) - x.conj()).is_zero()
+        assert (a * b - b * a).is_zero() and (a - a).is_zero()
+
+    @ORACLE
+    @given(laurents(), st.integers(1, 60))
+    def test_monomials_are_the_units(self, a, n):
+        if a.is_monomial():
+            assert ((a * a.inverse()).at(n) - 1).is_zero() and not a.at(n).is_zero()
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()

@@ -1,17 +1,23 @@
+import json
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chtri.cli
 from chtri.candidates import ALL_IDS, parse_candidate
-from chtri.exact import Cyclo, angle, cos_exact, root_of_unity, to_float
+from chtri.exact import Cyclo, Laurent, angle, cos_exact, root_of_unity, to_float
 from chtri.linalg import Mat3, form_residual, hermitian_signature, invariant_signature, projective_equal
 from chtri.trigroup import (
+    Certificate,
     InfeasibleGroupError,
+    _generic_braid,
     braid_length,
     build_group,
     build_symmetric,
     candidate_ab,
     candidate_s,
+    certificate,
     evaluate_word,
     form_invariants,
     form_signature,
@@ -274,8 +280,8 @@ class TestSymmetry:
     @pytest.mark.parametrize("p", [2, 5])
     def test_relations(self, n, m, p):
         g = build_symmetric(p, n, m)
-        square = [c for c in verify(g) if c.name == "symmetry:square_exact"]
-        assert [(c.passed, c.details) for c in square] == [(True, {"residual": "0"})]
+        exact = [c for c in verify(g) if c.name.startswith("symmetry:")]
+        assert [(c.name, c.passed, c.details) for c in exact] == [(k, True, {"residual": "0"}) for k in SYMMETRY_CHECKS]
         assert all(r <= mpmath.mpf("1e-30") for r in verify_symmetry(g).values())
 
     def test_trace_invariants(self):
@@ -373,22 +379,85 @@ class TestVerify:
             g = build_symmetric(p, n, m, im_sign=im_sign)
             checks = verify(g)
             braid = BRAID_CHECKS if g.signature.verdict == "(2,1)" else ["braid"]
-            names = SYMMETRY_CHECKS + ["symmetry:square_exact", "trace_formulas", "eigenvalue_lemma"] + braid
+            names = SYMMETRY_CHECKS + ["trace_formulas", "eigenvalue_lemma"] + braid
             assert [c.name for c in checks] == names, (cid, p)
             assert all(c.passed for c in checks), (cid, p, [c for c in checks if not c.passed])
 
-    def test_each_exact_entry_is_converted_once(self, monkeypatch):
-        # one to_mpc call per (object, precision) in a verify call, and none on an entry of H
+    def test_candidate_verify_makes_no_float_work(self, monkeypatch):
+        # every verdict on a candidate comes from exact identities: no conversion to floats, no float product
         g = build_symmetric(5, 5, 4)
-        seen, orig = [], Cyclo.to_mpc
-        monkeypatch.setattr(Cyclo, "to_mpc", lambda x, prec=53: seen.append((x, prec)) or orig(x, prec))
-        verify(g)
-        assert len({(id(x), prec) for x, prec in seen}) == len(seen)
-        h_entries = {id(x) for row in g.H.rows for x in row}
-        assert not any(id(x) in h_entries for x, _ in seen)
+        certificate.cache_clear()
+        converted, float_products, mul = [], [], Mat3.__mul__
+
+        def spy_mul(a, b):
+            if not (a.exact and b.exact):
+                float_products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(Cyclo, "to_mpc", lambda x, prec=53: converted.append(x))
+        monkeypatch.setattr(Mat3, "__mul__", spy_mul)
+        checks = verify(g)
+        assert converted == [] and float_products == []
+        assert len(checks) == 15 and all(c.passed for c in checks)
 
     def test_check_dict_key_order(self):
         checks = verify(build_symmetric(5, 3, 4))
         assert list(checks[0].to_dict()) == ["check", "residual", "pass"]
         assert list(checks[-1].to_dict()) == ["check", "expected", "got", "pass"]
         assert checks[-1].to_dict()["got"] == 4
+
+
+def _generic(n, m, im_sign):
+    rho, sigma = symmetric_params(n, m, im_sign)
+    return build_group(None, rho, sigma, sigma), symmetry_matrix(None, rho, sigma)
+
+
+class TestCertificate:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(ALL_IDS), st.integers(2, 200))
+    def test_generic_group_at_t_is_the_group_at_p(self, cid, p):
+        # R1, R2, R3, H and S of the generic group at t = zeta_{6p} are the exact matrices of build_symmetric
+        n, m, im_sign = parse_candidate(cid)
+        gen, gen_s = _generic(n, m, im_sign)
+        g = build_symmetric(p, n, m, im_sign=im_sign)
+        for generic, exact in zip(gen.generators() + (gen.H, gen_s), g.generators() + (g.H, g.S)):
+            assert all((generic[i, j].at(6 * p) - exact[i, j]).is_zero() for i in range(3) for j in range(3))
+
+    @pytest.mark.parametrize("n,m,im_sign", [parse_candidate(cid) for cid in ALL_IDS]
+                             + [(k, k, 1) for k in range(3, 9)])
+    def test_every_shorter_braid_length_is_ruled_out_by_a_monomial(self, n, m, im_sign):
+        # the lengths (n, n, m, m) hold for every p >= 2: no shorter length is left to an evaluation at p
+        cert = certificate(n, m, im_sign, 24)
+        assert all(ok for _, ok in cert.relations) and cert.traces and cert.lemma
+        assert [b[1:] for b in cert.braids] == [(n, n, ()), (n, n, ()), (m, m, ()), (m, m, ())]
+
+    def test_undecided_length_is_decided_at_p(self):
+        # a difference t^3 - i, not a monomial, vanishes only at t = zeta_{6p} with e^{i pi/p} = i: p = 2
+        t, i = Laurent.t, Cyclo.i()
+        one, zero, f = Laurent({0: Cyclo.one()}), Laurent({}), t(3) - i
+        a = Mat3([[one, f, zero], [zero, one, zero], [zero, zero, one]])
+        b = Mat3([[one, zero, zero], [one, one, zero], [zero, zero, one]])
+        generic, undecided = _generic_braid(a, b, 2)
+        assert generic is None and [l for l, _ in undecided] == [2]
+        cert = Certificate((), True, True, (("br", 2, generic, undecided),))
+        assert cert.braid_lengths(2) == [("br", 2, 2)]
+        assert all(cert.braid_lengths(p) == [("br", 2, None)] for p in range(3, 30))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (0, 2), (1, 0), (2, 1), (2, 2)])
+    def test_a_sign_flipped_in_s_fails(self, entry, monkeypatch, capsys):
+        orig = symmetry_matrix
+
+        def flipped(*args, **kwargs):
+            s = orig(*args, **kwargs)
+            return Mat3([[-x if (i, j) == entry else x for j, x in enumerate(r)] for i, r in enumerate(s.rows)])
+
+        monkeypatch.setattr("chtri.trigroup.symmetry_matrix", flipped)
+        certificate.cache_clear()
+        try:
+            assert not all(ok for _, ok in certificate(5, 4, 1, 24).relations)
+            assert chtri.cli.main(["verify", "--p", "5", "--n", "5", "--m", "4"]) == 1
+        finally:
+            certificate.cache_clear()
+        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert any(l.get("pass") is False and l["check"].startswith("symmetry:") for l in lines)
+        assert lines[-1]["passed"] < lines[-1]["checks"]
