@@ -16,6 +16,7 @@ vanishing-cosine-sum identities used to classify the solutions.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from bisect import bisect_left
@@ -60,11 +61,11 @@ def orbit(a: Angle, b: Angle) -> set:
 
     s is unchanged by permuting the exponents {a, b, -(a+b)}, conjugated by
     negating them, and multiplied by a cube root of unity when all three are
-    shifted by 2*pi/3.  Pairs are returned as (Fraction, Fraction) multiples
-    of pi in [0, 2).
+    shifted by 2*pi/3.  Only the 12 images with no shift (the permutations,
+    with or without negation) preserve Re s and |s|^2, and with them the
+    minor and main equations; a shift changes Re s.  Pairs are returned as
+    (Fraction, Fraction) multiples of pi in [0, 2).
     """
-    import itertools
-
     base = (a.frac, b.frac, -(a.frac + b.frac))
     out = set()
     for perm in itertools.permutations(range(3)):
@@ -87,6 +88,10 @@ def canonicalize_ab(a: Angle, b: Angle) -> tuple:
 
 # Float screen: a grid pair survives when each equation holds to this tolerance.
 PREFILTER_TOL = 1e-9
+# An exact grid solution b lies within this distance of the computed root
+# (arccos amplifies rounding near a double root).  `search` needs the least
+# gap pi/den_max**2 between grid angles to exceed it.
+ROOT_ERROR = 1e-7
 
 
 @dataclass(frozen=True)
@@ -126,19 +131,38 @@ def _angle_grid(den_max: int):
     return fracs
 
 
+def _screen(a_th: float, a_cos: float, b_th: float, b_cos: float, cn: float, cos_m: dict) -> list:
+    """The m whose main equation, with the minor one for cos(2*pi/n) = cn,
+    holds at (a, b) to PREFILTER_TOL in floats."""
+    if abs(a_cos + b_cos + math.cos(a_th + b_th) - cn) >= PREFILTER_TOL:
+        return []
+    core = (-math.cos(a_th - b_th) - math.cos(a_th + 2 * b_th)
+            - math.cos(2 * a_th + b_th) - 1.0) - cn
+    return [m for m, cm in cos_m.items() if abs(cm + core) < PREFILTER_TOL]
+
+
 def search(den_max: int = 90, n_max: int = 12, m_max: int = 12) -> list:
     """Enumerate exact solutions of the minor/main equations on the grid.
 
-    For each grid angle a and each n <= n_max the minor equation is solved
-    for b in closed form; the grid angles on either side of each root are
-    screened in float arithmetic against the minor and every main equation
-    with m <= m_max, deduplicated up to the 36-element symmetry orbit of s,
-    and the surviving representatives are confirmed in exact arithmetic.
-    Returns Candidates sorted by (n, m, a, b); entries that fail exact
-    confirmation are kept but flagged.
+    The 12 symmetries of s without a 2*pi/3 shift (permuting a, b, -(a+b)
+    and negating them) preserve both equations, and swapping or negating
+    (a, b) keeps a grid pair on the grid.  So every orbit of grid solutions
+    has a member with a in [0, pi] and |b| >= a (|b| the distance of b to 0
+    on the circle), and only those a are visited.  For each such a and each
+    n <= n_max the minor equation is solved for b in closed form; the grid
+    angles on either side of each root with |b| >= a are screened in float
+    arithmetic against the minor and every main equation with m <= m_max.
+    A hit in a new orbit is expanded once into its grid members, which are
+    marked seen; the representative is the least member (a, b), a not after
+    b in grid order, that passes the float screen, and it is confirmed in
+    exact arithmetic.  Returns Candidates sorted by (n, m, a, b); entries
+    that fail exact confirmation are kept but flagged.
     """
     if den_max < 1:
         raise ValueError("den_max must be >= 1")
+    if math.pi / den_max ** 2 <= ROOT_ERROR:
+        raise ValueError(f"den_max {den_max} is too large: the least grid gap pi/den_max**2 "
+                         f"must exceed the root error {ROOT_ERROR}")
     if n_max < 3 or m_max < 3:
         raise ValueError("n_max and m_max must be >= 3")
     fracs = _angle_grid(den_max)
@@ -148,36 +172,45 @@ def search(den_max: int = 90, n_max: int = 12, m_max: int = 12) -> list:
     sorted_th = [th[k] for k in by_angle]
     cos_n = {n: math.cos(2 * math.pi / n) for n in range(3, n_max + 1)}
     cos_m = {m: math.cos(2 * math.pi / m) for m in range(3, m_max + 1)}
+    two_pi, size = 2 * math.pi, len(th)
 
-    # orbit key -> per-(n, m) least grid hit
-    hits: dict = {}
-    for i, (a_th, a_cos) in enumerate(zip(th, cos_th)):
+    hits: dict = {}  # (n, m) + orbit key -> least grid member that passes the screen
+    seen: set = set()  # (n, m, a, b) for every grid member of an expanded orbit
+    for i, (a_num, a_den) in enumerate(fracs):
+        if a_num > a_den:
+            continue  # a > pi: a swap or negation of (a, b) lies in the domain
+        a_th = th[i]
+        a_cos = cos_th[i]
         # minor: cos a + cos b + cos(a+b) = cos a + twice_half * cos(b + a/2)
         twice_half = 2 * math.cos(a_th / 2)
+        low = a_th - ROOT_ERROR  # a root with |root| < low has no solution b with |b| >= a near it
         for n, cn in cos_n.items():
             if abs(cn - a_cos) >= abs(twice_half) + PREFILTER_TOL:
                 continue  # no b comes within PREFILTER_TOL of the minor equation
             phase = math.acos(max(-1.0, min(1.0, (cn - a_cos) / twice_half)))
-            # An exact grid solution b lies within 1e-7 of a computed root (arccos
-            # amplifies rounding near a double root), far inside the least gap
-            # pi/den_max**2 between grid angles: it is one of the two around a root.
+            # An exact grid solution b lies within ROOT_ERROR of a computed root,
+            # inside the least gap pi/den_max**2 between grid angles: it is one of
+            # the two around a root, and a root farther than ROOT_ERROR inside
+            # |b| < a has no solution in the domain.
             near = set()
             for root in (phase - a_th / 2, -phase - a_th / 2):
-                k = bisect_left(sorted_th, root % (2 * math.pi))
-                near.update((by_angle[k - 1], by_angle[k % len(th)]))
+                root %= two_pi
+                if not low <= root <= two_pi - low:
+                    continue
+                k = bisect_left(sorted_th, root)
+                near.update((by_angle[k - 1], by_angle[k % size]))
             for j in near:
-                if j < i:
+                b_num, b_den = fracs[j]
+                if not a_num * b_den <= b_num * a_den <= (2 * a_den - a_num) * b_den:
+                    continue  # |b| < a
+                lo, hi = (i, j) if i <= j else (j, i)
+                # _screen's minor test, inlined: it rejects almost every neighbour
+                if abs(cos_th[lo] + cos_th[hi] + math.cos(th[lo] + th[hi]) - cn) >= PREFILTER_TOL:
                     continue
-                b_th = th[j]
-                if abs(a_cos + cos_th[j] + math.cos(a_th + b_th) - cn) >= PREFILTER_TOL:
-                    continue
-                core = (-math.cos(a_th - b_th) - math.cos(a_th + 2 * b_th)
-                        - math.cos(2 * a_th + b_th) - 1.0) - cn
-                for m, cm in cos_m.items():
-                    if abs(cm + core) < PREFILTER_TOL:
-                        pair = (fracs[i], fracs[j])
-                        key = (n, m) + canonicalize_ab(angle(*fracs[i]), angle(*fracs[j]))
-                        hits[key] = min(hits.get(key, pair), pair)
+                for m in _screen(th[lo], cos_th[lo], th[hi], cos_th[hi], cn, cos_m):
+                    if (n, m, fracs[i], fracs[j]) not in seen:
+                        key, rep = _expand(n, m, fracs[i], fracs[j], den_max, cn, cos_m, seen)
+                        hits[(n, m) + key] = rep
     out = []
     for (n, m, *_orbit), (af, bf) in sorted(hits.items()):
         a, b = angle(*af), angle(*bf)
@@ -185,6 +218,27 @@ def search(den_max: int = 90, n_max: int = 12, m_max: int = 12) -> list:
         out.append(Candidate(n, m, a, b, exact_confirmed=confirmed, parameter_feasible=parameter_feasible(n, m)))
     out.sort(key=lambda c: (c.n, c.m, c.a.frac, c.b.frac))
     return out
+
+
+def _expand(n: int, m: int, af: tuple, bf: tuple, den_max: int, cn: float, cos_m: dict, seen: set):
+    """(orbit key, representative) of the orbit of grid pair (af, bf) for (n, m).
+
+    Marks every grid member (den <= den_max) seen.  The representative is
+    the least (a, b), a not after b in the grid's (den, num) order, that
+    passes the float screen of (n, m).
+    """
+    a, b = angle(*af), angle(*bf)
+    rep = None
+    for x, y in orbit(a, b):
+        xf, yf = (x.numerator, x.denominator), (y.numerator, y.denominator)
+        if max(xf[1], yf[1]) > den_max:
+            continue
+        seen.add((n, m, xf, yf))
+        if (xf[1], xf[0]) <= (yf[1], yf[0]) and (rep is None or (xf, yf) < rep):
+            x_th, y_th = math.pi * (xf[0] / xf[1]), math.pi * (yf[0] / yf[1])
+            if m in _screen(x_th, math.cos(x_th), y_th, math.cos(y_th), cn, cos_m):
+                rep = (xf, yf)
+    return canonicalize_ab(a, b), rep
 
 
 def results_to_json(cands: Iterable[Candidate], digits: int = 50) -> str:

@@ -134,6 +134,13 @@ class TestSearch:
         # s = 0 exactly for (4,3), so it prints as zero rather than float noise
         assert [row["s"] for row in doc if (row["n"], row["m"]) == (4, 3)] == [{"re": "0.0", "im": "0.0"}]
 
+    def test_matches_the_golden_output(self, capsys):
+        # pins the printed representative of every orbit and the 50-digit s
+        golden = pathlib.Path(__file__).parent / "data" / "search_den90.json"
+        argv = ["search", "--den-max", "90", "--n-max", "12", "--m-max", "12", "--format", "json"]
+        assert chtri.cli.main(argv) == 0
+        assert capsys.readouterr().out == golden.read_text()
+
     def test_deterministic(self):
         a = run("search", "--den-max", "10", "--n-max", "6", "--m-max", "6")
         b = run("search", "--den-max", "10", "--n-max", "6", "--m-max", "6")
@@ -276,7 +283,9 @@ class TestConfig:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [("--den-max", "0"), ("--n-max", "2"), ("--m-max", "2")])
+    @pytest.mark.parametrize("flag,value", [
+        ("--den-max", "0"), ("--den-max", "5605"), ("--n-max", "2"), ("--m-max", "2"),
+    ])
     def test_search_bounds_rejected(self, flag, value):
         args = {"--den-max": "4", "--n-max": "6", "--m-max": "6", flag: value}
         r = run("search", *(x for kv in args.items() for x in kv))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -6,10 +7,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from chtri.exact import angle
+from chtri.exact import angle, angle_from_fraction
 from chtri.cosearch import (
     COSINE_SUM_LABELS,
     PREFILTER_TOL,
+    ROOT_ERROR,
     TRACE_TABLE_LABELS,
     Candidate,
     _angle_grid,
@@ -90,6 +92,29 @@ class TestOrbit:
                 by = angle(y.numerator, y.denominator)
                 assert canonicalize_ab(ax, by) == key
 
+    def test_unshifted_images_preserve_both_equations(self):
+        # the 12 images without a 2pi/3 shift leave Re s and |s|^2, hence both residuals, unchanged
+        rng = random.Random(29)
+        shifted_changes = False
+        for _ in range(12):
+            da, db = rng.randint(1, 30), rng.randint(1, 30)
+            a, b = angle(rng.randint(0, 2 * da - 1), da), angle(rng.randint(0, 2 * db - 1), db)
+            exps = (a.frac, b.frac, -(a.frac + b.frac))
+            images = {((sign * x) % 2, (sign * y) % 2)
+                      for x, y in itertools.permutations(exps, 2) for sign in (1, -1)}
+            assert images <= orbit(a, b) and len(images) <= 12
+            n, m = rng.randint(3, 12), rng.randint(3, 12)
+            minor, main = minor_residual(n, a, b), main_residual(m, n, a, b)
+            for x, y in images:
+                ax, by = angle_from_fraction(x), angle_from_fraction(y)
+                assert (minor_residual(n, ax, by) - minor).is_zero(), (a, b, x, y)
+                assert (main_residual(m, n, ax, by) - main).is_zero(), (a, b, x, y)
+            for k in (1, 2):
+                shift = Fraction(2 * k, 3)
+                ax, by = angle_from_fraction(a.frac + shift), angle_from_fraction(b.frac + shift)
+                shifted_changes |= not (minor_residual(n, ax, by) - minor).is_zero()
+        assert shifted_changes  # so a shift is not a symmetry of the equations
+
     def test_trace_s_orbit_values(self):
         # every orbit member gives s up to cube-root-of-unity times s or conj(s)
         from chtri.exact import Cyclo, root_of_unity
@@ -137,7 +162,7 @@ def pair_scan(den_max, n_max, m_max):
 
 
 class TestSearch:
-    @pytest.mark.parametrize("bounds", [(12, 12, 7), (24, 12, 12), (24, 20, 20)])
+    @pytest.mark.parametrize("bounds", [(12, 12, 7), (24, 12, 12), (24, 20, 20), (36, 12, 12)])
     def test_matches_the_pair_scan(self, bounds):
         assert search(*bounds) == pair_scan(*bounds)
 
@@ -146,6 +171,21 @@ class TestSearch:
         coarse = search(den_max=90)
         assert len(coarse) == 15 and all(c.exact_confirmed for c in coarse)
         assert search(den_max=210) == coarse
+
+    def test_one_orbit_expansion_per_key(self, monkeypatch):
+        import chtri.cosearch as cosearch
+
+        calls = []
+        real = cosearch.canonicalize_ab
+        monkeypatch.setattr(cosearch, "canonicalize_ab", lambda a, b: calls.append((a, b)) or real(a, b))
+        res = search(den_max=90)
+        assert len(calls) == len(res) == 15
+
+    def test_grid_finer_than_the_root_error_is_rejected(self):
+        # the least grid gap pi/den_max**2 must exceed ROOT_ERROR; raised before the grid is built
+        assert math.pi / 5604 ** 2 > ROOT_ERROR >= math.pi / 5605 ** 2
+        with pytest.raises(ValueError, match="root error"):
+            search(den_max=5605)
 
     def test_small_grid(self):
         # frozen output of the denominator-12 grid with m capped at 7
