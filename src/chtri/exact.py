@@ -4,8 +4,11 @@ An ``Angle`` is pi times a reduced fraction, canonicalized to [0, 2pi).
 A ``Cyclo`` is an element of a cyclotomic field Q(zeta_N), stored as
 sparse integer numerators on the powers of zeta_N = e^{2*pi*i/N} over one
 common denominator; ``Fraction`` appears only at the API edge.  Zero
-testing (and hence equality) is exact: the coefficient vector is reduced
-modulo the N-th cyclotomic polynomial, whose power basis is a Q-basis.
+testing (and hence equality) is exact and needs no division: x is zero iff
+x * prod_{p | N} (1 - X^{N/p}) vanishes modulo X^N - 1, a few integer
+shift-and-subtract passes over the numerators (see ``Cyclo.is_zero``).
+Reduction modulo the N-th cyclotomic polynomial, whose power basis is a
+Q-basis, is kept for the coefficients that ``canonical`` reports.
 """
 from __future__ import annotations
 
@@ -40,17 +43,17 @@ class Angle:
         return Fraction(self.num, self.den)
 
     def __add__(self, other: "Angle") -> "Angle":
-        return angle_from_fraction(self.frac + other.frac)
+        return angle(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "Angle") -> "Angle":
-        return angle_from_fraction(self.frac - other.frac)
+        return angle(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "Angle":
-        return angle_from_fraction(-self.frac)
+        return angle(-self.num, self.den)
 
     def scaled(self, q) -> "Angle":
-        """The angle multiplied by a rational factor (mod 2pi)."""
-        return angle_from_fraction(self.frac * Fraction(q))
+        """The angle multiplied by a rational factor q, an int or Fraction (mod 2pi)."""
+        return angle(self.num * q.numerator, self.den * q.denominator)
 
     def radians(self, prec: int = 53):
         with mpmath.workprec(prec):
@@ -66,16 +69,19 @@ class Angle:
 
 
 def angle(num: int, den: int = 1) -> Angle:
-    """Build the angle pi*num/den, canonicalized to [0, 2pi)."""
+    """Build the angle pi*num/den, canonicalized to [0, 2pi): reduced, den > 0, num mod 2*den."""
     if den == 0:
         raise ValueError("invalid angle")
-    q = Fraction(num, den) % 2
-    return Angle(q.numerator, q.denominator)
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return Angle(num % (2 * den), den)
 
 
 def angle_from_fraction(q: Fraction) -> Angle:
-    q = Fraction(q) % 2
-    return Angle(q.numerator, q.denominator)
+    """The angle pi*q for an int or Fraction q, canonicalized to [0, 2pi)."""
+    return angle(q.numerator, q.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +107,21 @@ def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list
 
 
 @lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending.
 
@@ -110,12 +131,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """
     if n == 1:
         return (-1, 1)
-    q, d = n, 2
-    while d * d <= q:
-        if q % d:
-            d += 1
-        else:
-            q //= d
+    q = _prime_factors(n)[-1]
     k = n // q
     base = cyclotomic_poly(k)
     stretched = [0] * ((len(base) - 1) * q + 1)
@@ -333,7 +349,28 @@ class Cyclo:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.canonical())
+        """Exact zero test by the prime-factor annihilator, without reducing mod Phi_n.
+
+        With v(X) = sum(c[e] * X^e), x is zero iff v(X) * prod_{p | n} (1 - X^{n/p})
+        is 0 mod X^n - 1; each prime p is one pass v <- v - X^{n/p} * v.  Proof:
+        X^n - 1 has simple roots, so the product is 0 mod X^n - 1 iff it vanishes at
+        every n-th root of unity.  The product of the (1 - X^{n/p}) vanishes at
+        zeta_n^k iff some p | n divides k, that is exactly at the non-primitive
+        roots.  So the test asks that v vanish at every primitive n-th root; these
+        are the Galois conjugates of zeta_n, and v has rational coefficients, so
+        that holds iff v(zeta_n) = 0.  Each pass at most doubles the entries.
+        """
+        n, v = self.n, self.c
+        for p in _prime_factors(n):
+            if not v:
+                break
+            s = n // p
+            w = dict(v)
+            for e, c in v.items():
+                e = (e + s) % n
+                w[e] = w.get(e, 0) - c
+            v = {e: c for e, c in w.items() if c}
+        return not v
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -521,14 +558,17 @@ def _lift_laurent(x):
 
 
 def root_of_unity(t: Angle) -> Cyclo:
-    """e^{i*t} as an exact cyclotomic number."""
-    return Cyclo.root(2 * t.den, t.num)
+    """e^{i*t} = zeta_{2*den}^num as an exact cyclotomic number."""
+    return Cyclo._of(2 * t.den, {t.num: 1}, 1)
 
 
 def cos_exact(t: Angle) -> Cyclo:
-    """cos(t) = (e^{it} + e^{-it})/2, exactly."""
-    r = root_of_unity(t)
-    return (r + r.conj()) * Fraction(1, 2)
+    """cos(t) = (zeta^num + zeta^-num)/2 with zeta = zeta_{2*den}, exactly."""
+    n = 2 * t.den
+    c = {t.num: 1}
+    conj = (n - t.num) % n
+    c[conj] = c.get(conj, 0) + 1
+    return Cyclo._of(n, c, 2)
 
 
 def sin_exact(t: Angle) -> Cyclo:

@@ -3,10 +3,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import chtri.cli
+import chtri.cosearch
 import chtri.trigroup
 
 CMD = [sys.executable, "-m", "chtri.cli"]
@@ -198,6 +200,21 @@ class TestIdentities:
         r = run("identities", "--trials", "3", "--seed", "5")
         assert r.returncode == 0
         assert r.stdout == golden.read_text()
+
+    def test_matches_the_forty_trial_golden_output(self, capsys):
+        golden = pathlib.Path(__file__).parent / "data" / "identities_t40_s11.jsonl"
+        assert chtri.cli.main(["identities", "--trials", "40", "--seed", "11"]) == 0
+        assert capsys.readouterr().out == golden.read_text()
+
+    def test_a_false_identity_fails(self, monkeypatch, capsys):
+        # cos(pi/3) = 1/2; with the target 1/3 the residual is 1/6, which the zero test must reject
+        terms, _, parametric = chtri.cosearch._COSINE_SUMS["d"]
+        monkeypatch.setitem(chtri.cosearch._COSINE_SUMS, "d", (terms, Fraction(1, 3), parametric))
+        code = chtri.cli.main(["identities", "--suite", "cosine-sums", "--trials", "2", "--seed", "0"])
+        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert [l["check"] for l in lines if l.get("pass") is False] == ["cosine-sums:d"]
+        assert lines[-1] == {"summary": True, "checks": len(lines) - 1, "failed": 1}
 
 
 class TestClassify:

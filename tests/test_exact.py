@@ -24,8 +24,9 @@ class TestAngle:
         assert angle(6, 4) == angle(3, 2)
 
     def test_zero_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            angle(1, 0)
+        for num in (1, 0, -3):
+            with pytest.raises(ValueError):
+                angle(num, 0)
 
     def test_arithmetic(self):
         assert (angle(1, 3) + angle(1, 6)).frac == Fraction(1, 2)

@@ -1,4 +1,4 @@
-"""The exact core against independent oracles: sympy for Phi_N and reduction, hypothesis for ring laws."""
+"""The exact core against independent oracles: sympy for Phi_N, reduction and zero tests, hypothesis for ring laws."""
 import math
 from fractions import Fraction
 
@@ -8,7 +8,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 from sympy.abc import x as X
 
-from chtri.exact import Cyclo, Laurent, _expjpi, cyclotomic_poly
+from chtri.exact import Angle, Cyclo, Laurent, _expjpi, angle, angle_from_fraction, cyclotomic_poly
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -50,6 +50,106 @@ class TestReductionOracle:
             assert Cyclo(n, coeffs).canonical_at(n) == sympy_coeffs(sympy.rem(f, phi))
 
         check()
+
+
+def polygon(n: int, p: int, r: int, k: int = 1) -> dict:
+    """k times the rotated regular p-gon sum_j zeta_n^(r + j*n/p), p a prime dividing n: zero."""
+    return {(r + j * (n // p)) % n: k for j in range(p)}
+
+
+def add_to(coeffs: dict, more: dict) -> None:
+    for e, v in more.items():
+        coeffs[e] = coeffs.get(e, 0) + v
+
+
+# Conductors for the differential test against the division by Phi_N; the
+# division is slow on dense elements beyond these.
+ZERO_TEST_CONDUCTORS = [1, 2, 8, 9, 27, 30, 105, 360, 1680, 2668, 3276]
+
+
+@st.composite
+def polygon_sums(draw, n: int):
+    """Integer combinations of rotated p-gons (p from sympy), often plus a few single terms."""
+    coeffs: dict = {}
+    primes = sympy.primefactors(n)
+    if primes:
+        gons = st.tuples(st.sampled_from(primes), st.integers(0, n - 1), st.integers(-3, 3))
+        for p, r, k in draw(st.lists(gons, max_size=4)):
+            add_to(coeffs, polygon(n, p, r, k))
+    add_to(coeffs, draw(st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3), max_size=3)))
+    return Cyclo(n, coeffs)
+
+
+class TestAnnihilatorZeroTest:
+    @pytest.mark.parametrize("n", ZERO_TEST_CONDUCTORS)
+    def test_agrees_with_the_division_by_phi(self, n):
+        seen = set()
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(polygon_sums(n))
+        def check(x):
+            want = not any(x.canonical())
+            assert x.is_zero() == want
+            seen.add(want)
+
+        check()
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("n", ZERO_TEST_CONDUCTORS + [30030, 510510])
+    def test_rotated_polygons_are_zero_and_one_unit_is_not(self, n):
+        primes = sympy.primefactors(n)
+        total: dict = {}
+        for i, p in enumerate(primes):
+            for r in (0, 1, n // 2 + 1):
+                gon = Cyclo(n, polygon(n, p, r))
+                assert gon.is_zero() and gon == 0, (p, r)
+                assert not (gon + Cyclo.root(n, r)).is_zero(), (p, r)
+            add_to(total, polygon(n, p, 3 * i + 1, i - 2))
+        x = Cyclo(n, total)
+        assert x.is_zero()
+        for e in (0, 1, n - 1):
+            assert not (x + Cyclo.root(n, e)).is_zero() and not (x - Cyclo.root(n, e)).is_zero()
+
+    @pytest.mark.parametrize("n, coeffs, zero", [
+        (10, {0: -1, 1: 1, 9: 1, 2: -1, 8: -1}, True),  # 2 (cos(pi/5) - cos(2pi/5) - 1/2)
+        (12, {1: 1, 5: 1, 3: -1}, True),
+        (30, {1: 1, 11: 1, 21: 1}, True),
+        (9, {1: 1, 4: 1, 7: 1}, True),
+        (9, {1: 1, 4: 1, 7: 2}, False),
+        (20, {0: 1, 1: 3, 7: -1}, False),
+    ])
+    def test_matches_sympy_minimal_polynomial(self, n, coeffs, zero):
+        value = sum((v * sympy.exp(2 * sympy.pi * sympy.I * e / n) for e, v in coeffs.items()), sympy.Integer(0))
+        assert (sympy.minimal_polynomial(value, X) == X) == zero
+        assert Cyclo(n, coeffs).is_zero() == zero
+
+
+def fraction_angle(q) -> Angle:
+    """The definition: pi * (q mod 2) with q a reduced Fraction."""
+    q = Fraction(q) % 2
+    return Angle(q.numerator, q.denominator)
+
+
+def fields(a: Angle) -> tuple:
+    return type(a.num), type(a.den), a.num, a.den
+
+
+class TestIntegerAngles:
+    @ORACLE
+    @given(st.integers(-400, 400), st.integers(-60, 60).filter(bool), st.integers(-400, 400),
+           st.integers(-60, 60).filter(bool), st.fractions(min_value=-20, max_value=20, max_denominator=12),
+           st.integers(-7, 7))
+    def test_match_the_fraction_definition(self, n1, d1, n2, d2, q, k):
+        a, b = angle(n1, d1), angle(n2, d2)
+        assert fields(a) == fields(fraction_angle(Fraction(n1, d1)))
+        fa, fb = a.frac, b.frac  # scaled multiplies the stored representative in [0, 2)
+        assert fields(a + b) == fields(fraction_angle(fa + fb))
+        assert fields(a - b) == fields(fraction_angle(fa - fb))
+        assert fields(-a) == fields(fraction_angle(-fa))
+        assert fields(a.scaled(q)) == fields(fraction_angle(fa * q))
+        assert fields(a.scaled(k)) == fields(fraction_angle(fa * k))
+        assert fields(angle_from_fraction(q)) == fields(fraction_angle(q))
+        assert fields(angle_from_fraction(k)) == fields(fraction_angle(k))
 
 
 # Small conductors and coefficients in -2..2, so that exact zeros (such as
