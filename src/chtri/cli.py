@@ -17,7 +17,7 @@ import sys
 import mpmath
 
 from .candidates import ALL_IDS
-from .exact import Cyclo, angle
+from .exact import Cyclo, angle, printed_value
 from .linalg import classify_isometry, eigenvalues3, projective_order
 from . import cosearch, reports
 from .trigroup import InfeasibleGroupError, build_symmetric, evaluate_word, verify
@@ -43,16 +43,10 @@ def _cyclo_str(x: Cyclo) -> str:
     return " + ".join(terms) or "0"
 
 
-def _num_str(v, digits: int = 30) -> dict:
-    return {"re": mpmath.nstr(v.real, digits), "im": mpmath.nstr(v.imag, digits)}
-
-
 def _entry(x, prec: int) -> dict:
-    if isinstance(x, Cyclo):
-        d = {"exact": _cyclo_str(x)}
-        d.update(_num_str(mpmath.mpc(0) if x.is_zero() else x.to_mpc(prec)))
-        return d
-    return _num_str(mpmath.mpc(x))
+    d = {"exact": _cyclo_str(x)} if isinstance(x, Cyclo) else {}
+    d.update(printed_value(x, prec, 30))
+    return d
 
 
 def _mat(m, prec: int) -> list:
@@ -218,9 +212,9 @@ def cmd_classify(args) -> int:
             "p": args.p,
             "n": args.n,
             "m": args.m,
-            "trace": _num_str(tr),
+            "trace": printed_value(tr, args.prec, 30),
             "type": kind,
-            "eigenvalues": [_num_str(e) for e in eigs],
+            "eigenvalues": [printed_value(e, args.prec, 30) for e in eigs],
             "projective_order": order,
         }
     _write(json.dumps(doc, indent=2), args.out)

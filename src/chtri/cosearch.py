@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-import mpmath
-
-from .exact import Angle, Cyclo, angle, angle_from_fraction, cos_exact
+from .exact import Angle, Cyclo, angle, cos_exact, printed_value
 from .trigroup import parameter_feasible, trace_s
 
 # ---------------------------------------------------------------------------
@@ -53,33 +51,25 @@ def main_residual(m: int, n: int, a: Angle, b: Angle) -> Cyclo:
 # ---------------------------------------------------------------------------
 # Orbit canonicalization
 
-_TWO_THIRDS = Fraction(2, 3)
-
-
 def orbit(a: Angle, b: Angle) -> set:
-    """All 36 images of (a, b) under the symmetries of s.
+    """All 36 images of (a, b) under the symmetries of s, as Angle pairs.
 
     s is unchanged by permuting the exponents {a, b, -(a+b)}, conjugated by
     negating them, and multiplied by a cube root of unity when all three are
     shifted by 2*pi/3.  Only the 12 images with no shift (the permutations,
     with or without negation) preserve Re s and |s|^2, and with them the
-    minor and main equations; a shift changes Re s.  Pairs are returned as
-    (Fraction, Fraction) multiples of pi in [0, 2).
+    minor and main equations; a shift changes Re s.
     """
-    base = (a.frac, b.frac, -(a.frac + b.frac))
+    shifts = [angle(2 * k, 3) for k in range(3)]
     out = set()
-    for perm in itertools.permutations(range(3)):
-        for sign in (1, -1):
-            for k in range(3):
-                shift = k * _TWO_THIRDS
-                x = (sign * base[perm[0]] + shift) % 2
-                y = (sign * base[perm[1]] + shift) % 2
-                out.add((x, y))
+    for x, y in itertools.permutations((a, b, -(a + b)), 2):
+        for u, v in ((x, y), (-x, -y)):
+            out.update((u + shift, v + shift) for shift in shifts)
     return out
 
 
 def canonicalize_ab(a: Angle, b: Angle) -> tuple:
-    """Lexicographically least orbit member, as a hashable key."""
+    """The orbit member least in the Angle (num, den) order, as a hashable key."""
     return min(orbit(a, b))
 
 
@@ -104,31 +94,22 @@ class Candidate:
     parameter_feasible: bool
 
     def to_dict(self, digits: int = 50) -> dict:
-        prec = int(digits * 3.33) + 20
         s = trace_s(self.a, self.b)
-        with mpmath.workprec(prec):
-            v = mpmath.mpc(0) if s.is_zero() else s.to_mpc(prec)
-            s_re = mpmath.nstr(v.real, digits, strip_zeros=False)
-            s_im = mpmath.nstr(v.imag, digits, strip_zeros=False)
         return {
             "n": self.n,
             "m": self.m,
             "a": {"num": self.a.num, "den": self.a.den},
             "b": {"num": self.b.num, "den": self.b.den},
-            "s": {"re": s_re, "im": s_im},
+            "s": printed_value(s, int(digits * 3.33) + 20, digits, strip_zeros=False),
             "exact_confirmed": self.exact_confirmed,
             "parameter_feasible": self.parameter_feasible,
         }
 
 
-def _angle_grid(den_max: int):
-    """All reduced fractions q in [0, 2) with denominator <= den_max."""
-    fracs = []
-    for den in range(1, den_max + 1):
-        for num in range(0, 2 * den):
-            if math.gcd(num, den) == 1:
-                fracs.append((num, den))
-    return fracs
+def _angle_grid(den_max: int) -> list:
+    """The Angles pi*q for all reduced q in [0, 2) with denominator <= den_max, in (den, num) order."""
+    return [Angle(num, den) for den in range(1, den_max + 1)
+            for num in range(2 * den) if math.gcd(num, den) == 1]
 
 
 def _screen(a_th: float, a_cos: float, b_th: float, b_cos: float, cn: float, cos_m: dict) -> list:
@@ -165,8 +146,8 @@ def search(den_max: int = 90, n_max: int = 12, m_max: int = 12) -> list:
                          f"must exceed the root error {ROOT_ERROR}")
     if n_max < 3 or m_max < 3:
         raise ValueError("n_max and m_max must be >= 3")
-    fracs = _angle_grid(den_max)
-    th = [math.pi * (num / den) for num, den in fracs]
+    grid = _angle_grid(den_max)
+    th = [math.pi * (g.num / g.den) for g in grid]
     cos_th = [math.cos(t) for t in th]
     by_angle = sorted(range(len(th)), key=th.__getitem__)
     sorted_th = [th[k] for k in by_angle]
@@ -176,8 +157,8 @@ def search(den_max: int = 90, n_max: int = 12, m_max: int = 12) -> list:
 
     hits: dict = {}  # (n, m) + orbit key -> least grid member that passes the screen
     seen: set = set()  # (n, m, a, b) for every grid member of an expanded orbit
-    for i, (a_num, a_den) in enumerate(fracs):
-        if a_num > a_den:
+    for i, a in enumerate(grid):
+        if a.num > a.den:
             continue  # a > pi: a swap or negation of (a, b) lies in the domain
         a_th = th[i]
         a_cos = cos_th[i]
@@ -200,44 +181,41 @@ def search(den_max: int = 90, n_max: int = 12, m_max: int = 12) -> list:
                 k = bisect_left(sorted_th, root)
                 near.update((by_angle[k - 1], by_angle[k % size]))
             for j in near:
-                b_num, b_den = fracs[j]
-                if not a_num * b_den <= b_num * a_den <= (2 * a_den - a_num) * b_den:
+                b = grid[j]
+                if not a.num * b.den <= b.num * a.den <= (2 * a.den - a.num) * b.den:
                     continue  # |b| < a
                 lo, hi = (i, j) if i <= j else (j, i)
                 # _screen's minor test, inlined: it rejects almost every neighbour
                 if abs(cos_th[lo] + cos_th[hi] + math.cos(th[lo] + th[hi]) - cn) >= PREFILTER_TOL:
                     continue
                 for m in _screen(th[lo], cos_th[lo], th[hi], cos_th[hi], cn, cos_m):
-                    if (n, m, fracs[i], fracs[j]) not in seen:
-                        key, rep = _expand(n, m, fracs[i], fracs[j], den_max, cn, cos_m, seen)
+                    if (n, m, a, b) not in seen:
+                        key, rep = _expand(n, m, a, b, den_max, cn, cos_m, seen)
                         hits[(n, m) + key] = rep
     out = []
-    for (n, m, *_orbit), (af, bf) in sorted(hits.items()):
-        a, b = angle(*af), angle(*bf)
+    for (n, m, *_orbit), (a, b) in hits.items():
         confirmed = minor_residual(n, a, b).is_zero() and main_residual(m, n, a, b).is_zero()
         out.append(Candidate(n, m, a, b, exact_confirmed=confirmed, parameter_feasible=parameter_feasible(n, m)))
     out.sort(key=lambda c: (c.n, c.m, c.a.frac, c.b.frac))
     return out
 
 
-def _expand(n: int, m: int, af: tuple, bf: tuple, den_max: int, cn: float, cos_m: dict, seen: set):
-    """(orbit key, representative) of the orbit of grid pair (af, bf) for (n, m).
+def _expand(n: int, m: int, a: Angle, b: Angle, den_max: int, cn: float, cos_m: dict, seen: set):
+    """(orbit key, representative) of the orbit of grid pair (a, b) for (n, m).
 
     Marks every grid member (den <= den_max) seen.  The representative is
-    the least (a, b), a not after b in the grid's (den, num) order, that
-    passes the float screen of (n, m).
+    the least (x, y) in Angle order with x not after y in the grid's
+    (den, num) order that passes the float screen of (n, m).
     """
-    a, b = angle(*af), angle(*bf)
     rep = None
     for x, y in orbit(a, b):
-        xf, yf = (x.numerator, x.denominator), (y.numerator, y.denominator)
-        if max(xf[1], yf[1]) > den_max:
+        if max(x.den, y.den) > den_max:
             continue
-        seen.add((n, m, xf, yf))
-        if (xf[1], xf[0]) <= (yf[1], yf[0]) and (rep is None or (xf, yf) < rep):
-            x_th, y_th = math.pi * (xf[0] / xf[1]), math.pi * (yf[0] / yf[1])
+        seen.add((n, m, x, y))
+        if (x.den, x.num) <= (y.den, y.num) and (rep is None or (x, y) < rep):
+            x_th, y_th = math.pi * (x.num / x.den), math.pi * (y.num / y.den)
             if m in _screen(x_th, math.cos(x_th), y_th, math.cos(y_th), cn, cos_m):
-                rep = (xf, yf)
+                rep = (x, y)
     return canonicalize_ab(a, b), rep
 
 
@@ -366,20 +344,13 @@ def trace_table_angles(label: str, psi: Optional[Angle] = None):
 
     Rows 'i' and 'ii' are one-parameter families in psi; the rest are fixed.
     """
-    if label == "i":
+    if label in PARAMETRIC_TRACE_ROWS:
         if psi is None:
-            raise ValueError("row 'i' needs psi")
-        two_theta = angle(2, 3)
-        a = angle(1, 1) - angle_from_fraction(psi.frac / 3)
-        b = angle_from_fraction(psi.frac / 6)
-        return two_theta, a, b
-    if label == "ii":
-        if psi is None:
-            raise ValueError("row 'ii' needs psi")
-        two_theta = psi
-        a = angle_from_fraction(psi.frac / 3).scaled(2)
-        b = angle(1, 3) - angle_from_fraction(psi.frac / 3)
-        return two_theta, a, b
+            raise ValueError(f"row {label!r} needs psi")
+        third = angle(psi.num, 3 * psi.den)
+        if label == "i":
+            return angle(2, 3), angle(1, 1) - third, angle(psi.num, 6 * psi.den)
+        return psi, third.scaled(2), angle(1, 3) - third
     if label not in _TRACE_TABLE_FIXED:
         raise KeyError(f"unknown row {label!r}")
     tt, aa, bb = _TRACE_TABLE_FIXED[label]
@@ -404,12 +375,12 @@ def factorization_residual(a: Angle, b: Angle) -> Cyclo:
     lhs = Cyclo.one() + cos_exact(a - b) + cos_exact(a + b.scaled(2)) + cos_exact(
         a.scaled(2) + b
     )
-    # halve a single coherent representative of each combination, so the
-    # three half-angles satisfy h1 + h2 = h3 exactly
-    af, bf = a.frac, b.frac
-    h1 = angle_from_fraction((af - bf) / 2)
-    h2 = angle_from_fraction((af + 2 * bf) / 2)
-    h3 = angle_from_fraction((2 * af + bf) / 2)
+    # halve the stored representatives of a and b, so the three half-angles
+    # satisfy h1 + h2 = h3 exactly
+    half_a, half_b = angle(a.num, 2 * a.den), angle(b.num, 2 * b.den)
+    h1 = half_a - half_b
+    h2 = half_a + b
+    h3 = a + half_b
     rhs = cos_exact(h1) * cos_exact(h2) * cos_exact(h3) * 4
     return lhs - rhs
 
@@ -421,8 +392,8 @@ def half_angle_residuals(a: Angle, b: Angle) -> tuple:
     cos(a+2b) + 1          = 2 cos^2(a/2 + b)
     cos(a-b) + cos(2a+b)   = 2 cos(3a/2) cos(a/2 + b)
     """
-    half_a = angle_from_fraction(a.frac / 2)
-    mid = angle_from_fraction(a.frac / 2 + b.frac)
+    half_a = angle(a.num, 2 * a.den)
+    mid = half_a + b
     r1 = cos_exact(b) + cos_exact(a + b) - cos_exact(half_a) * cos_exact(mid) * 2
     r2 = cos_exact(a + b.scaled(2)) + 1 - cos_exact(mid) * cos_exact(mid) * 2
     r3 = (

@@ -30,9 +30,13 @@ class ConductorError(ValueError):
 # Angles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Angle:
-    """The angle pi*num/den, stored reduced with 0 <= num/den < 2."""
+    """The angle pi*num/den, stored reduced with 0 <= num/den < 2.
+
+    Angles order as (num, den) tuples: a canonical order for keys and
+    representatives, not the numeric order of num/den (``frac`` gives that).
+    """
 
     num: int
     den: int
@@ -55,10 +59,6 @@ class Angle:
         """The angle multiplied by a rational factor q, an int or Fraction (mod 2pi)."""
         return angle(self.num * q.numerator, self.den * q.denominator)
 
-    def radians(self, prec: int = 53):
-        with mpmath.workprec(prec):
-            return mpmath.pi * mpmath.mpf(self.num) / self.den
-
     def __str__(self) -> str:
         if self.num == 0:
             return "0"
@@ -77,11 +77,6 @@ def angle(num: int, den: int = 1) -> Angle:
     g = math.gcd(num, den)
     num, den = num // g, den // g
     return Angle(num % (2 * den), den)
-
-
-def angle_from_fraction(q: Fraction) -> Angle:
-    """The angle pi*q for an int or Fraction q, canonicalized to [0, 2pi)."""
-    return angle(q.numerator, q.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +569,23 @@ def cos_exact(t: Angle) -> Cyclo:
 def sin_exact(t: Angle) -> Cyclo:
     """sin(t) = cos(pi/2 - t), exactly."""
     return cos_exact(angle(t.den - 2 * t.num, 2 * t.den))
+
+
+def printed_value(x, prec: int, digits: int, strip_zeros: bool = True) -> dict:
+    """{"re", "im"} strings of a Cyclo or mpmath number to `digits` digits, from `prec` bits.
+
+    An exact zero prints 0, and an exact real prints imaginary part 0, without rounding noise.
+    """
+    if not isinstance(x, Cyclo):
+        v = mpmath.mpc(x)
+        re, im = v.real, v.imag
+    elif x.is_zero():
+        re = im = mpmath.mpf(0)
+    else:
+        v = x.to_mpc(prec)
+        re, im = v.real, (mpmath.mpf(0) if x.is_real() else v.imag)
+    return {"re": mpmath.nstr(re, digits, strip_zeros=strip_zeros),
+            "im": mpmath.nstr(im, digits, strip_zeros=strip_zeros)}
 
 
 def to_float(x, prec: int = 53):

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import mpmath
 
 from .candidates import SPORADIC, claim, entry, parse_candidate
-from .exact import Cyclo, angle, cos_exact
+from .exact import Cyclo, angle, cos_exact, printed_value
 # unused here: perfbench/test_smoke.py checks that its tracer patches chtri.reports.hermitian_signature
 from .linalg import DEFAULT_PREC, hermitian_signature  # noqa: F401
 from .trigroup import Group, build_symmetric, form_signature, symmetric_params
@@ -160,23 +160,15 @@ class ParameterRow:
 
     def to_dict(self, digits: int = 30) -> dict:
         prec = int(digits * 3.33) + 20
-        with mpmath.workprec(prec):
-            def render(x):
-                v = x.to_mpc(prec)
-                return {
-                    "re": mpmath.nstr(v.real, digits),
-                    "im": mpmath.nstr(v.imag, digits),
-                }
-
-            return {
-                "candidate": self.candidate,
-                "n": self.n,
-                "m": self.m,
-                "rho": render(self.rho),
-                "s": render(self.s),
-                "sigma": render(self.sigma),
-                "validated": self.validated,
-            }
+        return {
+            "candidate": self.candidate,
+            "n": self.n,
+            "m": self.m,
+            "rho": printed_value(self.rho, prec, digits),
+            "s": printed_value(self.s, prec, digits),
+            "sigma": printed_value(self.sigma, prec, digits),
+            "validated": self.validated,
+        }
 
 
 def parameter_table(k: int = 6) -> list:

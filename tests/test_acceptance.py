@@ -237,8 +237,7 @@ def test_acceptance_10_property_suites():
         s_abs = trace_s(a, b).abs2()
         members = rng.sample(sorted(orbit(a, b)), 6)
         for x, y in members:
-            sx = trace_s(angle(x.numerator, x.denominator),
-                         angle(y.numerator, y.denominator))
+            sx = trace_s(x, y)
             ok &= (sx.abs2() - s_abs).is_zero()
     elapsed = time.time() - t0
     ok &= elapsed < 120

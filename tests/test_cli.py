@@ -48,6 +48,23 @@ class TestBuild:
         assert r.returncode == 1
         assert "no such symmetric group" in r.stderr
 
+    def test_exact_reals_print_imaginary_part_zero(self, capsys):
+        # 2 sin(pi/p) on the diagonal of H is real: its imaginary part prints 0, not rounding noise
+        assert chtri.cli.main(["build", "--p", "5", "--n", "5", "--m", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        g = chtri.trigroup.build_symmetric(5, 5, 5)
+        reals = 0
+        for name in ("R1", "R2", "R3", "H", "S"):
+            for row, printed in zip(getattr(g, name).rows, doc[name]):
+                for x, d in zip(row, printed):
+                    if x.is_real():
+                        reals += 1
+                        assert d["im"] == "0.0", (name, d)
+                        assert d["re"] == "0.0" or not x.is_zero()
+                    else:
+                        assert d["im"] != "0.0", (name, d)
+        assert reals and doc["H"][0][0]["im"] == "0.0"
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "g.json"
         r = run("build", "--p", "2", "--n", "5", "--m", "5", "--out", str(out))

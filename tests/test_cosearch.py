@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from chtri.exact import angle, angle_from_fraction
+from chtri.exact import angle
 from chtri.cosearch import (
     COSINE_SUM_LABELS,
     PREFILTER_TOL,
@@ -75,11 +75,27 @@ class TestResiduals:
         assert zeros == [(4, 3)]
 
 
+def pi_times(q: Fraction):
+    """The angle pi*q, from the Fraction definition."""
+    return angle(q.numerator, q.denominator)
+
+
 class TestOrbit:
     def test_orbit_size(self):
         a, b = angle(2, 7), angle(4, 7)
         assert len(orbit(a, b)) <= 36
-        assert (a.frac, b.frac) in orbit(a, b)
+        assert (a, b) in orbit(a, b)
+
+    def test_matches_the_fraction_definition(self):
+        # all 36 images computed on Fractions mod 2: permute {a, b, -(a+b)}, negate, shift by 2pi/3
+        rng = random.Random(5)
+        for _ in range(40):
+            da, db = rng.randint(1, 40), rng.randint(1, 40)
+            a, b = angle(rng.randint(0, 2 * da - 1), da), angle(rng.randint(0, 2 * db - 1), db)
+            exps = (a.frac, b.frac, -(a.frac + b.frac))
+            want = {(pi_times(sign * x + Fraction(2 * k, 3)), pi_times(sign * y + Fraction(2 * k, 3)))
+                    for x, y in itertools.permutations(exps, 2) for sign in (1, -1) for k in range(3)}
+            assert orbit(a, b) == want, (a, b)
 
     def test_canonical_invariant(self):
         rng = random.Random(11)
@@ -87,10 +103,9 @@ class TestOrbit:
             a = angle(rng.randint(0, 13), 7)
             b = angle(rng.randint(0, 17), 9)
             key = canonicalize_ab(a, b)
-            for x, y in list(orbit(a, b))[:8]:
-                ax = angle(x.numerator, x.denominator)
-                by = angle(y.numerator, y.denominator)
-                assert canonicalize_ab(ax, by) == key
+            assert key in orbit(a, b) and all(key <= pair for pair in orbit(a, b))  # least in Angle order
+            for x, y in orbit(a, b):
+                assert canonicalize_ab(x, y) == key
 
     def test_unshifted_images_preserve_both_equations(self):
         # the 12 images without a 2pi/3 shift leave Re s and |s|^2, hence both residuals, unchanged
@@ -100,19 +115,17 @@ class TestOrbit:
             da, db = rng.randint(1, 30), rng.randint(1, 30)
             a, b = angle(rng.randint(0, 2 * da - 1), da), angle(rng.randint(0, 2 * db - 1), db)
             exps = (a.frac, b.frac, -(a.frac + b.frac))
-            images = {((sign * x) % 2, (sign * y) % 2)
+            images = {(pi_times(sign * x), pi_times(sign * y))
                       for x, y in itertools.permutations(exps, 2) for sign in (1, -1)}
             assert images <= orbit(a, b) and len(images) <= 12
             n, m = rng.randint(3, 12), rng.randint(3, 12)
             minor, main = minor_residual(n, a, b), main_residual(m, n, a, b)
             for x, y in images:
-                ax, by = angle_from_fraction(x), angle_from_fraction(y)
-                assert (minor_residual(n, ax, by) - minor).is_zero(), (a, b, x, y)
-                assert (main_residual(m, n, ax, by) - main).is_zero(), (a, b, x, y)
+                assert (minor_residual(n, x, y) - minor).is_zero(), (a, b, x, y)
+                assert (main_residual(m, n, x, y) - main).is_zero(), (a, b, x, y)
             for k in (1, 2):
-                shift = Fraction(2 * k, 3)
-                ax, by = angle_from_fraction(a.frac + shift), angle_from_fraction(b.frac + shift)
-                shifted_changes |= not (minor_residual(n, ax, by) - minor).is_zero()
+                shift = angle(2 * k, 3)
+                shifted_changes |= not (minor_residual(n, a + shift, b + shift) - minor).is_zero()
         assert shifted_changes  # so a shift is not a symmetry of the equations
 
     def test_trace_s_orbit_values(self):
@@ -127,14 +140,14 @@ class TestOrbit:
             w = omega ** j if j else Cyclo.one()
             allowed.extend([s * w, s.conj() * w])
         for x, y in orbit(a, b):
-            sx = trace_s(angle(x.numerator, x.denominator), angle(y.numerator, y.denominator))
+            sx = trace_s(x, y)
             assert any((sx - t).is_zero() for t in allowed)
 
 
 def pair_scan(den_max, n_max, m_max):
     """The search as a scan of every grid pair (a, b) with b not before a: a test oracle."""
-    fracs = _angle_grid(den_max)
-    th = [math.pi * (num / den) for num, den in fracs]
+    grid = _angle_grid(den_max)
+    th = [math.pi * (g.num / g.den) for g in grid]
     cos_th = [math.cos(t) for t in th]
     cos_n = {n: math.cos(2 * math.pi / n) for n in range(3, n_max + 1)}
     cos_m = {m: math.cos(2 * math.pi / m) for m in range(3, m_max + 1)}
@@ -150,12 +163,11 @@ def pair_scan(den_max, n_max, m_max):
                     continue
                 for m, cm in cos_m.items():
                     if abs(cm + (core - cn)) < PREFILTER_TOL:
-                        pair = (fracs[i], fracs[j])
-                        key = (n, m) + canonicalize_ab(angle(*pair[0]), angle(*pair[1]))
+                        pair = (grid[i], grid[j])
+                        key = (n, m) + canonicalize_ab(*pair)
                         least[key] = min(least.get(key, pair), pair)
     out = []
-    for (n, m, *_), (af, bf) in least.items():
-        a, b = angle(*af), angle(*bf)
+    for (n, m, *_), (a, b) in least.items():
         confirmed = minor_residual(n, a, b).is_zero() and main_residual(m, n, a, b).is_zero()
         out.append(Candidate(n, m, a, b, confirmed, parameter_feasible(n, m)))
     return sorted(out, key=lambda c: (c.n, c.m, c.a.frac, c.b.frac))

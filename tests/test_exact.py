@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +9,7 @@ from chtri.exact import (
     angle,
     cos_exact,
     cyclotomic_poly,
+    printed_value,
     root_of_unity,
     sin_exact,
     to_float,
@@ -34,8 +34,13 @@ class TestAngle:
         assert (-angle(1, 4)).frac == Fraction(7, 4)
         assert angle(1, 6).scaled(3) == angle(1, 2)
 
-    def test_radians(self):
-        assert abs(float(angle(1, 2).radians(53)) - math.pi / 2) < 1e-15
+    def test_order_is_num_then_den(self):
+        # a canonical order for keys, not the numeric order of num/den
+        assert angle(1, 2) < angle(1, 3) and angle(1, 3).frac < angle(1, 2).frac
+        assert angle(1, 7) < angle(2, 3) < angle(3, 2)
+        assert sorted([angle(5, 3), angle(0, 1), angle(1, 6), angle(1, 1)]) == [
+            angle(0, 1), angle(1, 1), angle(1, 6), angle(5, 3)]
+        assert angle(2, 4) <= angle(1, 2) and not angle(1, 2) < angle(2, 4)
 
 
 class TestCyclotomicPoly:
@@ -138,3 +143,24 @@ class TestCyclo:
         v = to_float(cos_exact(angle(2, 5)), 100)
         with mpmath.workprec(100):
             assert abs(v - mpmath.cospi(mpmath.mpf(2) / 5)) < mpmath.mpf(2) ** -90
+
+
+class TestPrintedValue:
+    def test_exact_zero_prints_zero(self):
+        x = cos_exact(angle(1, 3)) - Fraction(1, 2)
+        assert printed_value(x, 128, 30) == {"re": "0.0", "im": "0.0"}
+        assert printed_value(Cyclo.zero(), 128, 20, strip_zeros=False) == {"re": "0.0", "im": "0.0"}
+
+    def test_exact_real_prints_imaginary_part_zero(self):
+        # 2 sin(pi/5) = zeta_20^3 + zeta_20^-3: real, but its float imaginary part is rounding noise
+        x = sin_exact(angle(1, 5)) * 2
+        assert x.is_real() and x.to_mpc(128).imag != 0
+        d = printed_value(x, 128, 30)
+        assert d["im"] == "0.0"
+        with mpmath.workprec(128):
+            assert abs(mpmath.mpf(d["re"]) - 2 * mpmath.sin(mpmath.pi / 5)) < mpmath.mpf(10) ** -28
+
+    def test_non_real_and_float_values(self):
+        d = printed_value(root_of_unity(angle(1, 3)), 128, 30)
+        assert d["re"] == "0.5" and d["im"].startswith("0.86602540378443864676")
+        assert printed_value(mpmath.mpc(1.5, -2), 53, 10) == {"re": "1.5", "im": "-2.0"}

@@ -8,7 +8,8 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 from sympy.abc import x as X
 
-from chtri.exact import Angle, Cyclo, Laurent, _expjpi, angle, angle_from_fraction, cyclotomic_poly
+from chtri.cosearch import trace_table_angles
+from chtri.exact import Angle, Cyclo, Laurent, _expjpi, angle, cyclotomic_poly
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -148,8 +149,24 @@ class TestIntegerAngles:
         assert fields(-a) == fields(fraction_angle(-fa))
         assert fields(a.scaled(q)) == fields(fraction_angle(fa * q))
         assert fields(a.scaled(k)) == fields(fraction_angle(fa * k))
-        assert fields(angle_from_fraction(q)) == fields(fraction_angle(q))
-        assert fields(angle_from_fraction(k)) == fields(fraction_angle(k))
+
+    @ORACLE
+    @given(st.integers(-400, 400), st.integers(-60, 60).filter(bool), st.integers(-400, 400),
+           st.integers(-60, 60).filter(bool))
+    def test_halves_thirds_and_sixths_match_the_fraction_definition(self, n1, d1, n2, d2):
+        # the integer forms that cosearch builds, against dividing the stored Fraction
+        a, b = angle(n1, d1), angle(n2, d2)
+        fa, fb = a.frac, b.frac
+        for k in (2, 3, 6):
+            assert fields(angle(a.num, k * a.den)) == fields(fraction_angle(fa / k))
+        half_a, half_b = angle(a.num, 2 * a.den), angle(b.num, 2 * b.den)
+        assert fields(half_a - half_b) == fields(fraction_angle((fa - fb) / 2))
+        assert fields(half_a + b) == fields(fraction_angle((fa + 2 * fb) / 2))
+        assert fields(a + half_b) == fields(fraction_angle((2 * fa + fb) / 2))
+        row_i = (Fraction(2, 3), 1 - fa / 3, fa / 6)
+        row_ii = (fa, 2 * (fa / 3), Fraction(1, 3) - fa / 3)
+        for label, row in (("i", row_i), ("ii", row_ii)):
+            assert [fields(x) for x in trace_table_angles(label, a)] == [fields(fraction_angle(q)) for q in row]
 
 
 # Small conductors and coefficients in -2..2, so that exact zeros (such as

@@ -221,6 +221,15 @@ class TestParameterTable:
         assert abs(float(d["rho"]["re"]) - 0.5) < 1e-12
         assert abs(float(d["rho"]["im"]) - 7 ** 0.5 / 2) < 1e-12
 
+    def test_exact_zero_and_reals_print_no_imaginary_noise(self):
+        # (4,3): rho = 1, so s = rho - 1 = 0 exactly, and sigma = sqrt(2) is real
+        d = {r.candidate: r for r in parameter_table(6)}["(4,3)"].to_dict()
+        assert d["s"] == {"re": "0.0", "im": "0.0"}
+        assert d["rho"] == {"re": "1.0", "im": "0.0"}
+        assert d["sigma"] == {"re": "1.41421356237309504880168872421", "im": "0.0"}
+        for r in parameter_table(6):
+            assert (r.to_dict()["sigma"]["im"] == "0.0") == r.sigma.is_real(), r.candidate
+
     def test_sigma_values(self):
         rows = {r.candidate: r for r in parameter_table(6)}
         with mpmath.workprec(120):
