@@ -213,19 +213,17 @@ def sign_signature(s2: int, s1: int, s0: int) -> Signature:
     return Signature(0, 0, 3)
 
 
-def invariant_signature(tr, c1, det, prec: int = DEFAULT_PREC, tol=None) -> Signature:
+def invariant_signature(tr, c1, det, tol=None) -> Signature:
     """Eigenvalue sign pattern of a Hermitian 3x3 matrix with char poly x^3 - tr x^2 + c1 x - det.
 
-    Cyclo invariants are decided exactly, from their exact signs by
-    `sign_signature`; float ones from the roots, with a numeric threshold.
+    `sign_signature` of the invariants' signs: the exact signs of Cyclo
+    invariants, and for float ones the sign of the real part, read as 0
+    when it is at most `tol` in absolute value.
     """
     if isinstance(det, Cyclo):
         return sign_signature(tr.real_sign(), c1.real_sign(), det.real_sign())
     tol = DEFAULT_TOL if tol is None else tol
-    eigs = _cubic_roots(-tr, c1, -det, prec)
-    pos = sum(1 for e in eigs if e.real > tol)
-    neg = sum(1 for e in eigs if e.real < -tol)
-    return Signature(pos, neg, 3 - pos - neg)
+    return sign_signature(*(0 if abs(x.real) <= tol else 1 if x.real > 0 else -1 for x in (tr, c1, det)))
 
 
 def hermitian_signature(h: Mat3, prec: int = DEFAULT_PREC, tol=None) -> Signature:
@@ -234,17 +232,19 @@ def hermitian_signature(h: Mat3, prec: int = DEFAULT_PREC, tol=None) -> Signatur
         skew = h - h.adjoint()
         if not (skew.is_zero_exact() if h.exact else skew.max_abs() <= mpmath.mpf(2) ** (-prec // 2)):
             raise ValueError("matrix is not Hermitian")
-        return invariant_signature(h.trace(), h.minor_sum(), h.det(), prec, tol)
+        return invariant_signature(h.trace(), h.minor_sum(), h.det(), tol)
 
 
 # ---------------------------------------------------------------------------
 # Eigenvalues (closed-form cubic)
 
 
-def _cubic_roots(a2, a1, a0, prec: int):
-    """Roots of x^3 + a2 x^2 + a1 x + a0 by Cardano's formula."""
+def eigenvalues3(m: Mat3, prec: int = DEFAULT_PREC):
+    """The three eigenvalues (unordered, with multiplicity) at `prec` bits, by Cardano's formula
+    on the characteristic polynomial x^3 + a2 x^2 + a1 x + a0."""
+    mf = m.to_float(prec)
     with mpmath.workprec(prec + 30):
-        a2, a1, a0 = mpmath.mpc(a2), mpmath.mpc(a1), mpmath.mpc(a0)
+        a2, a1, a0 = -mf.trace(), mf.minor_sum(), -mf.det()
         shift = -a2 / 3
         p = a1 - a2 * a2 / 3
         q = 2 * a2**3 / 27 - a2 * a1 / 3 + a0
@@ -265,16 +265,6 @@ def _cubic_roots(a2, a1, a0, prec: int):
             cw = c * w
             roots.append(cw - p / (3 * cw) + shift)
         return roots
-
-
-def eigenvalues3(m: Mat3, prec: int = DEFAULT_PREC):
-    """The three eigenvalues (unordered, with multiplicity) at `prec` bits."""
-    mf = m.to_float(prec)
-    with mpmath.workprec(prec + 30):
-        tr = mf.trace()
-        c1 = mf.minor_sum()
-        d = mf.det()
-        return _cubic_roots(-tr, c1, -d, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ is the group at p.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -31,7 +30,6 @@ from .linalg import (
     Mat3,
     Signature,
     _cube_roots_exact,
-    eigenvalues3,
     invariant_signature,
     projective_equal,
     projective_residual,
@@ -258,13 +256,13 @@ def form_signature(p: int, rho, sigma, prec: int = DEFAULT_PREC) -> tuple[Signat
     """
     if not isinstance(rho, Cyclo):
         inv = form_invariants(p, rho, sigma, prec)
-        return invariant_signature(*inv, prec=prec), inv[2].real
+        return invariant_signature(*inv), inv[2].real
     wp = max(prec, 128)
     bound = mpmath.mpf(2) ** (12 - wp) * (2 + math.ceil(max(1, rho.coeff_mass(), sigma.coeff_mass())))
     inv = form_invariants(p, to_float(rho, wp), to_float(sigma, wp), wp)
     if all(abs(x.real) > bound for x in inv):
         return sign_signature(*(1 if x.real > 0 else -1 for x in inv)), inv[2].real
-    return invariant_signature(*form_invariants(p, rho, sigma, prec), prec=prec), inv[2].real
+    return invariant_signature(*form_invariants(p, rho, sigma, prec)), inv[2].real
 
 
 def symmetric_params(n: int, m: int, im_sign: int = 1, prec: int = DEFAULT_PREC):
@@ -338,14 +336,15 @@ def reflection_matrix(phi: Angle, v: Sequence[Cyclo], h: Mat3) -> Mat3:
 # Verification
 
 
-def _relations(r1: Mat3, r2: Mat3, r3: Mat3, s: Mat3, u) -> dict:
-    """The symmetry relations satisfied by S, by name, as (lhs, rhs) pairs in the scalar type of the matrices.
+def _relations(g: Group, u) -> dict:
+    """The symmetry relations satisfied by S, by name, as (lhs, rhs) pairs in the scalar type of g.
 
     First matrices equal up to a cube root of unity: S^2 = R1R2R3, the three
     S-conjugation relations and the two derived pair relations; then vectors
     equal exactly, the polar-vector images S v1 = R1 v2, S v2 = R1 R3 v1 and
     S v3 = -u R1 v3.  Products are taken left to right.
     """
+    (r1, r2, r3), s = g.generators(), g.S
     s_inv, r1_inv, r3_inv = s.inverse(), r1.inverse(), r3.inverse()
     r1r2, r1r3 = r1 * r2, r1 * r3
     e = Mat3.identity(s.exact).rows
@@ -362,13 +361,53 @@ def _relations(r1: Mat3, r2: Mat3, r3: Mat3, s: Mat3, u) -> dict:
     }
 
 
-def _trace_pairs(r1: Mat3, r2: Mat3, r3: Mat3, u, rho, sigma, tau, conj) -> list:
-    """(tr w, closed form) for w = R1R2, R2R3, R1R3, R1R3^-1R2R3: u(2 - |x|^2) + ub^2 for
-    x = rho, sigma, tau, sigma*tau - conj(rho)."""
+def _trace_pairs(g: Group, u, conj) -> tuple:
+    """(traces, closed forms) of w = R1R2, R2R3, R1R3, R1R3^-1R2R3: tr w against u(2 - |x|^2) + ub^2
+    for x = rho, sigma, tau, sigma*tau - conj(rho)."""
+    (r1, r2, r3), pr = g.generators(), g.params
     words = (r1 * r2, r2 * r3, r1 * r3, r1 * r3.inverse() * r2 * r3)
     ub = conj(u)
-    closed = [u * (2 - x * conj(x)) + ub * ub for x in (rho, sigma, tau, sigma * tau - conj(rho))]
-    return [(w.trace(), c) for w, c in zip(words, closed)]
+    xs = (pr.rho, pr.sigma, pr.tau, pr.sigma * pr.tau - conj(pr.rho))
+    return tuple(w.trace() for w in words), tuple(u * (2 - x * conj(x)) + ub * ub for x in xs)
+
+
+def _lemma_pair(g: Group, u, conj) -> tuple:
+    """The eigenvalue lemma for R1R2 as its characteristic polynomial, (X - a)(X^2 + bX + c) with
+    a = ub^2, b = u(|rho|^2 - 2), c = u^2: its roots are ub^2 and -u e^{+-2i zeta} for |rho| = 2cos(zeta).
+
+    X^3 - tr X^2 + c1 X - det = X^3 - (a - b)X^2 + (c - ab)X - ac, so the pair is
+    ((tr, c1, det) of R1R2, (a - b, c - ab, ac)).
+    """
+    r1r2, rho = g.R1 * g.R2, g.params.rho
+    a, b, c = conj(u) * conj(u), u * (rho * conj(rho) - 2), u * u
+    return (r1r2.trace(), r1r2.minor_sum(), r1r2.det()), (a - b, c - a * b, a * c)
+
+
+def _check_pairs(g: Group, u, conj) -> dict:
+    """Every check of `verify` but the braid lengths, by name, as (lhs, rhs) pairs in the scalar type of g:
+    the `_relations`, the `_trace_pairs` as one vector pair and the `_lemma_pair`.
+
+    u = e^{2 pi i/(3p)} and conj are given in that scalar type.  A matrix pair holds when its sides
+    are equal up to a cube root of unity, a vector pair when they are equal entry by entry.
+    """
+    pairs = {f"symmetry:{name}": pair for name, pair in _relations(g, u).items()}
+    pairs["trace_formulas"] = _trace_pairs(g, u, conj)
+    pairs["eigenvalue_lemma"] = _lemma_pair(g, u, conj)
+    return pairs
+
+
+def _float_view(g: Group, prec: int) -> tuple:
+    """(g at `prec` bits, u = e^{2 pi i/(3p)}): the float arguments of the check tables.  Call inside
+    mpmath.workprec(prec)."""
+    g = g.to_float(prec)
+    return g, mpmath.expjpi(mpmath.mpf(2) / (3 * g.params.p))
+
+
+def _residual(lhs, rhs, prec: int):
+    """Float residual of a check pair: `projective_residual` of matrices, else the largest entry difference."""
+    if isinstance(lhs, Mat3):
+        return projective_residual(lhs, rhs, prec)
+    return max(abs(x - y) for x, y in zip(lhs, rhs))
 
 
 def _braid_pairs(g: Group) -> dict:
@@ -379,19 +418,11 @@ def _braid_pairs(g: Group) -> dict:
 
 
 def verify_symmetry(g: Group, prec: int = DEFAULT_PREC) -> dict:
-    """Float residuals of the symmetry relations satisfied by S (`_relations`), by name.
-
-    A matrix relation's residual is its `projective_residual`, a vector
-    relation's the largest entry of the difference.
-    """
+    """Float residuals (`_residual`) at `prec` bits of the symmetry relations satisfied by S (`_relations`), by name."""
     if g.S is None:
         raise ValueError("group has no symmetry S")
-    g = g.to_float(prec)
     with mpmath.workprec(prec):
-        u = mpmath.expjpi(mpmath.mpf(2) / (3 * g.params.p))
-        return {name: projective_residual(lhs, rhs, prec) if isinstance(lhs, Mat3)
-                else max(abs(x - y) for x, y in zip(lhs, rhs))
-                for name, (lhs, rhs) in _relations(*g.generators(), g.S, u).items()}
+        return {name: _residual(lhs, rhs, prec) for name, (lhs, rhs) in _relations(*_float_view(g, prec)).items()}
 
 
 def trace_invariants(g: Group, prec: int = DEFAULT_PREC, tol=None):
@@ -400,15 +431,11 @@ def trace_invariants(g: Group, prec: int = DEFAULT_PREC, tol=None):
     Disagreement beyond tolerance raises (internal consistency failure).
     """
     tol = DEFAULT_TOL if tol is None else tol
-    g = g.to_float(prec)
     with mpmath.workprec(prec):
-        u = mpmath.expjpi(mpmath.mpf(2) / (3 * g.params.p))
-        params = (to_float(x, prec) for x in (g.params.rho, g.params.sigma, g.params.tau))
-        pairs = _trace_pairs(*g.generators(), u, *params, mpmath.conj)
-        for a, b in pairs:
-            if abs(a - b) > tol:
-                raise RuntimeError(f"trace formula mismatch: {a} vs {b}")
-        return tuple(a for a, _ in pairs)
+        traces, closed = _trace_pairs(*_float_view(g, prec), mpmath.conj)
+        if _residual(traces, closed, prec) > tol:
+            raise RuntimeError(f"trace formula mismatch: {traces} vs {closed}")
+        return traces
 
 
 def braid_length(a: Mat3, b: Mat3, max_l: int = 24, tol=None, prec: int = DEFAULT_PREC):
@@ -460,14 +487,12 @@ class Certificate:
     """The verdicts of `verify` on a classified candidate, each proved once for every p.
 
     Every verdict is an identity in t = e^{i pi/(3p)} on the generic group.
-    `relations` holds (name, holds) pairs; `braids` holds (name, expected
-    length, least generic length or None, undecided shorter lengths) as
-    in `_generic_braid`.
+    `checks` holds a (name, holds) pair for each pair of `_check_pairs`;
+    `braids` holds (name, expected length, least generic length or None,
+    undecided shorter lengths) as in `_generic_braid`.
     """
 
-    relations: tuple
-    traces: bool
-    lemma: bool
+    checks: tuple
     braids: tuple
 
     def braid_lengths(self, p: int) -> list:
@@ -485,27 +510,20 @@ def certificate(n: int, m: int, im_sign: int, max_braid: int) -> Certificate:
     """The `Certificate` of candidate (n, m) with Im(rho) of sign im_sign, braid lengths searched up to max_braid.
 
     It reads the generic group of `build_group` and `symmetry_matrix` (p
-    None), whose entries are Laurent polynomials in t over Q(zeta_N): the
-    relations of `_relations`, the traces of `_trace_pairs`, the eigenvalue
-    lemma as the characteristic polynomial of R1R2, (X - a)(X^2 + bX + c)
-    with a = ub^2, b = u(|rho|^2 - 2), c = u^2 and u = t^2, and the braid
-    lengths of `_braid_pairs`.
+    None), whose entries are Laurent polynomials in t over Q(zeta_N), with
+    u = t^2: each pair of `_check_pairs` is decided by `projective_equal`
+    (matrices) or by the exact zero test of each entry difference
+    (vectors), and the braid lengths of `_braid_pairs` by `_generic_braid`.
     """
     rho, sigma = symmetric_params(n, m, im_sign)
     g = build_group(None, rho, sigma, sigma)
     g = Group(g.params, g.R1, g.R2, g.R3, g.H, symmetry_matrix(None, rho, sigma), n=n, m=m, im_sign=im_sign)
-    pr, u = g.params, Laurent.t(2)
-    relations = tuple((name, projective_equal(lhs, rhs) if isinstance(lhs, Mat3)
-                       else all((x - y).is_zero() for x, y in zip(lhs, rhs)))
-                      for name, (lhs, rhs) in _relations(*g.generators(), g.S, u).items())
-    traces = all((x - y).is_zero() for x, y in _trace_pairs(*g.generators(), u, pr.rho, pr.sigma, pr.tau, _conj))
-    r1r2, a, b, c = g.R1 * g.R2, Laurent.t(-4), u * (pr.rho * pr.rho.conj() - 2), u * u
-    # X^3 - tr X^2 + c1 X - det = (X - a)(X^2 + bX + c) = X^3 - (a - b)X^2 + (c - ab)X - ac
-    lemma = all((x - y).is_zero() for x, y in zip((r1r2.trace(), r1r2.minor_sum(), r1r2.det()),
-                                                   (a - b, c - a * b, a * c)))
+    checks = tuple((name, projective_equal(lhs, rhs) if isinstance(lhs, Mat3)
+                    else all((x - y).is_zero() for x, y in zip(lhs, rhs)))
+                   for name, (lhs, rhs) in _check_pairs(g, Laurent.t(2), _conj).items())
     braids = tuple((name, expect, *_generic_braid(x, y, max_braid))
                    for name, (x, y, expect) in _braid_pairs(g).items())
-    return Certificate(relations, traces, lemma, braids)
+    return Certificate(checks, braids)
 
 
 def evaluate_word(g: Group, word: Sequence[int], prec: int = DEFAULT_PREC) -> Mat3:
@@ -523,28 +541,10 @@ def evaluate_word(g: Group, word: Sequence[int], prec: int = DEFAULT_PREC) -> Ma
 
 
 def lemma_eigenvalues_residual(g: Group, prec: int = DEFAULT_PREC):
-    """Distance of the eigenvalues of R1R2 from {ub^2, -u e^{2i zeta}, -u e^{-2i zeta}}.
-
-    zeta is defined by |rho| = 2 cos(zeta); raises when |rho| > 2 (the
-    non-loxodromic hypothesis fails).
-    """
-    with mpmath.workprec(prec + 20):
-        rho = to_float(g.params.rho, prec)
-        half = abs(rho) / 2
-        if half > 1 + mpmath.mpf(2) ** (-prec // 2):
-            raise ValueError("lemma hypothesis violated: R1R2 is loxodromic")
-        zeta = mpmath.acos(min(half, mpmath.mpf(1)))
-        p = g.params.p
-        u = mpmath.expjpi(mpmath.mpf(2) / (3 * p))
-        predicted = [
-            mpmath.conj(u) ** 2,
-            -u * mpmath.exp(2j * zeta),
-            -u * mpmath.exp(-2j * zeta),
-        ]
-        computed = eigenvalues3(g.R1 * g.R2, prec)
-        # multiset match: minimal assignment over the 3! pairings
-        return min(max(abs(c - predicted[j]) for c, j in zip(computed, perm))
-                   for perm in itertools.permutations(range(3)))
+    """Float residual at `prec` bits of the eigenvalue lemma for R1R2, `_lemma_pair`: the largest
+    difference of (tr, c1, det) of R1R2 from the lemma's characteristic coefficients."""
+    with mpmath.workprec(prec):
+        return _residual(*_lemma_pair(*_float_view(g, prec), mpmath.conj), prec)
 
 
 @dataclass(frozen=True)
@@ -559,37 +559,28 @@ class Check:
         return {"check": self.name, **self.details, "pass": self.passed}
 
 
-def _exact_check(name: str, passed: bool) -> Check:
-    return Check(name, passed, {"residual": "0" if passed else "nonzero"})
-
-
 def verify(g: Group, tol=None, prec: int = DEFAULT_PREC, max_braid: int = 24) -> list[Check]:
     """Every check of a symmetric group, in order: symmetry relations, trace
     formulas, eigenvalue lemma, then the four braid lengths.
 
-    An exact group (a classified candidate) reads its `certificate`: each
-    verdict is an exact identity in t, so it holds for every p, and tol and
-    prec are not read.  Any other group is checked in floats at `prec` bits
-    against `tol`.  The braid lengths are only checked when H has signature
-    (2,1); otherwise one passing "braid" check records the skip.
+    The non-braid checks are the pairs of `_check_pairs`.  An exact group (a
+    classified candidate) reads its `certificate`: each verdict is an exact
+    identity in t, so it holds for every p, and tol and prec are not read.
+    Any other group measures each pair once in floats at `prec` bits
+    (`_residual`) and passes a check whose residual is at most `tol`.  The
+    braid lengths are only checked when H has signature (2,1); otherwise one
+    passing "braid" check records the skip.
     """
     if g.exact:
         cert = certificate(g.n, g.m, g.im_sign, max_braid)
-        checks = [_exact_check(f"symmetry:{name}", ok) for name, ok in cert.relations]
-        checks += [_exact_check("trace_formulas", cert.traces), _exact_check("eigenvalue_lemma", cert.lemma)]
+        checks = [Check(name, ok, {"residual": "0" if ok else "nonzero"}) for name, ok in cert.checks]
     else:
         tol = DEFAULT_TOL if tol is None else tol
-        checks = [
-            Check(f"symmetry:{name}", bool(res <= tol), {"residual": mpmath.nstr(mpmath.mpf(res), 10)})
-            for name, res in verify_symmetry(g, prec=prec).items()
-        ]
-        try:
-            trace_invariants(g, prec=prec, tol=tol)
-            checks.append(Check("trace_formulas", True, {"residual": "0"}))
-        except RuntimeError as exc:
-            checks.append(Check("trace_formulas", False, {"error": str(exc)}))
-        res = lemma_eigenvalues_residual(g, prec=prec)
-        checks.append(Check("eigenvalue_lemma", bool(res <= tol), {"residual": mpmath.nstr(mpmath.mpf(res), 10)}))
+        with mpmath.workprec(prec):
+            residuals = {name: _residual(lhs, rhs, prec)
+                         for name, (lhs, rhs) in _check_pairs(*_float_view(g, prec), mpmath.conj).items()}
+        checks = [Check(name, bool(res <= tol), {"residual": mpmath.nstr(mpmath.mpf(res), 10)})
+                  for name, res in residuals.items()]
 
     verdict = g.signature.verdict
     if verdict != "(2,1)":
@@ -598,7 +589,7 @@ def verify(g: Group, tol=None, prec: int = DEFAULT_PREC, max_braid: int = 24) ->
     if g.exact:
         lengths = cert.braid_lengths(g.params.p)
     else:
-        with mpmath.workprec(prec):
+        with mpmath.workprec(prec):  # R3^-1 R2 R3 of `_braid_pairs` is built at the ambient precision
             lengths = [(name, expect, braid_length(a, b, max_l=max_braid, tol=tol, prec=prec))
                        for name, (a, b, expect) in _braid_pairs(g).items()]
     checks += [Check(name, got == expect, {"expected": expect, "got": got}) for name, expect, got in lengths]

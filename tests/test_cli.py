@@ -89,11 +89,14 @@ class TestVerify:
         }
 
     def test_trace_mismatch_is_a_failing_check(self, monkeypatch, capsys):
-        def mismatch(*args, **kwargs):
-            raise RuntimeError("trace formula mismatch: 1 vs 2")
+        orig = chtri.trigroup._trace_pairs
 
-        # a float group: a candidate's trace formulas come from its certificate, not trace_invariants
-        monkeypatch.setattr(chtri.trigroup, "trace_invariants", mismatch)
+        def mismatch(*args):
+            traces, closed = orig(*args)
+            return traces, (closed[0] + 1, *closed[1:])
+
+        # a float group, so no cached candidate certificate is read or made with the perturbed closed form
+        monkeypatch.setattr(chtri.trigroup, "_trace_pairs", mismatch)
         code = chtri.cli.main(["verify", "--p", "4", "--n", "5", "--m", "6"])
         assert code == 1
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
@@ -101,6 +104,18 @@ class TestVerify:
         assert len(trace) == 1 and trace[0]["pass"] is False
         summary = lines[-1]
         assert summary["summary"] and summary["passed"] == summary["checks"] - 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("im_sign", ["1", "-1"])
+    def test_repeated_eigenvalue_passes_at_128_bits(self, n, im_sign, capsys):
+        # at p = 3 and m = 6 the eigenvalue ub^2 of R1R2 equals -u e^{2i zeta}: a double root, where
+        # the lemma still holds to the working precision
+        code = chtri.cli.main(["verify", "--p", "3", "--n", str(n), "--m", "6", "--im-sign", im_sign,
+                               "--prec", "128"])
+        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        lemma = [l for l in lines if l.get("check") == "eigenvalue_lemma"]
+        assert code == 0 and len(lemma) == 1 and lemma[0]["pass"] is True
+        assert lines[-1]["passed"] == lines[-1]["checks"]
 
     def test_verify_json_lines(self):
         r = run("verify", "--p", "3", "--n", "6", "--m", "6")

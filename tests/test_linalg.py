@@ -99,17 +99,21 @@ class TestEigenvalues:
 
 class TestSignature:
     def test_diagonal_signatures(self):
-        z = Cyclo.zero()
+        for num in (Cyclo.rational, mpmath.mpc):  # exact, then float entries
+            z = num(0)
 
-        def diag(a, b, c):
-            return Mat3([[Cyclo.rational(a), z, z],
-                         [z, Cyclo.rational(b), z],
-                         [z, z, Cyclo.rational(c)]])
+            def diag(a, b, c):
+                return Mat3([[num(a), z, z],
+                             [z, num(b), z],
+                             [z, z, num(c)]])
 
-        assert hermitian_signature(diag(1, 1, -1)).verdict == "(2,1)"
-        assert hermitian_signature(diag(1, 1, 1)).verdict == "(3,0)"
-        assert hermitian_signature(diag(1, -1, -1)).verdict == "(1,2)"
-        assert hermitian_signature(diag(1, 1, 0)).verdict == "degenerate"
+            assert hermitian_signature(diag(1, 1, -1)).verdict == "(2,1)"
+            assert hermitian_signature(diag(1, 1, 1)).verdict == "(3,0)"
+            assert hermitian_signature(diag(1, -1, -1)).verdict == "(1,2)"
+            assert hermitian_signature(diag(1, 1, 0)).verdict == "degenerate"
+        # a float invariant within tol of 0 has sign 0: det = 1e-40 reads as a zero eigenvalue
+        assert hermitian_signature(diag(1, 1, mpmath.mpf("1e-40"))).verdict == "degenerate"
+        assert hermitian_signature(diag(1, 1, mpmath.mpf("1e-40")), tol=mpmath.mpf("1e-50")).verdict == "(3,0)"
 
     def test_sylvester_invariance(self):
         # congruence by an invertible matrix preserves the signature

@@ -342,6 +342,15 @@ class TestEigenvalueLemma:
         g = build_symmetric(3, n, m)
         assert lemma_eigenvalues_residual(g) <= mpmath.mpf("1e-30")
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("im_sign", [1, -1])
+    def test_repeated_eigenvalue_at_128_bits(self, n, im_sign):
+        # at p = 3 and m = 6, ub^2 = -u e^{2i zeta} (zeta = pi/6) is a double eigenvalue of R1R2;
+        # the lemma holds there to the working precision
+        g = build_symmetric(3, n, 6, im_sign=im_sign, prec=128)
+        assert not g.exact
+        assert lemma_eigenvalues_residual(g, prec=128) <= mpmath.mpf("1e-30")
+
 
 class TestReflection:
     def test_reproduces_generators(self):
@@ -372,11 +381,13 @@ BRAID_CHECKS = ["br(R1,R3)", "br(R2,R3)", "br(R1,R2)", "br(R1,R3^-1R2R3)"]
 
 
 class TestVerify:
-    @pytest.mark.parametrize("cid", ALL_IDS)
+    @pytest.mark.parametrize("cid", [*ALL_IDS, "float (5,6)"])
     def test_all_checks_pass_in_order(self, cid):
-        n, m, im_sign = parse_candidate(cid)
+        # the candidates read their certificate, the float group (5,6) measures the same checks in floats
+        n, m, im_sign = (5, 6, 1) if cid == "float (5,6)" else parse_candidate(cid)
         for p in range(2, 7):
             g = build_symmetric(p, n, m, im_sign=im_sign)
+            assert g.exact == (cid != "float (5,6)")
             checks = verify(g)
             braid = BRAID_CHECKS if g.signature.verdict == "(2,1)" else ["braid"]
             names = SYMMETRY_CHECKS + ["trace_formulas", "eigenvalue_lemma"] + braid
@@ -428,7 +439,7 @@ class TestCertificate:
     def test_every_shorter_braid_length_is_ruled_out_by_a_monomial(self, n, m, im_sign):
         # the lengths (n, n, m, m) hold for every p >= 2: no shorter length is left to an evaluation at p
         cert = certificate(n, m, im_sign, 24)
-        assert all(ok for _, ok in cert.relations) and cert.traces and cert.lemma
+        assert cert.checks == tuple((name, True) for name in SYMMETRY_CHECKS + ["trace_formulas", "eigenvalue_lemma"])
         assert [b[1:] for b in cert.braids] == [(n, n, ()), (n, n, ()), (m, m, ()), (m, m, ())]
 
     def test_undecided_length_is_decided_at_p(self):
@@ -439,7 +450,7 @@ class TestCertificate:
         b = Mat3([[one, zero, zero], [one, one, zero], [zero, zero, one]])
         generic, undecided = _generic_braid(a, b, 2)
         assert generic is None and [l for l, _ in undecided] == [2]
-        cert = Certificate((), True, True, (("br", 2, generic, undecided),))
+        cert = Certificate((), (("br", 2, generic, undecided),))
         assert cert.braid_lengths(2) == [("br", 2, 2)]
         assert all(cert.braid_lengths(p) == [("br", 2, None)] for p in range(3, 30))
 
@@ -454,7 +465,7 @@ class TestCertificate:
         monkeypatch.setattr("chtri.trigroup.symmetry_matrix", flipped)
         certificate.cache_clear()
         try:
-            assert not all(ok for _, ok in certificate(5, 4, 1, 24).relations)
+            assert not all(ok for _, ok in certificate(5, 4, 1, 24).checks)
             assert chtri.cli.main(["verify", "--p", "5", "--n", "5", "--m", "4"]) == 1
         finally:
             certificate.cache_clear()
