@@ -92,7 +92,7 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     g = build_symmetric(args.p, args.n, args.m, im_sign=args.im_sign, prec=args.prec)
-    checks = verify(g, tol=mpmath.mpf(10) ** (-args.tol), prec=args.prec, max_braid=args.max_braid)
+    checks = verify(g, tol=mpmath.mpf(10) ** (-args.tol), prec=args.prec)
     lines = [c.to_dict() for c in checks]
     summary = {"summary": True, "checks": len(checks), "passed": sum(c.passed for c in checks),
                "signature": g.signature.verdict}
@@ -254,7 +254,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="verify symmetry, traces, braids, eigenvalues")
     _add_options(sp, prec=True, tol=True, group=True)
-    sp.add_argument("--max-braid", type=int, default=24)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("search", help="enumerate exact (n,m) trace solutions")
@@ -296,9 +295,6 @@ def _validate(args) -> bool:
         return False
     if getattr(args, "tol", 30) < 6:
         print("tolerance exponent must be >= 6", file=sys.stderr)
-        return False
-    if getattr(args, "max_braid", 24) < 2:
-        print("--max-braid must be >= 2", file=sys.stderr)
         return False
     if getattr(args, "trials", 0) < 0:
         print("--trials must be >= 0", file=sys.stderr)

@@ -335,14 +335,7 @@ def projective_order(m: Mat3, max_order: int, tol=None, prec: int = DEFAULT_PREC
 
 
 # ---------------------------------------------------------------------------
-# Form preservation and isometry type
-
-
-def form_residual(m: Mat3, h: Mat3, prec: int = DEFAULT_PREC):
-    """max-norm of adjoint(m)*h*m - h."""
-    with mpmath.workprec(prec):
-        mf, hf = m.to_float(prec), h.to_float(prec)
-        return (mf.adjoint() * hf * mf - hf).max_abs()
+# Isometry type
 
 
 def trace_discriminant(tr, prec: int = DEFAULT_PREC):

@@ -7,12 +7,12 @@ cross-checks the claimed closed-form determinant expressions against the
 matrix determinant, and reproduces the parameter table of the
 classification.
 
-The source of truth is `trigroup.form_invariants`, the closed form of
-(tr H, c1, det H) in rho and sigma: `trigroup.form_signature` certifies
-the signature from it and the printed det is its float value.  The tests
-check it against the trace, minors and determinant of the matrix H.  The
-recorded closed-form expressions and tabulated verdicts are treated as
-claims under test and any disagreement is flagged rather than papered over.
+The source of truth is `trigroup.form_invariants`: (tr H, c1, det H) of
+the generic H of a candidate, as Laurent polynomials in t = e^{i pi/(3p)}.
+`trigroup.form_signature` certifies the signature at p from them and the
+printed det is the float value of det H there.  The recorded closed-form
+expressions and tabulated verdicts are treated as claims under test and
+any disagreement is flagged rather than papered over.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .candidates import SPORADIC, claim, entry, parse_candidate
 from .exact import Cyclo, angle, cos_exact, printed_value
 # unused here: perfbench/test_smoke.py checks that its tracer patches chtri.reports.hermitian_signature
 from .linalg import DEFAULT_PREC, hermitian_signature  # noqa: F401
-from .trigroup import Group, build_symmetric, form_signature, symmetric_params
+from .trigroup import Group, build_symmetric, form_invariants, form_signature, symmetric_params
 
 
 def build_candidate(cid: str, p: int, prec: int = DEFAULT_PREC) -> Group:
@@ -75,10 +75,10 @@ class SignatureReport:
 
 
 def signature_scan(cid: str, p_min: int = 2, p_max: int = 20, prec: int = DEFAULT_PREC) -> SignatureReport:
-    """det(H) and the signature of H for p in [p_min, p_max], with no group built.
+    """det(H) and the signature of H for p in [p_min, p_max], with no group built at p.
 
-    rho and sigma depend on the candidate alone; `form_signature` runs once
-    per p.  The verdict column follows the determinant-sign criterion
+    `form_signature` runs once per p, on the invariants of the candidate's
+    generic H.  The verdict column follows the determinant-sign criterion
     (negative det <=> signature (2,1)), read off the signature; a row is
     flagged when the signature disagrees with it (det > 0 can also mean
     (1,2)).  The printed det is the float det `form_signature` read, at
@@ -86,10 +86,10 @@ def signature_scan(cid: str, p_min: int = 2, p_max: int = 20, prec: int = DEFAUL
     """
     if not (2 <= p_min <= p_max):
         raise ValueError("need 2 <= p_min <= p_max")
-    rho, sigma = symmetric_params(*parse_candidate(cid), prec)
+    n, m, im_sign = parse_candidate(cid)
     rows = []
     for p in range(p_min, p_max + 1):
-        sig, det = form_signature(p, rho, sigma, prec)
+        sig, det = form_signature(p, n, m, im_sign, prec)
         flags = []
         verdict = "degenerate" if sig.n_zero else "(2,1)" if sig.n_neg % 2 else "(3,0)"
         det_val = mpmath.mpf(0) if sig.n_zero else det
@@ -132,14 +132,14 @@ class DetComparison:
 
 
 def detH_closed_form(cid: str, p: int, prec: int = DEFAULT_PREC, tol=None) -> DetComparison:
-    """Evaluate the registered closed form and the exact matrix det at p."""
+    """Evaluate the registered closed form and the exact matrix det at p (`form_invariants` at t = zeta_{6p})."""
     cf = closed_form(cid)
-    g = build_candidate(cid, p, prec=prec)
+    det = form_invariants(*parse_candidate(cid))[2].at(6 * p)
     tol = mpmath.mpf("1e-40") if tol is None else mpmath.mpf(tol)
     with mpmath.workprec(prec):
         phi = 2 * mpmath.pi / p
         cv = mpmath.mpf(cf.evaluator(phi))
-        mv = g.H.to_float(prec).det().real
+        mv = det.to_mpc(prec).real
         diff = abs(cv - mv)
     return DetComparison(cid, p, cv, mv, diff, bool(diff <= tol), cf.formula)
 

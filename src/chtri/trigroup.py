@@ -15,7 +15,6 @@ is the group at p.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,13 +22,14 @@ from typing import Optional, Sequence
 import mpmath
 
 from .candidates import entry
-from .exact import Angle, Cyclo, Laurent, _coerce, angle, cos_exact, root_of_unity, sin_exact, to_float
+from .exact import Angle, Cyclo, Laurent, _coerce, _expjpi, angle, cos_exact, root_of_unity, sin_exact, to_float
 from .linalg import (
     DEFAULT_PREC,
     DEFAULT_TOL,
     Mat3,
     Signature,
     _cube_roots_exact,
+    hermitian_signature,
     invariant_signature,
     projective_equal,
     projective_residual,
@@ -209,60 +209,59 @@ def symmetry_matrix(p: Optional[int], rho, sigma, prec: int = DEFAULT_PREC) -> M
         )
 
 
-def form_invariants(p: int, rho, sigma, prec: int = DEFAULT_PREC):
-    """(tr H, c1 = sum of the principal 2x2 minors, det H) of a symmetric group, in closed form.
+@functools.lru_cache(maxsize=64)
+def generic_group(n: int, m: int, im_sign: int) -> Group:
+    """The generic group of candidate (n, m) with Im(rho) of sign im_sign: `build_group` and
+    `symmetry_matrix` with p None, entries Laurent polynomials in t = e^{i pi/(3p)}."""
+    if not is_candidate(n, m):
+        raise ValueError(f"({n},{m}) is not a classified candidate: its rho is not cyclotomic")
+    rho, sigma = symmetric_params(n, m, im_sign)
+    g = build_group(None, rho, sigma, sigma)
+    return Group(g.params, g.R1, g.R2, g.R3, g.H, symmetry_matrix(None, rho, sigma), n=n, m=m, im_sign=im_sign)
 
-    With tau = sigma real, Re(rho) = sigma^2/2, s = sin(pi/p), c = cos(pi/p):
-    tr H = 6s, c1 = 12s^2 - |rho|^2 - 2sigma^2 and
-    det H = 8s^3 - 2s(|rho|^2 + 2sigma^2 - sigma^4/2) - 2sigma^2 Im(rho) c.
+
+@functools.lru_cache(maxsize=64)
+def form_invariants(n: int, m: int, im_sign: int) -> tuple:
+    """(tr H, c1 = sum of the principal 2x2 minors, det H) of the `generic_group`, as Laurent polynomials in t."""
+    h = generic_group(n, m, im_sign).H
+    return h.trace(), h.minor_sum(), h.det()
+
+
+@functools.lru_cache(maxsize=64)
+def _float_terms(n: int, m: int, im_sign: int, wp: int) -> tuple:
+    """Each of the `form_invariants` as (its terms (k, c_k at wp bits), B = 2^(4-wp) * sum_k (1 + mass(c_k)))."""
+    return tuple((tuple((k, c.to_mpc(wp)) for k, c in x.c.items()),
+                  mpmath.mpf(2) ** (4 - wp) * sum(1 + c.coeff_mass() for c in x.c.values()))
+                 for x in form_invariants(n, m, im_sign))
+
+
+def _float_invariants(p: int, n: int, m: int, im_sign: int, wp: int) -> list:
+    """(value, B) of each of the `form_invariants` at t = e^{i pi/(3p)}, from `_float_terms`.
+
+    The value is within B: for x = sum_k c_k t^k, `to_mpc(wp)` gives each c_k within
+    2^(3-wp) * (1 + mass(c_k)), and |c_k| <= mass(c_k).  The powers t^k (|k| <= 9 in H), the
+    products and the few sums are rounded at wp + 10 bits, which adds less than
+    2^(-wp) * (1 + mass(c_k)) per term: 9 * 2^(-wp) * sum_k (1 + mass(c_k)) < B in all.
     """
-    consts = (sin_exact(angle(1, p)), cos_exact(angle(1, p)), Cyclo.i())
-    with mpmath.workprec(prec):
-        (rho, sigma), (s, c, i), conj = _scalars((rho, sigma), consts, prec)
-        s2, sig2 = s * s, sigma * sigma
-        q = rho * conj(rho) + 2 * sig2  # |rho|^2 + 2sigma^2
-        im_rho = (conj(rho) - rho) * i / 2
-        det = 2 * s * (4 * s2 - q + sig2 * sig2 / 2) - 2 * sig2 * im_rho * c
-        return 6 * s, 12 * s2 - q, det
+    with mpmath.workprec(wp + 10):
+        return [(sum((c * _expjpi(k, 3 * p, wp + 10) for k, c in terms), mpmath.mpc(0)), bound)
+                for terms, bound in _float_terms(n, m, im_sign, wp)]
 
 
-def form_signature(p: int, rho, sigma, prec: int = DEFAULT_PREC) -> tuple[Signature, object]:
-    """Signature and float det of H from `form_invariants`: in floats when their signs are certain.
+def form_signature(p: int, n: int, m: int, im_sign: int, prec: int = DEFAULT_PREC) -> tuple[Signature, object]:
+    """Signature and float det of H at p, from the `form_invariants` of candidate (n, m).
 
-    For exact (Cyclo) rho and sigma of `symmetric_params`, where |rho| =
-    2cos(pi/m) <= 2 and sigma = 2cos(pi/n) <= 2, the invariants are first
-    evaluated on the floats of rho and sigma at wp = max(prec, 128) bits.
-    Each float invariant is within B = 2^(12-wp) * (2 + M) of the exact
-    one, M = max(1, coefficient mass of rho, of sigma) rounded up:
-    - inputs: `to_mpc` at wp bits errs by at most 2^(3-wp) * (1 + mass), so
-      rho, sigma and the constants s, c, i (mass 1 each) are each within
-      E = 2^(3-wp) * (1 + M) of their values;
-    - propagation: as written, tr, c1 and det are polynomials of degree <= 5
-      in s, c, i, rho, conj(rho), sigma whose terms add up in absolute value
-      to at most 6, 24 and 64 (det: 8 + 8 + 16 + 16 + 16) when |rho|, sigma
-      <= 2 and |s|, |c|, |i| <= 1; every such bound is >= 1, so moving each
-      input by at most E <= 2^-10 scales each term by at most (1 + E)^5 <
-      1 + 6E and moves an invariant by at most 64 * 6E < 2^(12-wp) * (1 + M);
-    - rounding: the terms at the rounded inputs add up to less than 65, and
-      each of the at most 10 operations on any path of the evaluation
-      rounds with relative error <= 2^(1-wp), so the computed value is
-      within 11 * 2^(1-wp) * 65 < 2^(12-wp) of the value at those inputs.
-    When every invariant's real part exceeds B in absolute value, its sign
-    is certain and `sign_signature` reads the signature from the signs.
-    Otherwise, and so whenever an invariant is zero, the exact Cyclo
-    invariants decide it with their exact zero test.  Float rho and sigma
-    take `invariant_signature` on the float invariants.  The det returned is
-    the real part of the float det H read on the way (at wp bits if exact).
+    Each invariant is evaluated at t = e^{i pi/(3p)} from its coefficients at wp = max(prec, 128)
+    bits (`_float_invariants`).  When each real part exceeds its error bound in absolute value,
+    the signs give the signature; otherwise, and so whenever an invariant is zero, the exact
+    values at t = zeta_{6p} decide it with their exact zero test.  The det returned is the real
+    part of the float det H.
     """
-    if not isinstance(rho, Cyclo):
-        inv = form_invariants(p, rho, sigma, prec)
-        return invariant_signature(*inv), inv[2].real
-    wp = max(prec, 128)
-    bound = mpmath.mpf(2) ** (12 - wp) * (2 + math.ceil(max(1, rho.coeff_mass(), sigma.coeff_mass())))
-    inv = form_invariants(p, to_float(rho, wp), to_float(sigma, wp), wp)
-    if all(abs(x.real) > bound for x in inv):
-        return sign_signature(*(1 if x.real > 0 else -1 for x in inv)), inv[2].real
-    return invariant_signature(*form_invariants(p, rho, sigma, prec)), inv[2].real
+    vals = _float_invariants(p, n, m, im_sign, max(prec, 128))
+    det = vals[2][0].real
+    if all(abs(v.real) > b for v, b in vals):
+        return sign_signature(*(1 if v.real > 0 else -1 for v, _ in vals)), det
+    return invariant_signature(*(x.at(6 * p) for x in form_invariants(n, m, im_sign))), det
 
 
 def symmetric_params(n: int, m: int, im_sign: int = 1, prec: int = DEFAULT_PREC):
@@ -288,14 +287,15 @@ def symmetric_params(n: int, m: int, im_sign: int = 1, prec: int = DEFAULT_PREC)
 def build_symmetric(p: int, n: int, m: int, im_sign: int = 1, prec: int = DEFAULT_PREC) -> Group:
     """The group with symmetry S on the (rho, sigma) of `symmetric_params`, tau = sigma.
 
-    The signature of H is computed here, once, by `form_signature`, and kept as `signature`.
+    The signature of H is computed here, once, and kept as `signature`: by `form_signature` for a
+    classified candidate, by `hermitian_signature` of the float H otherwise.
     """
     if p < 2:
         raise ValueError("reflection order p must be >= 2")
     rho, sigma = symmetric_params(n, m, im_sign, prec)
     g = build_group(p, rho, sigma, sigma, prec=prec)
     smat = symmetry_matrix(p, rho, sigma, prec=prec)
-    sig, _ = form_signature(p, rho, sigma, prec)
+    sig = form_signature(p, n, m, im_sign, prec)[0] if g.exact else hermitian_signature(g.H, prec)
     return Group(g.params, g.R1, g.R2, g.R3, g.H, S=smat, n=n, m=m, signature=sig, im_sign=im_sign)
 
 
@@ -488,8 +488,8 @@ class Certificate:
 
     Every verdict is an identity in t = e^{i pi/(3p)} on the generic group.
     `checks` holds a (name, holds) pair for each pair of `_check_pairs`;
-    `braids` holds (name, expected length, least generic length or None,
-    undecided shorter lengths) as in `_generic_braid`.
+    `braids` holds (name, expected length, least generic length up to it or
+    None, undecided shorter lengths) as in `_generic_braid`.
     """
 
     checks: tuple
@@ -506,22 +506,20 @@ class Certificate:
 
 
 @functools.lru_cache(maxsize=64)
-def certificate(n: int, m: int, im_sign: int, max_braid: int) -> Certificate:
-    """The `Certificate` of candidate (n, m) with Im(rho) of sign im_sign, braid lengths searched up to max_braid.
+def certificate(n: int, m: int, im_sign: int) -> Certificate:
+    """The `Certificate` of candidate (n, m) with Im(rho) of sign im_sign.
 
-    It reads the generic group of `build_group` and `symmetry_matrix` (p
-    None), whose entries are Laurent polynomials in t over Q(zeta_N), with
-    u = t^2: each pair of `_check_pairs` is decided by `projective_equal`
-    (matrices) or by the exact zero test of each entry difference
-    (vectors), and the braid lengths of `_braid_pairs` by `_generic_braid`.
+    It reads the `generic_group`, whose entries are Laurent polynomials in
+    t over Q(zeta_N), with u = t^2: each pair of `_check_pairs` is decided
+    by `projective_equal` (matrices) or by the exact zero test of each
+    entry difference (vectors), and the braid lengths of `_braid_pairs` by
+    `_generic_braid`, each searched up to its expected length.
     """
-    rho, sigma = symmetric_params(n, m, im_sign)
-    g = build_group(None, rho, sigma, sigma)
-    g = Group(g.params, g.R1, g.R2, g.R3, g.H, symmetry_matrix(None, rho, sigma), n=n, m=m, im_sign=im_sign)
+    g = generic_group(n, m, im_sign)
     checks = tuple((name, projective_equal(lhs, rhs) if isinstance(lhs, Mat3)
                     else all((x - y).is_zero() for x, y in zip(lhs, rhs)))
                    for name, (lhs, rhs) in _check_pairs(g, Laurent.t(2), _conj).items())
-    braids = tuple((name, expect, *_generic_braid(x, y, max_braid))
+    braids = tuple((name, expect, *_generic_braid(x, y, expect))
                    for name, (x, y, expect) in _braid_pairs(g).items())
     return Certificate(checks, braids)
 
@@ -559,9 +557,10 @@ class Check:
         return {"check": self.name, **self.details, "pass": self.passed}
 
 
-def verify(g: Group, tol=None, prec: int = DEFAULT_PREC, max_braid: int = 24) -> list[Check]:
+def verify(g: Group, tol=None, prec: int = DEFAULT_PREC) -> list[Check]:
     """Every check of a symmetric group, in order: symmetry relations, trace
-    formulas, eigenvalue lemma, then the four braid lengths.
+    formulas, eigenvalue lemma, then the four braid lengths, each searched up
+    to its expected length.
 
     The non-braid checks are the pairs of `_check_pairs`.  An exact group (a
     classified candidate) reads its `certificate`: each verdict is an exact
@@ -572,7 +571,7 @@ def verify(g: Group, tol=None, prec: int = DEFAULT_PREC, max_braid: int = 24) ->
     passing "braid" check records the skip.
     """
     if g.exact:
-        cert = certificate(g.n, g.m, g.im_sign, max_braid)
+        cert = certificate(g.n, g.m, g.im_sign)
         checks = [Check(name, ok, {"residual": "0" if ok else "nonzero"}) for name, ok in cert.checks]
     else:
         tol = DEFAULT_TOL if tol is None else tol
@@ -590,7 +589,7 @@ def verify(g: Group, tol=None, prec: int = DEFAULT_PREC, max_braid: int = 24) ->
         lengths = cert.braid_lengths(g.params.p)
     else:
         with mpmath.workprec(prec):  # R3^-1 R2 R3 of `_braid_pairs` is built at the ambient precision
-            lengths = [(name, expect, braid_length(a, b, max_l=max_braid, tol=tol, prec=prec))
+            lengths = [(name, expect, braid_length(a, b, max_l=expect, tol=tol, prec=prec))
                        for name, (a, b, expect) in _braid_pairs(g).items()]
     checks += [Check(name, got == expect, {"expected": expect, "got": got}) for name, expect, got in lengths]
     return checks

@@ -117,6 +117,14 @@ class TestVerify:
         assert code == 0 and len(lemma) == 1 and lemma[0]["pass"] is True
         assert lines[-1]["passed"] == lines[-1]["checks"]
 
+    @pytest.mark.parametrize("n,m", [(25, 25), (30, 30), (25, 26)])
+    def test_braid_lengths_above_24_pass(self, n, m, capsys):
+        # each braid length is searched up to its expected one, (n, n, m, m); (25,26) is a float group
+        assert chtri.cli.main(["verify", "--p", "5", "--n", str(n), "--m", str(m)]) == 0
+        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert [(l["expected"], l["got"]) for l in lines if l.get("check", "").startswith("br(")] == [
+            (n, n), (n, n), (m, m), (m, m)]
+
     def test_verify_json_lines(self):
         r = run("verify", "--p", "3", "--n", "6", "--m", "6")
         assert r.returncode == 0
@@ -319,7 +327,7 @@ class TestConfig:
         ("search", "--prec", "256"), ("search", "--tol", "30"),
         ("tables", "--tol", "30"),
         ("identities", "--prec", "256"), ("identities", "--tol", "30"),
-        ("identities", "--format", "json"),
+        ("identities", "--format", "json"), ("verify", "--max-braid", "24"),
     ])
     def test_unread_option_rejected(self, command, option, value, capsys):
         needed = {
@@ -342,10 +350,8 @@ class TestConfig:
         assert len(r.stderr.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--p", "2", "--n", "3", "--m", "3", "--max-braid", "1"],  # signature (3,0): braids skipped
-        ["verify", "--p", "5", "--n", "3", "--m", "3", "--max-braid", "1"],
         ["identities", "--suite", "factorization", "--trials", "-3"],
-    ], ids=["max-braid-p2", "max-braid-p5", "trials"])
+    ], ids=["trials"])
     def test_bad_count_rejected(self, argv):
         r = run(*argv)
         assert r.returncode == 2 and r.stdout == ""

@@ -12,13 +12,19 @@ from chtri.linalg import (
     SingularMatrixError,
     classify_isometry,
     eigenvalues3,
-    form_residual,
     hermitian_signature,
     projective_equal,
     projective_order,
     projective_residual,
     trace_discriminant,
 )
+
+
+def form_residual(m: Mat3, h: Mat3, prec: int = 256):
+    """max-norm of adjoint(m)*h*m - h."""
+    with mpmath.workprec(prec):
+        mf, hf = m.to_float(prec), h.to_float(prec)
+        return (mf.adjoint() * hf * mf - hf).max_abs()
 
 
 def _rand_exact_mat(rng):

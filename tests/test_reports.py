@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from chtri import candidates, cli, reports, trigroup
-from chtri.exact import Cyclo, angle
+from chtri.exact import Laurent, angle
 from chtri.reports import (
     build_candidate,
     claimed_verdict,
@@ -110,32 +110,30 @@ class TestSignatureScan:
             signature_scan("(3,3)", 5, 4)
 
     @staticmethod
-    def _spy_invariants(monkeypatch):
-        # every (p, rho) that trigroup.form_invariants receives, exact or float
-        calls, invariants = [], trigroup.form_invariants
+    def _spy_exact_rows(monkeypatch):
+        # the (candidate, p) rows whose invariants are evaluated exactly, at t = zeta_{6p}, in call order
+        owner = {id(x): cid for cid in candidates.ALL_IDS for x in trigroup.form_invariants(*parse_candidate(cid))}
+        rows, at = {}, Laurent.at
 
-        def spy(p, rho, sigma, prec=256):
-            calls.append((p, rho))
-            return invariants(p, rho, sigma, prec)
+        def spy(x, n):
+            rows[(owner[id(x)], n // 6)] = None
+            return at(x, n)
 
-        monkeypatch.setattr(trigroup, "form_invariants", spy)
-        return calls
+        monkeypatch.setattr(Laurent, "at", spy)
+        return rows
 
     def test_long_scan_golden_and_exact_fallback_rows(self, capsys, monkeypatch):
-        # the whole p <= 60 scan byte for byte, and the rows whose signature needed the
-        # exact Cyclo invariants: a slide back to the exact path shows up as a work count
-        calls = self._spy_invariants(monkeypatch)
+        # the whole p <= 60 scan byte for byte, and the rows whose signature needed the exact
+        # invariants at p: a slide back to the exact path shows up as a work count
+        rows = self._spy_exact_rows(monkeypatch)
         assert cli.main(["tables", "--candidate", "all", "--p-min", "2", "--p-max", "60", "--format", "csv"]) == 0
         assert capsys.readouterr().out == (DATA / "scan_all_p2_60.csv").read_text()
-        rho_of = {cid: trigroup.symmetric_params(*parse_candidate(cid))[0] for cid in candidates.ALL_IDS}
-        exact_rows = [(cid, p) for p, rho in calls if isinstance(rho, Cyclo)
-                      for cid in candidates.ALL_IDS if rho == rho_of[cid]]
-        assert exact_rows == [("(3,3)", 3), ("(3,3)", 6), ("(3,3)-", 6), ("(4,3)", 3),
+        assert list(rows) == [("(3,3)", 3), ("(3,3)", 6), ("(3,3)-", 6), ("(4,3)", 3),
                               ("(8,6)", 2), ("(4,4)", 2), ("(4,4)", 4)]
 
     def test_every_printed_det_digit_is_correct(self):
         # each nonzero detH of the p <= 60 scan agrees to 29 significant digits with the exact
-        # closed-form det(H) on the Cyclo rho and sigma, evaluated at 512 bits
+        # det of the matrix H built at p, evaluated at 512 bits
         rows = list(csv.DictReader((DATA / "scan_all_p2_60.csv").read_text().splitlines()))
         params = {cid: trigroup.symmetric_params(*parse_candidate(cid)) for cid in candidates.ALL_IDS}
         checked = 0
@@ -143,15 +141,17 @@ class TestSignatureScan:
             for row in rows:
                 if row["detH"] == "0":
                     continue
-                want = trigroup.form_invariants(int(row["p"]), *params[row["candidate"]])[2].to_mpc(512).real
+                rho, sigma = params[row["candidate"]]
+                want = trigroup.build_group(int(row["p"]), rho, sigma, sigma).H.det().to_mpc(512).real
                 unit = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(abs(want))) - 28)
                 assert abs(mpmath.mpf(row["detH"]) - want) < unit, row
                 checked += 1
         assert checked == 590 - 5  # the five degenerate rows print an exact 0
 
     def test_scan_builds_no_group_and_evaluates_once_per_row(self, capsys, monkeypatch):
-        # work counts of `tables --candidate all` for p = 2..60 (590 rows): no group is built,
-        # the float closed form runs once per row and the exact one on the 7 fallback rows
+        # work counts of `tables --candidate all` for p = 2..60 (590 rows): no group is built at p,
+        # one generic H gives the invariants of each candidate, and the exact ones are evaluated
+        # on the 7 fallback rows alone
         builds = []
         for mod, name in ((trigroup, "build_symmetric"), (reports, "build_symmetric"),
                           (reports, "build_candidate")):
@@ -159,12 +159,15 @@ class TestSignatureScan:
                 builds.append(name)
                 return f(*a, **k)
             monkeypatch.setattr(mod, name, spy)
-        calls = self._spy_invariants(monkeypatch)
+        trigroup.form_invariants.cache_clear()
+        trigroup._float_terms.cache_clear()
+        rows = self._spy_exact_rows(monkeypatch)
         assert cli.main(["tables", "--candidate", "all", "--p-min", "2", "--p-max", "60", "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 590
         assert builds == []
-        assert sum(not isinstance(rho, Cyclo) for _, rho in calls) == 590
-        assert sum(isinstance(rho, Cyclo) for _, rho in calls) == 7
+        assert trigroup.form_invariants.cache_info().misses == 10
+        assert trigroup._float_terms.cache_info().misses == 10
+        assert len(rows) == 7
 
 
 class TestClosedForms:

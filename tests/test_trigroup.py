@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import chtri.cli
 from chtri.candidates import ALL_IDS, parse_candidate
-from chtri.exact import Cyclo, Laurent, angle, cos_exact, root_of_unity, to_float
-from chtri.linalg import Mat3, form_residual, hermitian_signature, invariant_signature, projective_equal
+from chtri.exact import Cyclo, Laurent, angle, cos_exact, root_of_unity
+from chtri.linalg import Mat3, hermitian_signature, invariant_signature, projective_equal
 from chtri.trigroup import (
     Certificate,
     InfeasibleGroupError,
+    _float_invariants,
     _generic_braid,
     braid_length,
     build_group,
@@ -21,6 +22,7 @@ from chtri.trigroup import (
     evaluate_word,
     form_invariants,
     form_signature,
+    generic_group,
     is_candidate,
     lemma_eigenvalues_residual,
     parameter_feasible,
@@ -205,74 +207,80 @@ class TestBuild:
         g = build_symmetric(p, n, m, im_sign=im_sign)
         assert g.exact and g.signature == hermitian_signature(g.H)
 
-    @pytest.mark.parametrize("n,m,im_sign,p", [(*parse_candidate(cid), p) for cid, p in EXACT_ROWS]
-                             + [(5, 6, 1, 4), (5, 6, -1, 7), (1001, 1000, 1, 3)])
+    @pytest.mark.parametrize("n,m,im_sign,p", [(*parse_candidate(cid), p) for cid in ALL_IDS for p in range(2, 41)])
     def test_form_invariants_match_the_matrix(self, n, m, im_sign, p):
-        # the closed forms equal (tr H, c1, det H) of the matrix: exactly, or to 1e-60 in floats
-        g = build_symmetric(p, n, m, im_sign=im_sign)
-        with mpmath.workprec(256):
-            closed = form_invariants(p, g.params.rho, g.params.sigma)
-            matrix = (g.H.trace(), g.H.minor_sum(), g.H.det())
-            if g.exact:
-                assert all((a - b).is_zero() for a, b in zip(closed, matrix))
-            else:
-                assert max(abs(a - b) for a, b in zip(closed, matrix)) < 1e-60
+        # the Laurent invariants at t = zeta_{6p} equal (tr H, c1, det H) of the matrix H built at p, exactly
+        rho, sigma = symmetric_params(n, m, im_sign)
+        h = build_group(p, rho, sigma, sigma).H
+        inv = form_invariants(n, m, im_sign)
+        assert all((x.at(6 * p) - y).is_zero() for x, y in zip(inv, (h.trace(), h.minor_sum(), h.det())))
+        # the exponents the error bound of `_float_invariants` assumes: |k| <= 9
+        assert all(abs(k) <= 9 for x in inv for k in x.c)
 
     def test_signature_kept_on_float_group(self):
         g = build_symmetric(4, 5, 6)
         assert not g.exact and g.signature == hermitian_signature(g.H)
 
-
-def _exact_params(cid, p):
-    n, m, im_sign = parse_candidate(cid)
-    g = build_symmetric(p, n, m, im_sign=im_sign)
-    return g, g.params.rho, g.params.sigma
+    @pytest.mark.parametrize("n,m", [(5, 6), (4, 5), (3, 7)])
+    @pytest.mark.parametrize("im_sign", [1, -1])
+    def test_float_group_signature_is_the_eigenvalue_signs(self, n, m, im_sign):
+        # oracle: the signs of the eigenvalues of the float H from mpmath's Hermitian eigensolver
+        for p in (2, 3, 4, 5, 7, 12, 30):
+            g = build_symmetric(p, n, m, im_sign=im_sign)
+            with mpmath.workprec(256):
+                eig = mpmath.eighe(mpmath.matrix([list(r) for r in g.H.rows]), eigvals_only=True)
+            assert all(abs(e) > 1e-20 for e in eig), (p, eig)
+            assert not g.exact and (g.signature.n_pos, g.signature.n_neg) == (
+                sum(e > 0 for e in eig), sum(e < 0 for e in eig)), p
 
 
 class TestFormSignature:
     @pytest.mark.parametrize("cid", ALL_IDS)
     def test_matches_the_exact_invariants(self, cid):
+        n, m, im_sign = parse_candidate(cid)
         for p in range(2, 41):
-            g, rho, sigma = _exact_params(cid, p)
-            assert g.signature == invariant_signature(*form_invariants(p, rho, sigma)), (cid, p)
+            exact = (x.at(6 * p) for x in form_invariants(n, m, im_sign))
+            assert build_symmetric(p, n, m, im_sign=im_sign).signature == invariant_signature(*exact), (cid, p)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.sampled_from(ALL_IDS), st.integers(2, 200), st.sampled_from([64, 128, 192, 256]))
     def test_float_invariants_within_the_documented_bound(self, cid, p, prec):
-        # B = 2^(12-wp) * (2 + M) from the form_signature docstring, against the exact invariants at 512 bits
-        _, rho, sigma = _exact_params(cid, p)
+        # B = 2^(4-wp) * sum_k (1 + mass(c_k)) of `_float_invariants`, against the exact invariants at 512 bits
+        n, m, im_sign = parse_candidate(cid)
         wp = max(prec, 128)
-        bound = mpmath.mpf(2) ** (12 - wp) * (2 + max(1, rho.coeff_mass(), sigma.coeff_mass()))
+        floats = _float_invariants(p, n, m, im_sign, wp)
         with mpmath.workprec(512):
-            floats = form_invariants(p, rho.to_mpc(wp), sigma.to_mpc(wp), wp)
-            for x, exact in zip(floats, form_invariants(p, rho, sigma)):
-                assert abs(x - exact.to_mpc(512)) <= bound
+            for (x, bound), exact in zip(floats, form_invariants(n, m, im_sign)):
+                want = mpmath.mpf(2) ** (4 - wp) * sum(1 + c.coeff_mass() for c in exact.c.values())
+                assert abs(bound - want) <= want * mpmath.mpf(2) ** -50
+                assert abs(x - exact.at(6 * p).to_mpc(512)) <= bound
+
+    def test_non_candidate_rejected(self):
+        # a float rho has no generic group in t
+        for f in (lambda: form_signature(5, 5, 6, 1), lambda: certificate(4, 5, -1)):
+            with pytest.raises(ValueError, match="not a classified candidate"):
+                f()
 
     def test_exact_zeros_take_the_exact_path(self, monkeypatch):
-        # the float det of (4,3) at p = 3 is a rounding error (about -6e-77), not 0; only the
-        # exact path sees the zero
-        _, rho, sigma = _exact_params("(4,3)", 3)
-        with mpmath.workprec(256):
-            det = form_invariants(3, rho.to_mpc(256), sigma.to_mpc(256), 256)[2]
-        assert det.real != 0 and form_invariants(3, rho, sigma)[2].is_zero()
+        # the float det of (4,3) at p = 3 is a rounding error, not 0; only the exact path sees the zero
+        det, _ = _float_invariants(3, 4, 3, 1, 256)[2]
+        assert det.real != 0 and form_invariants(4, 3, 1)[2].at(18).is_zero()
         calls = []
         monkeypatch.setattr("chtri.trigroup.invariant_signature",
                             lambda *a, **k: calls.append(a) or invariant_signature(*a, **k))
-        assert form_signature(3, rho, sigma)[0].verdict == "degenerate"
+        assert form_signature(3, 4, 3, 1)[0].verdict == "degenerate"
         assert len(calls) == 1 and all(isinstance(x, Cyclo) for x in calls[0])
         calls.clear()
-        _, rho, sigma = _exact_params("(3,3)", 5)
-        assert form_signature(5, rho, sigma)[0].verdict == "(2,1)" and calls == []
+        assert form_signature(5, 3, 3, 1)[0].verdict == "(2,1)" and calls == []
 
     @pytest.mark.parametrize("cid,p,prec", [("(4,3)", 3, 256), ("(3,3)", 5, 256), ("(5,4)-", 7, 64),
                                             ("(8,6)", 2, 512)])
     def test_det_is_the_float_det_at_the_working_precision(self, cid, p, prec):
-        # the returned det is the real part of form_invariants on the floats of rho and sigma at
-        # wp = max(prec, 128) bits, on the float path and the exact fallback alike
-        _, rho, sigma = _exact_params(cid, p)
-        wp = max(prec, 128)
-        _, det = form_signature(p, rho, sigma, prec)
-        assert det == form_invariants(p, to_float(rho, wp), to_float(sigma, wp), wp)[2].real
+        # the returned det is the real part of the float det H at wp = max(prec, 128) bits, on the
+        # float path and the exact fallback alike
+        n, m, im_sign = parse_candidate(cid)
+        _, det = form_signature(p, n, m, im_sign, prec)
+        assert det == _float_invariants(p, n, m, im_sign, max(prec, 128))[2][0].real
 
 
 class TestSymmetry:
@@ -398,6 +406,7 @@ class TestVerify:
         # every verdict on a candidate comes from exact identities: no conversion to floats, no float product
         g = build_symmetric(5, 5, 4)
         certificate.cache_clear()
+        generic_group.cache_clear()
         converted, float_products, mul = [], [], Mat3.__mul__
 
         def spy_mul(a, b):
@@ -418,27 +427,22 @@ class TestVerify:
         assert checks[-1].to_dict()["got"] == 4
 
 
-def _generic(n, m, im_sign):
-    rho, sigma = symmetric_params(n, m, im_sign)
-    return build_group(None, rho, sigma, sigma), symmetry_matrix(None, rho, sigma)
-
-
 class TestCertificate:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from(ALL_IDS), st.integers(2, 200))
     def test_generic_group_at_t_is_the_group_at_p(self, cid, p):
         # R1, R2, R3, H and S of the generic group at t = zeta_{6p} are the exact matrices of build_symmetric
         n, m, im_sign = parse_candidate(cid)
-        gen, gen_s = _generic(n, m, im_sign)
+        gen = generic_group(n, m, im_sign)
         g = build_symmetric(p, n, m, im_sign=im_sign)
-        for generic, exact in zip(gen.generators() + (gen.H, gen_s), g.generators() + (g.H, g.S)):
+        for generic, exact in zip(gen.generators() + (gen.H, gen.S), g.generators() + (g.H, g.S)):
             assert all((generic[i, j].at(6 * p) - exact[i, j]).is_zero() for i in range(3) for j in range(3))
 
     @pytest.mark.parametrize("n,m,im_sign", [parse_candidate(cid) for cid in ALL_IDS]
                              + [(k, k, 1) for k in range(3, 9)])
     def test_every_shorter_braid_length_is_ruled_out_by_a_monomial(self, n, m, im_sign):
         # the lengths (n, n, m, m) hold for every p >= 2: no shorter length is left to an evaluation at p
-        cert = certificate(n, m, im_sign, 24)
+        cert = certificate(n, m, im_sign)
         assert cert.checks == tuple((name, True) for name in SYMMETRY_CHECKS + ["trace_formulas", "eigenvalue_lemma"])
         assert [b[1:] for b in cert.braids] == [(n, n, ()), (n, n, ()), (m, m, ()), (m, m, ())]
 
@@ -464,11 +468,13 @@ class TestCertificate:
 
         monkeypatch.setattr("chtri.trigroup.symmetry_matrix", flipped)
         certificate.cache_clear()
+        generic_group.cache_clear()
         try:
-            assert not all(ok for _, ok in certificate(5, 4, 1, 24).checks)
+            assert not all(ok for _, ok in certificate(5, 4, 1).checks)
             assert chtri.cli.main(["verify", "--p", "5", "--n", "5", "--m", "4"]) == 1
         finally:
             certificate.cache_clear()
+            generic_group.cache_clear()
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert any(l.get("pass") is False and l["check"].startswith("symmetry:") for l in lines)
         assert lines[-1]["passed"] < lines[-1]["checks"]
