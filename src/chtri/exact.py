@@ -151,7 +151,7 @@ def _canonical_coeffs(n: int, coeffs: dict[int, int], d: int) -> tuple[Fraction,
 
 @lru_cache(maxsize=1024)
 def _expjpi(num: int, den: int, prec: int):
-    """e^{i*pi*num/den} at `prec` bits; mpf division rounds correctly, so every form of num/den gives these bits."""
+    """e^{i*pi*num/den} at `prec` bits, num/den reduced; mpf division rounds correctly, so any form gives these bits."""
     with mpmath.workprec(prec):
         return mpmath.expjpi(mpmath.mpf(num) / den)
 

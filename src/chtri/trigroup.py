@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import mpmath
 
 from .candidates import entry
-from .exact import Angle, Cyclo, Laurent, _coerce, _expjpi, angle, cos_exact, root_of_unity, sin_exact, to_float
+from .exact import Angle, Cyclo, Laurent, _coerce, angle, cos_exact, root_of_unity, sin_exact, to_float
 from .linalg import (
     DEFAULT_PREC,
     DEFAULT_TOL,
@@ -235,16 +235,26 @@ def _float_terms(n: int, m: int, im_sign: int, wp: int) -> tuple:
                  for x in form_invariants(n, m, im_sign))
 
 
+@functools.lru_cache(maxsize=1024)
+def _t_powers(p: int, wp: int) -> dict:
+    """t^k = e^{i pi k/(3p)} at wp bits for the exponents k = 0, +-3, +-6, +-9 of the `form_invariants`:
+    one entry per p, shared by every candidate of a scan."""
+    with mpmath.workprec(wp):
+        return {k: mpmath.expjpi(mpmath.mpf(k) / (3 * p)) for k in range(-9, 10, 3)}
+
+
 def _float_invariants(p: int, n: int, m: int, im_sign: int, wp: int) -> list:
     """(value, B) of each of the `form_invariants` at t = e^{i pi/(3p)}, from `_float_terms`.
 
     The value is within B: for x = sum_k c_k t^k, `to_mpc(wp)` gives each c_k within
-    2^(3-wp) * (1 + mass(c_k)), and |c_k| <= mass(c_k).  The powers t^k (|k| <= 9 in H), the
-    products and the few sums are rounded at wp + 10 bits, which adds less than
+    2^(3-wp) * (1 + mass(c_k)), and |c_k| <= mass(c_k).  Each t^k of `_t_powers`, `expjpi` of
+    the rounded k/(3p) at wp + 10 bits, is within 2^(-wp-6) of e^{i pi k/(3p)}.  With the
+    products and the few sums, also at wp + 10 bits, that adds less than
     2^(-wp) * (1 + mass(c_k)) per term: 9 * 2^(-wp) * sum_k (1 + mass(c_k)) < B in all.
     """
     with mpmath.workprec(wp + 10):
-        return [(sum((c * _expjpi(k, 3 * p, wp + 10) for k, c in terms), mpmath.mpc(0)), bound)
+        t = _t_powers(p, wp + 10)
+        return [(sum((c * t[k] for k, c in terms), mpmath.mpc(0)), bound)
                 for terms, bound in _float_terms(n, m, im_sign, wp)]
 
 

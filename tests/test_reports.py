@@ -109,14 +109,16 @@ class TestSignatureScan:
         with pytest.raises(ValueError):
             signature_scan("(3,3)", 5, 4)
 
+    EXACT_ROWS = [("(3,3)", 3), ("(3,3)", 6), ("(3,3)-", 6), ("(4,3)", 3), ("(8,6)", 2), ("(4,4)", 2), ("(4,4)", 4)]
+
     @staticmethod
     def _spy_exact_rows(monkeypatch):
-        # the (candidate, p) rows whose invariants are evaluated exactly, at t = zeta_{6p}, in call order
+        # the (candidate, p) row of every exact evaluation of an invariant, at t = zeta_{6p}, in call order
         owner = {id(x): cid for cid in candidates.ALL_IDS for x in trigroup.form_invariants(*parse_candidate(cid))}
-        rows, at = {}, Laurent.at
+        rows, at = [], Laurent.at
 
         def spy(x, n):
-            rows[(owner[id(x)], n // 6)] = None
+            rows.append((owner[id(x)], n // 6))
             return at(x, n)
 
         monkeypatch.setattr(Laurent, "at", spy)
@@ -124,12 +126,12 @@ class TestSignatureScan:
 
     def test_long_scan_golden_and_exact_fallback_rows(self, capsys, monkeypatch):
         # the whole p <= 60 scan byte for byte, and the rows whose signature needed the exact
-        # invariants at p: a slide back to the exact path shows up as a work count
+        # invariants at p, each of the three evaluated once: a slide back to the exact path, or a
+        # repeated exact evaluation, shows up as a work count
         rows = self._spy_exact_rows(monkeypatch)
         assert cli.main(["tables", "--candidate", "all", "--p-min", "2", "--p-max", "60", "--format", "csv"]) == 0
         assert capsys.readouterr().out == (DATA / "scan_all_p2_60.csv").read_text()
-        assert list(rows) == [("(3,3)", 3), ("(3,3)", 6), ("(3,3)-", 6), ("(4,3)", 3),
-                              ("(8,6)", 2), ("(4,4)", 2), ("(4,4)", 4)]
+        assert rows == [row for row in self.EXACT_ROWS for _ in range(3)]
 
     def test_every_printed_det_digit_is_correct(self):
         # each nonzero detH of the p <= 60 scan agrees to 29 significant digits with the exact
@@ -150,8 +152,8 @@ class TestSignatureScan:
 
     def test_scan_builds_no_group_and_evaluates_once_per_row(self, capsys, monkeypatch):
         # work counts of `tables --candidate all` for p = 2..60 (590 rows): no group is built at p,
-        # one generic H gives the invariants of each candidate, and the exact ones are evaluated
-        # on the 7 fallback rows alone
+        # one generic H gives the invariants of each candidate, the float invariants are evaluated
+        # once per row, and the exact ones once on each of the 7 fallback rows alone
         builds = []
         for mod, name in ((trigroup, "build_symmetric"), (reports, "build_symmetric"),
                           (reports, "build_candidate")):
@@ -161,13 +163,21 @@ class TestSignatureScan:
             monkeypatch.setattr(mod, name, spy)
         trigroup.form_invariants.cache_clear()
         trigroup._float_terms.cache_clear()
+        floats, float_invariants = [], trigroup._float_invariants
+
+        def spy_floats(p, *a):
+            floats.append(p)
+            return float_invariants(p, *a)
+
+        monkeypatch.setattr(trigroup, "_float_invariants", spy_floats)
         rows = self._spy_exact_rows(monkeypatch)
         assert cli.main(["tables", "--candidate", "all", "--p-min", "2", "--p-max", "60", "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 590
         assert builds == []
         assert trigroup.form_invariants.cache_info().misses == 10
         assert trigroup._float_terms.cache_info().misses == 10
-        assert len(rows) == 7
+        assert floats == list(range(2, 61)) * 10
+        assert rows == [row for row in self.EXACT_ROWS for _ in range(3)]
 
 
 class TestClosedForms:
