@@ -275,8 +275,9 @@ class Cyclo:
             return NotImplemented
         n = self._conductor(other)
         d = self.d * other.d // math.gcd(self.d, other.d)
-        a = self._lift(n, d // self.d)
-        for e, v in other._lift(n, d // other.d).items():
+        a = self._lift(n, d // self.d)  # a copy: the sum is built in it
+        b = other.c if other.n == n and other.d == d else other._lift(n, d // other.d)
+        for e, v in b.items():
             a[e] = a.get(e, 0) + v
         return Cyclo._of(n, a, d)
 
@@ -303,7 +304,8 @@ class Cyclo:
         if not isinstance(other, Cyclo):
             return NotImplemented
         n = self._conductor(other)
-        a, b = self._lift(n), other._lift(n)
+        a = self.c if self.n == n else self._lift(n)  # only read: no copy needed at conductor n
+        b = other.c if other.n == n else other._lift(n)
         out: dict[int, int] = {}
         for e1, v1 in a.items():
             for e2, v2 in b.items():

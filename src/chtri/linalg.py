@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import mpmath
 
@@ -54,15 +55,16 @@ class Mat3:
     # -- ring operations ----------------------------------------------------
 
     def __mul__(self, other):
+        """The product; of exact matrices, each entry skips the terms with a factor that is zero as written."""
         if not isinstance(other, Mat3):
             return NotImplemented
-        a, b = self.rows, other.rows
-        return Mat3(
-            [
-                [sum((a[i][k] * b[k][j] for k in range(1, 3)), a[i][0] * b[0][j]) for j in range(3)]
-                for i in range(3)
-            ]
-        )
+        exact, cols = self.exact and other.exact, tuple(zip(*other.rows))
+
+        def dot(row, col):
+            terms = [x * y for x, y in zip(row, col) if not exact or (x.c and y.c)]
+            return sum(terms[1:], terms[0]) if terms else row[0] * col[0]  # no term: a zero of the entry type
+
+        return Mat3([[dot(row, col) for col in cols] for row in self.rows])
 
     def __add__(self, other):
         if not isinstance(other, Mat3):
@@ -275,6 +277,15 @@ def _cube_roots_exact():
     return (Cyclo.one(), Cyclo.root(3, 1), Cyclo.root(3, 2))
 
 
+def exact_differences(a: Mat3, b: Mat3, w) -> Iterator:
+    """The entries of a - w*b, row by row, each built only when it is read; w is one of
+    `_cube_roots_exact`, and for w = 1 the entries are subtracted without scaling."""
+    pairs = (xy for r, s in zip(a.rows, b.rows) for xy in zip(r, s))
+    if w is _cube_roots_exact()[0]:
+        return (x - y for x, y in pairs)
+    return (x - y * w for x, y in pairs)
+
+
 @lru_cache(maxsize=16)
 def _cube_roots_float(prec: int) -> tuple:
     """(w^0, w^1, w^2) for w = e^{2*pi*i/3}, each computed at `prec` bits."""
@@ -312,7 +323,7 @@ def projective_equal(a: Mat3, b: Mat3, tol=None, prec: int = DEFAULT_PREC) -> bo
 
     For floats: projective_residual(a, b) <= tol, each root dropped at its first entry above tol."""
     if a.exact and b.exact:
-        return any((a - b.scale(w)).is_zero_exact() for w in _cube_roots_exact())
+        return any(all(d.is_zero() for d in exact_differences(a, b, w)) for w in _cube_roots_exact())
     tol = DEFAULT_TOL if tol is None else tol
     with mpmath.workprec(prec):
         pairs = _entry_pairs(a, b, prec)

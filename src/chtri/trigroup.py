@@ -29,6 +29,7 @@ from .linalg import (
     Mat3,
     Signature,
     _cube_roots_exact,
+    exact_differences,
     hermitian_signature,
     invariant_signature,
     projective_equal,
@@ -58,6 +59,7 @@ def is_candidate(n: int, m: int) -> bool:
     return entry(n, m) is not None
 
 
+@functools.lru_cache(maxsize=None)
 def parameter_feasible(n: int, m: int) -> bool:
     """Whether 2*cos(pi/m) >= 2*cos^2(pi/n): the condition for rho to exist."""
     with mpmath.workprec(128):  # error < 2^-120; exact test (conductor lcm(2m, n)) only near 0
@@ -474,19 +476,24 @@ def _generic_braid(a: Mat3, b: Mat3, max_l: int):
     l is the least length <= max_l whose alternating products are equal up
     to a cube root of unity w as an identity in t, or None.  A shorter
     length fails at every p when, for each w, the difference has an entry
-    c*t^k with c != 0; `undecided` lists the others as (l, differences),
-    to be evaluated at t = zeta_{6p}.
+    c*t^k with c != 0; the entries are built in turn up to the first such
+    one.  `undecided` lists the others as (l, differences), each with all
+    its entries, to be evaluated at t = zeta_{6p}.
     """
     lhs, rhs, undecided = a, b, []
     for l in range(2, max_l + 1):
         lhs, rhs = lhs * (b if l % 2 == 0 else a), rhs * (a if l % 2 == 0 else b)
         diffs = []
         for w in _cube_roots_exact():
-            d = lhs - rhs.scale(w)
-            if not any(x.is_monomial() for r in d.rows for x in r):
-                if d.is_zero_exact():
+            entries = []
+            for x in exact_differences(lhs, rhs, w):
+                if x.is_monomial():
+                    break
+                entries.append(x)
+            else:
+                if all(x.is_zero() for x in entries):
                     return l, tuple(undecided)
-                diffs.append(d)
+                diffs.append(Mat3([entries[:3], entries[3:6], entries[6:]]))
         if diffs:
             undecided.append((l, tuple(diffs)))
     return None, tuple(undecided)

@@ -5,11 +5,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 from sympy.abc import x as X
 
 from chtri.cosearch import trace_table_angles
 from chtri.exact import Angle, Cyclo, Laurent, _expjpi, angle, cyclotomic_poly
+from chtri.linalg import Mat3
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -232,6 +233,16 @@ def reduced(x: Cyclo) -> bool:
     return x.d >= 1 and math.gcd(x.d, *x.c.values()) == 1 and all(type(v) is int for v in x.c.values())
 
 
+@st.composite
+def shared_field_pairs(draw):
+    """Two Cyclo with one conductor n and one denominator d: zeta_n^1 / d is a term of each, so neither shrinks."""
+    n, d = draw(CONDUCTORS), draw(st.integers(1, 6))
+    nums = st.dictionaries(st.integers(0, n - 1), st.integers(-9, 9), max_size=4)
+    x, y = (Cyclo(n, {**{e: Fraction(v, d) for e, v in draw(nums).items()}, 1 % n: Fraction(1, d)})
+            for _ in range(2))
+    return x, y
+
+
 class TestIntegerNumerators:
     @ORACLE
     @given(fraction_cyclos(), fraction_cyclos(), fraction_cyclos())
@@ -255,6 +266,20 @@ class TestIntegerNumerators:
         y = Cyclo(n, {e: int(v * den) for e, v in coeffs.items()}) / den
         assert (y.n, y.c, y.d) == (x.n, x.c, x.d)
         assert x == y and reduced(x)
+
+    @ORACLE
+    @given(shared_field_pairs())
+    def test_operands_in_the_result_field_are_read_in_place(self, xy):
+        # + and * read the numerators of an operand already in the result's conductor and denominator
+        x, y = xy
+        assert (x.n, x.d) == (y.n, y.d)
+        before = dict(x.c), dict(y.c)
+        results = x + y, y + x, x + x, x * y, y * x, x * x
+        assert (dict(x.c), dict(y.c)) == before
+        with mpmath.workprec(128):
+            a, b = x.to_mpc(128), y.to_mpc(128)
+            for got, want in zip(results, (a + b, a + b, 2 * a, a * b, a * b, a * a)):
+                assert abs(got.to_mpc(128) - want) < mpmath.mpf(2) ** -100
 
 
 def uncached_to_mpc(x: Cyclo, prec: int):
@@ -315,3 +340,42 @@ class TestLaurentEvaluation:
         else:
             with pytest.raises(ZeroDivisionError):
                 a.inverse()
+
+
+@st.composite
+def matrices(draw, entries, zero):
+    """3x3 matrices of nonzero `entries` with up to 5 of them set to zero, so that some products skip terms."""
+    xs = draw(st.lists(entries.filter(lambda x: x.c), min_size=9, max_size=9))
+    for k in draw(st.sets(st.integers(0, 8), max_size=5)):
+        xs[k] = zero
+    return Mat3([xs[:3], xs[3:6], xs[6:]])
+
+
+class TestExactProducts:
+    # the exact product skips a term with a factor that is zero as written; the dense sum is the oracle
+    @pytest.mark.parametrize("entries, zero, examples", [(cyclos(), Cyclo.zero(), 20), (laurents(), Laurent({}), 8)])
+    def test_equal_the_dense_sum(self, entries, zero, examples):
+        seen = set()
+
+        # no shrink phase: shrinking a failing pair of 3x3 matrices takes minutes
+        @settings(max_examples=examples, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+        @given(matrices(entries, zero), matrices(entries, zero))
+        def check(a, b):
+            prod = a * b
+            for i in range(3):
+                for j in range(3):
+                    dense = a[i, 0] * b[0, j] + a[i, 1] * b[1, j] + a[i, 2] * b[2, j]
+                    assert type(prod[i, j]) is type(zero) and (prod[i, j] - dense).is_zero()
+                    seen.add(sum(bool(a[i, k].c and b[k, j].c) for k in range(3)))
+
+        check()
+        assert seen == {0, 1, 2, 3}  # terms skipped and terms kept, in every number
+
+    @pytest.mark.parametrize("one, zero", [(Cyclo.one(), Cyclo.zero()), (Laurent.t(1), Laurent({}))])
+    def test_a_row_and_column_of_zero_terms_give_a_zero_of_the_entry_type(self, one, zero):
+        a = Mat3([[one, zero, zero], [zero, one, zero], [zero, zero, one]])
+        b = Mat3([[zero, one, one], [one, one, one], [one, one, one]])
+        entry = (a * b)[0, 0]
+        assert type(entry) is type(zero) and entry.is_zero() and not entry.c
+        if isinstance(entry, Laurent):
+            assert not entry.is_monomial()

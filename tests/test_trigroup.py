@@ -457,6 +457,29 @@ class TestCertificate:
         cert = Certificate((), (("br", 2, generic, undecided),))
         assert cert.braid_lengths(2) == [("br", 2, 2)]
         assert all(cert.braid_lengths(p) == [("br", 2, None)] for p in range(3, 30))
+        # the kept difference (w = 1 only: 1 - w at (2,2) rules out the others) has all 9 entries of ab - ba
+        (_, (d,)), = undecided
+        assert d == a * b - b * a
+
+    def test_a_length_ruled_out_only_at_the_last_entry(self):
+        # for every w, the one monomial of ab - w*ba is entry (2,2): XP + YQ + 1 - w, with XP + YQ = 2
+        t, i = Laurent.t, Cyclo.i()
+        one, zero = Laurent({0: Cyclo.one()}), Laurent({})
+        x, y, p, q = one + t(3), one + t(3) * i, one - t(3), one - t(3) * i
+        a = Mat3([[one, zero, zero], [zero, one, zero], [p, q, one]])
+        b = Mat3([[one, zero, x], [zero, one, y], [zero, zero, one]])
+        for w in (Cyclo.one(), Cyclo.root(3, 1), Cyclo.root(3, 2)):
+            d = a * b - (b * a).scale(w)
+            assert [e.is_monomial() for r in d.rows for e in r] == [False] * 8 + [True]
+        assert _generic_braid(a, b, 2) == (None, ())
+
+    def test_braid_lengths_read_every_entry_of_a_difference(self):
+        # t^3 - i vanishes at p = 2 and t^3 + i at no p: the entry (2,2) keeps the length from holding
+        t, i = Laurent.t, Cyclo.i()
+        zero, f = Laurent({}), t(3) - i
+        d = Mat3([[f, zero, zero], [zero, f, zero], [zero, zero, t(3) + i]])
+        cert = Certificate((), (("br", 2, None, ((2, (d,)),)),))
+        assert all(cert.braid_lengths(p) == [("br", 2, None)] for p in range(2, 30))
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (0, 2), (1, 0), (2, 1), (2, 2)])
     def test_a_sign_flipped_in_s_fails(self, entry, monkeypatch, capsys):
