@@ -24,28 +24,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exact import Angle, Cyclo, angle, cos_exact, printed_value
+from .exact import Angle, Cyclo, angle, cos_exact, cos_sum, printed_value
 from .trigroup import parameter_feasible, trace_s
 
 # ---------------------------------------------------------------------------
-# Exact residuals
+# Exact residuals: sums of cosines are one `cos_sum` each; products of cosines stay
+# `Cyclo` products, because rewriting them as sums is the identity under test.
 
 
 def minor_residual(n: int, a: Angle, b: Angle) -> Cyclo:
     """cos(a) + cos(b) + cos(a+b) - cos(2*pi/n)."""
-    return cos_exact(a) + cos_exact(b) + cos_exact(a + b) - cos_exact(angle(2, n))
+    return cos_sum([(1, a), (1, b), (1, a + b), (-1, angle(2, n))])
 
 
 def main_residual(m: int, n: int, a: Angle, b: Angle) -> Cyclo:
     """cos(2*pi/m) - cos(2*pi/n) - cos(a-b) - cos(a+2b) - cos(2a+b) - 1."""
-    return (
-        cos_exact(angle(2, m))
-        - cos_exact(angle(2, n))
-        - cos_exact(a - b)
-        - cos_exact(a + b.scaled(2))
-        - cos_exact(a.scaled(2) + b)
-        - 1
-    )
+    return cos_sum([(1, angle(2, m)), (-1, angle(2, n)), (-1, a - b), (-1, a + b.scaled(2)),
+                    (-1, a.scaled(2) + b)], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +309,7 @@ def cosine_sum_residual(label: str, phi: Optional[Angle] = None) -> Cyclo:
         raise KeyError(f"unknown identity {label!r}")
     terms, target, parametric = _COSINE_SUMS[label]
     base = phi if (parametric and phi is not None) else angle(0, 1)
-    total = Cyclo.rational(-target)
-    for coeff, num, den in terms:
-        total = total + cos_exact(base + angle(num, den)) * coeff
-    return total
+    return cos_sum([(coeff, base + angle(num, den)) for coeff, num, den in terms], -target)
 
 
 # (two_theta, a, b) as multiples of pi; parametric rows map psi -> angles.
@@ -360,29 +352,16 @@ def trace_table_angles(label: str, psi: Optional[Angle] = None):
 def trace_table_residual(label: str, psi: Optional[Angle] = None) -> Cyclo:
     """cos(2theta) - cos(a-b) - cos(a+2b) - cos(2a+b) - 1/2 for row `label`."""
     two_theta, a, b = trace_table_angles(label, psi)
-    return (
-        cos_exact(two_theta)
-        - cos_exact(a - b)
-        - cos_exact(a + b.scaled(2))
-        - cos_exact(a.scaled(2) + b)
-        - Fraction(1, 2)
-    )
+    return cos_sum([(1, two_theta), (-1, a - b), (-1, a + b.scaled(2)), (-1, a.scaled(2) + b)], Fraction(-1, 2))
 
 
 def factorization_residual(a: Angle, b: Angle) -> Cyclo:
     """1 + cos(a-b) + cos(a+2b) + cos(2a+b)
     - 4 cos((a-b)/2) cos((a+2b)/2) cos((2a+b)/2)."""
-    lhs = Cyclo.one() + cos_exact(a - b) + cos_exact(a + b.scaled(2)) + cos_exact(
-        a.scaled(2) + b
-    )
-    # halve the stored representatives of a and b, so the three half-angles
-    # satisfy h1 + h2 = h3 exactly
+    lhs = cos_sum([(1, a - b), (1, a + b.scaled(2)), (1, a.scaled(2) + b)], 1)
+    # halve the stored representatives of a and b, so the half-angles add up exactly
     half_a, half_b = angle(a.num, 2 * a.den), angle(b.num, 2 * b.den)
-    h1 = half_a - half_b
-    h2 = half_a + b
-    h3 = a + half_b
-    rhs = cos_exact(h1) * cos_exact(h2) * cos_exact(h3) * 4
-    return lhs - rhs
+    return lhs - cos_exact(half_a - half_b) * cos_exact(half_a + b) * cos_exact(a + half_b) * 4
 
 
 def half_angle_residuals(a: Angle, b: Angle) -> tuple:
@@ -394,11 +373,8 @@ def half_angle_residuals(a: Angle, b: Angle) -> tuple:
     """
     half_a = angle(a.num, 2 * a.den)
     mid = half_a + b
-    r1 = cos_exact(b) + cos_exact(a + b) - cos_exact(half_a) * cos_exact(mid) * 2
-    r2 = cos_exact(a + b.scaled(2)) + 1 - cos_exact(mid) * cos_exact(mid) * 2
-    r3 = (
-        cos_exact(a - b)
-        + cos_exact(a.scaled(2) + b)
-        - cos_exact(half_a.scaled(3)) * cos_exact(mid) * 2
-    )
+    cos_mid = cos_exact(mid)
+    r1 = cos_sum([(1, b), (1, a + b)]) - cos_exact(half_a) * cos_mid * 2
+    r2 = cos_sum([(1, a + b.scaled(2))], 1) - cos_mid * cos_mid * 2
+    r3 = cos_sum([(1, a - b), (1, a.scaled(2) + b)]) - cos_exact(half_a.scaled(3)) * cos_mid * 2
     return r1, r2, r3

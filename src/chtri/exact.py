@@ -269,31 +269,33 @@ class Cyclo:
             raise ConductorError("conductor too large")
         return n
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+    def _plus(self, other: "Cyclo", subtract: bool = False) -> "Cyclo":
+        """self + other, or self - other, over the lcm of the conductors and of the denominators."""
         n = self._conductor(other)
         d = self.d * other.d // math.gcd(self.d, other.d)
-        a = self._lift(n, d // self.d)  # a copy: the sum is built in it
+        a = self._lift(n, d // self.d)  # a copy: the result is built in it
         b = other.c if other.n == n and other.d == d else other._lift(n, d // other.d)
-        for e, v in b.items():
-            a[e] = a.get(e, 0) + v
+        if subtract:
+            for e, v in b.items():
+                a[e] = a.get(e, 0) - v
+        else:
+            for e, v in b.items():
+                a[e] = a.get(e, 0) + v
         return Cyclo._of(n, a, d)
+
+    def __add__(self, other):
+        other = _coerce(other)
+        return NotImplemented if other is None else self._plus(other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else self._plus(other, subtract=True)
 
     def __rsub__(self, other):
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other._plus(self, subtract=True)
 
     def __neg__(self):
         return Cyclo._of(self.n, {e: -v for e, v in self.c.items()}, self.d)
@@ -496,10 +498,17 @@ class Laurent:
         return Laurent({k: -v for k, v in self.c.items()})
 
     def __sub__(self, other):
-        return self + -other
+        other = _lift_laurent(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.c)
+        for k, v in other.c.items():
+            out[k] = out[k] - v if k in out else -v
+        return Laurent(out)
 
     def __rsub__(self, other):
-        return -self + other
+        other = _lift_laurent(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
         other = _lift_laurent(other)
@@ -559,13 +568,26 @@ def root_of_unity(t: Angle) -> Cyclo:
     return Cyclo._of(2 * t.den, {t.num: 1}, 1)
 
 
+def cos_sum(terms, const=0) -> Cyclo:
+    """sum(k * cos(t)) + const over a sequence of (int k, Angle t), const an int or Fraction, exactly.
+
+    One pass over one conductor N = lcm(2*den): cos(t) = (zeta_N^e + zeta_N^-e)/2 with
+    e = num*N/(2*den), all over the denominator 2*q, q = const.denominator; reduced once.
+    """
+    n = math.lcm(*(2 * t.den for _, t in terms))
+    q = const.denominator
+    c = {0: 2 * const.numerator} if const else {}
+    for k, t in terms:
+        e = t.num * (n // (2 * t.den))
+        c[e] = c.get(e, 0) + k * q
+        e = (n - e) % n
+        c[e] = c.get(e, 0) + k * q
+    return Cyclo._of(n, c, 2 * q)
+
+
 def cos_exact(t: Angle) -> Cyclo:
-    """cos(t) = (zeta^num + zeta^-num)/2 with zeta = zeta_{2*den}, exactly."""
-    n = 2 * t.den
-    c = {t.num: 1}
-    conj = (n - t.num) % n
-    c[conj] = c.get(conj, 0) + 1
-    return Cyclo._of(n, c, 2)
+    """cos(t), exactly: the one-term `cos_sum`."""
+    return cos_sum(((1, t),))
 
 
 def sin_exact(t: Angle) -> Cyclo:

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from chtri.exact import angle
+from chtri.exact import Cyclo, angle
 from chtri.cosearch import (
     COSINE_SUM_LABELS,
+    PARAMETRIC_TRACE_ROWS,
     PREFILTER_TOL,
     ROOT_ERROR,
     TRACE_TABLE_LABELS,
@@ -247,6 +248,26 @@ class TestIdentities:
     def test_unknown_label(self):
         with pytest.raises(KeyError):
             cosine_sum_residual("zz")
+
+    def test_each_linear_residual_is_reduced_once(self, monkeypatch):
+        # a sum of cosines is built in one pass over one conductor: one Cyclo._of per residual
+        calls = []
+        of = Cyclo._of.__func__
+        monkeypatch.setattr(Cyclo, "_of", classmethod(lambda cls, *args: calls.append(args[0]) or of(cls, *args)))
+        phi = angle(7, 30)
+        residuals = {
+            **{("cosine-sums", lab): lambda lab=lab: cosine_sum_residual(lab, phi) for lab in COSINE_SUM_LABELS},
+            **{("trace-table", lab): lambda lab=lab: trace_table_residual(lab) for lab in TRACE_TABLE_LABELS
+               if lab not in PARAMETRIC_TRACE_ROWS},
+            **{("trace-table", lab): lambda lab=lab: trace_table_residual(lab, phi) for lab in PARAMETRIC_TRACE_ROWS},
+            ("minor",): lambda: minor_residual(3, angle(2, 7), angle(4, 7)),
+            ("main",): lambda: main_residual(4, 3, angle(2, 7), angle(4, 7)),
+        }
+        assert len(residuals) == 15 + 13 + 2
+        for key, residual in residuals.items():
+            calls.clear()
+            assert residual().is_zero(), key
+            assert len(calls) == 1, key
 
     def test_factorization_random(self):
         rng = random.Random(23)

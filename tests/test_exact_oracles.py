@@ -9,7 +9,7 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 from sympy.abc import x as X
 
 from chtri.cosearch import trace_table_angles
-from chtri.exact import Angle, Cyclo, Laurent, _expjpi, angle, cyclotomic_poly
+from chtri.exact import Angle, Cyclo, Laurent, _expjpi, angle, cos_exact, cos_sum, cyclotomic_poly
 from chtri.linalg import Mat3
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
@@ -270,15 +270,15 @@ class TestIntegerNumerators:
     @ORACLE
     @given(shared_field_pairs())
     def test_operands_in_the_result_field_are_read_in_place(self, xy):
-        # + and * read the numerators of an operand already in the result's conductor and denominator
+        # +, - and * read the numerators of an operand already in the result's conductor and denominator
         x, y = xy
         assert (x.n, x.d) == (y.n, y.d)
         before = dict(x.c), dict(y.c)
-        results = x + y, y + x, x + x, x * y, y * x, x * x
+        results = x + y, y + x, x + x, x - y, y - x, x * y, y * x, x * x
         assert (dict(x.c), dict(y.c)) == before
         with mpmath.workprec(128):
             a, b = x.to_mpc(128), y.to_mpc(128)
-            for got, want in zip(results, (a + b, a + b, 2 * a, a * b, a * b, a * a)):
+            for got, want in zip(results, (a + b, a + b, 2 * a, a - b, b - a, a * b, a * b, a * a)):
                 assert abs(got.to_mpc(128) - want) < mpmath.mpf(2) ** -100
 
 
@@ -349,6 +349,89 @@ def matrices(draw, entries, zero):
     for k in draw(st.sets(st.integers(0, 8), max_size=5)):
         xs[k] = zero
     return Mat3([xs[:3], xs[3:6], xs[6:]])
+
+
+def form(x: Cyclo) -> tuple:
+    return x.n, x.d, x.c
+
+
+def term_by_term(terms, const) -> Cyclo:
+    """sum k * cos(t) + const, one cos_exact and one addition at a time."""
+    return sum((cos_exact(t) * k for k, t in terms), Cyclo.rational(const))
+
+
+# Few small denominators and coefficients -3..3, so that repeated angles,
+# cancelling terms and rational sums turn up among the draws.
+SMALL_ANGLES = st.integers(1, 12).flatmap(lambda den: st.builds(angle, st.integers(-2 * den, 2 * den), st.just(den)))
+COS_TERMS = st.lists(st.tuples(st.integers(-3, 3), SMALL_ANGLES), max_size=6)
+CONSTS = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+class TestCosSum:
+    def check(self, terms, const) -> Cyclo:
+        x = cos_sum(terms, const)
+        assert form(x) == form(term_by_term(terms, const)) and reduced(x)
+        with mpmath.workprec(400):
+            want = sum((k * mpmath.cospi(mpmath.mpf(t.num) / t.den) for k, t in terms),
+                       mpmath.mpf(const.numerator) / const.denominator)
+        assert abs(x.to_mpc(200) - want) <= mpmath.mpf(2) ** (3 - 200) * (1 + x.coeff_mass())
+        return x
+
+    @ORACLE
+    @given(COS_TERMS, CONSTS)
+    def test_equals_the_term_by_term_sum(self, terms, const):
+        self.check(terms, const)
+
+    @pytest.mark.parametrize("terms, const, value", [
+        ([], 0, 0),
+        ([], Fraction(3, 4), Fraction(3, 4)),
+        ([(1, angle(2, 7)), (-1, angle(2, 7))], 0, 0),  # cos t - cos t
+        ([(2, angle(3, 11)), (-2, angle(-3, 11))], 1, 1),  # cos is even
+        ([(5, angle(1, 2))], 0, 0),  # cos pi/2
+        ([(1, angle(1, 3))], 0, Fraction(1, 2)),
+        ([(1, angle(1, 3))], Fraction(-1, 2), 0),
+        ([(1, angle(0)), (1, angle(2, 3)), (1, angle(4, 3))], 0, 0),
+        ([(3, angle(1))], Fraction(1, 3), Fraction(-8, 3)),
+        ([(1, angle(1, 5)), (-1, angle(2, 5))], Fraction(-1, 2), 0),
+        ([(0, angle(1, 7))], 2, 2),
+    ])
+    def test_cancelling_and_rational_sums(self, terms, const, value):
+        x = self.check(terms, const)
+        assert x.is_rational() == value
+
+    @pytest.mark.parametrize("den", [1, 2, 3, 7, 60])
+    def test_cos_exact_is_the_one_term_case(self, den):
+        for num in range(2 * den):
+            t = angle(num, den)
+            by_roots = (Cyclo.root(2 * den, num) + Cyclo.root(2 * den, -num)) / 2
+            assert form(cos_exact(t)) == form(cos_sum([(1, t)])) == form(by_roots)
+
+
+class TestSubtraction:
+    # x - y subtracts in one pass, and must give exactly the (n, c, d) of x + (-y)
+    @ORACLE
+    @given(cyclos(), cyclos(), st.integers(-3, 3))
+    def test_cyclo(self, x, y, k):
+        assert form(x - y) == form(x + (-y)) and reduced(x - y)
+        assert form(x - k) == form(x + (-k)) and form(k - x) == form(k + (-x))
+
+    @ORACLE
+    @given(fraction_cyclos(), fraction_cyclos())
+    def test_cyclo_over_common_denominators(self, a, b):
+        x, y = Cyclo(*a), Cyclo(*b)
+        assert form(x - y) == form(x + (-y)) and reduced(x - y)
+        assert form(x - x) == form(Cyclo.zero())
+
+    @ORACLE
+    @given(laurents(), laurents(), cyclos(), st.integers(-3, 3))
+    def test_laurent(self, a, b, x, k):
+        def forms(f: Laurent) -> dict:
+            return {e: form(v) for e, v in f.c.items()}
+
+        assert forms(a - b) == forms(a + (-b))
+        assert forms(a - x) == forms(a + (-x)) and forms(x - a) == forms(-a + x)
+        assert forms(a - k) == forms(a + (-k)) and forms(k - a) == forms(-a + k)
+        assert not (a - a).c
 
 
 class TestExactProducts:
