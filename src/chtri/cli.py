@@ -20,7 +20,7 @@ from .candidates import ALL_IDS
 from .exact import Cyclo, angle, printed_value
 from .linalg import classify_isometry, eigenvalues3, projective_order
 from . import cosearch, reports
-from .trigroup import InfeasibleGroupError, build_symmetric, evaluate_word, verify
+from .trigroup import InfeasibleGroupError, build_symmetric, evaluate_word, verify_symmetric
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -91,11 +91,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = build_symmetric(args.p, args.n, args.m, im_sign=args.im_sign, prec=args.prec)
-    checks = verify(g, tol=mpmath.mpf(10) ** (-args.tol), prec=args.prec)
+    checks, signature = verify_symmetric(args.p, args.n, args.m, im_sign=args.im_sign,
+                                         tol=mpmath.mpf(10) ** (-args.tol), prec=args.prec)
     lines = [c.to_dict() for c in checks]
     summary = {"summary": True, "checks": len(checks), "passed": sum(c.passed for c in checks),
-               "signature": g.signature.verdict}
+               "signature": signature.verdict}
     text = "\n".join(json.dumps(l) for l in lines + [summary]) + "\n"
     _write(text, args.out)
     failed = next((l for l in lines if not l["pass"]), None)

@@ -533,8 +533,11 @@ class Laurent:
         return [(k, v) for k, v in self.c.items() if not v.is_zero()]
 
     def is_monomial(self) -> bool:
-        """Exactly one nonzero coefficient: c*t^k with c != 0, which is nonzero at every t on the circle."""
-        return len(self._terms()) == 1
+        """Exactly one nonzero coefficient: c*t^k with c != 0, which is nonzero at every t on the circle.
+
+        The zero tests stop at the second nonzero coefficient."""
+        nonzero = (k for k, v in self.c.items() if not v.is_zero())
+        return next(nonzero, None) is not None and next(nonzero, None) is None
 
     def inverse(self) -> "Laurent":
         """1/(c*t^k) = c^-1 * t^-k: the nonzero monomials are the units of the ring."""
@@ -557,6 +560,56 @@ def _lift_laurent(x):
         return x
     x = _coerce(x)
     return None if x is None else Laurent({0: x})
+
+
+def _coeffs(x) -> tuple:
+    """(whether x is a Laurent, its coefficients {k: c_k}); a Cyclo, int or Fraction c is {0: c}, or {} when c is 0."""
+    if isinstance(x, Laurent):
+        return True, x.c
+    x = _coerce(x)
+    return False, {0: x} if x.c else {}
+
+
+def dot(xs, ys):
+    """sum(x * y) over the pairs of exact scalars (Cyclo, Laurent, int or Fraction) of xs and ys, in one pass.
+
+    A pair with a factor that is zero as written adds no term.  A factor that is not a Laurent
+    is the constant c*t^0, as `_lift_laurent` lifts it.  Every coefficient is viewed in one
+    conductor N, the lcm of theirs, over one denominator per side; the integer numerators of
+    each power of t are accumulated together and reduced by one `Cyclo._of`.  The view in
+    conductor N is a ring homomorphism and `_of`'s normal form depends only on the element,
+    so each coefficient has the (n, c, d) of the term-by-term sum.  The sum is a Laurent when
+    a factor is one, else a Cyclo; with no terms it is zero.
+    """
+    laurent, pairs, n, dx, dy = False, [], 1, 1, 1
+    for x, y in zip(xs, ys):
+        lx, cx = _coeffs(x)
+        ly, cy = _coeffs(y)
+        laurent = laurent or lx or ly
+        if cx and cy:
+            pairs.append((cx, cy))
+            for c in cx.values():
+                n, dx = math.lcm(n, c.n), math.lcm(dx, c.d)
+            for c in cy.values():
+                n, dy = math.lcm(n, c.n), math.lcm(dy, c.d)
+    sums: dict = {}  # power of t -> numerators over conductor n and denominator dx * dy
+    for cx, cy in pairs:
+        for k1, a in cx.items():
+            sa, fa = n // a.n, dx // a.d
+            for k2, b in cy.items():
+                sb, f = n // b.n, fa * (dy // b.d)
+                acc = sums.get(k1 + k2)
+                if acc is None:
+                    acc = sums[k1 + k2] = {}
+                for e1, v1 in a.c.items():
+                    e1, v1 = e1 * sa, v1 * f
+                    for e2, v2 in b.c.items():
+                        e = (e1 + e2 * sb) % n
+                        acc[e] = acc.get(e, 0) + v1 * v2
+    d = dx * dy
+    if laurent:
+        return Laurent({k: Cyclo._of(n, c, d) for k, c in sums.items()})
+    return Cyclo._of(n, sums.get(0, {}), d)
 
 
 # ---------------------------------------------------------------------------

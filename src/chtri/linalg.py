@@ -14,7 +14,7 @@ from typing import Iterator
 
 import mpmath
 
-from .exact import Cyclo, Laurent
+from .exact import Cyclo, Laurent, dot
 
 DEFAULT_PREC = 256
 DEFAULT_TOL = mpmath.mpf("1e-30")
@@ -55,16 +55,13 @@ class Mat3:
     # -- ring operations ----------------------------------------------------
 
     def __mul__(self, other):
-        """The product; of exact matrices, each entry skips the terms with a factor that is zero as written."""
+        """The product; of exact matrices, each entry is one `dot`, which skips a term with a factor zero as written."""
         if not isinstance(other, Mat3):
             return NotImplemented
-        exact, cols = self.exact and other.exact, tuple(zip(*other.rows))
-
-        def dot(row, col):
-            terms = [x * y for x, y in zip(row, col) if not exact or (x.c and y.c)]
-            return sum(terms[1:], terms[0]) if terms else row[0] * col[0]  # no term: a zero of the entry type
-
-        return Mat3([[dot(row, col) for col in cols] for row in self.rows])
+        cols = tuple(zip(*other.rows))
+        if self.exact and other.exact:
+            return Mat3([[dot(row, col) for col in cols] for row in self.rows])
+        return Mat3([[row[0] * col[0] + row[1] * col[1] + row[2] * col[2] for col in cols] for row in self.rows])
 
     def __add__(self, other):
         if not isinstance(other, Mat3):
@@ -168,8 +165,10 @@ class Mat3:
         raise TypeError("Mat3 is not hashable")
 
     def apply(self, v):
-        """Matrix-vector product; v is a length-3 sequence of entries."""
-        return tuple(sum((self.rows[i][k] * v[k] for k in range(1, 3)), self.rows[i][0] * v[0]) for i in range(3))
+        """Matrix-vector product; v is a length-3 sequence of entries.  Of an exact matrix, each entry is one `dot`."""
+        if self.exact:
+            return tuple(dot(row, v) for row in self.rows)
+        return tuple(row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in self.rows)
 
 
 # ---------------------------------------------------------------------------

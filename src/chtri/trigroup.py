@@ -574,39 +574,58 @@ class Check:
         return {"check": self.name, **self.details, "pass": self.passed}
 
 
+def _braid_checks(signature: Signature, lengths) -> list[Check]:
+    """A check of each (name, expected, got) of `lengths()` when H has signature (2,1), else one of the skip."""
+    verdict = signature.verdict
+    if verdict != "(2,1)":
+        return [Check("braid", True, {"skipped": f"signature {verdict}"})]
+    return [Check(name, got == expect, {"expected": expect, "got": got}) for name, expect, got in lengths()]
+
+
+def _certified_checks(p: int, n: int, m: int, im_sign: int, signature: Signature) -> list[Check]:
+    """Every check of candidate (n, m) at p, from its `certificate` of exact identities in t."""
+    cert = certificate(n, m, im_sign)
+    checks = [Check(name, ok, {"residual": "0" if ok else "nonzero"}) for name, ok in cert.checks]
+    return checks + _braid_checks(signature, lambda: cert.braid_lengths(p))
+
+
 def verify(g: Group, tol=None, prec: int = DEFAULT_PREC) -> list[Check]:
     """Every check of a symmetric group, in order: symmetry relations, trace
     formulas, eigenvalue lemma, then the four braid lengths, each searched up
     to its expected length.
 
     The non-braid checks are the pairs of `_check_pairs`.  An exact group (a
-    classified candidate) reads its `certificate`: each verdict is an exact
-    identity in t, so it holds for every p, and tol and prec are not read.
-    Any other group measures each pair once in floats at `prec` bits
-    (`_residual`) and passes a check whose residual is at most `tol`.  The
-    braid lengths are only checked when H has signature (2,1); otherwise one
-    passing "braid" check records the skip.
+    classified candidate) reads its `certificate`, as `verify_symmetric` does,
+    and not its matrices, tol or prec.  Any other group measures each pair
+    once in floats at `prec` bits (`_residual`) and passes a check whose
+    residual is at most `tol`.  The braid lengths are only checked when H has
+    signature (2,1); otherwise one passing "braid" check records the skip.
     """
     if g.exact:
-        cert = certificate(g.n, g.m, g.im_sign)
-        checks = [Check(name, ok, {"residual": "0" if ok else "nonzero"}) for name, ok in cert.checks]
-    else:
-        tol = DEFAULT_TOL if tol is None else tol
-        with mpmath.workprec(prec):
-            residuals = {name: _residual(lhs, rhs, prec)
-                         for name, (lhs, rhs) in _check_pairs(*_float_view(g, prec), mpmath.conj).items()}
-        checks = [Check(name, bool(res <= tol), {"residual": mpmath.nstr(mpmath.mpf(res), 10)})
-                  for name, res in residuals.items()]
+        return _certified_checks(g.params.p, g.n, g.m, g.im_sign, g.signature)
+    tol = DEFAULT_TOL if tol is None else tol
+    with mpmath.workprec(prec):
+        residuals = {name: _residual(lhs, rhs, prec)
+                     for name, (lhs, rhs) in _check_pairs(*_float_view(g, prec), mpmath.conj).items()}
+    checks = [Check(name, bool(res <= tol), {"residual": mpmath.nstr(mpmath.mpf(res), 10)})
+              for name, res in residuals.items()]
 
-    verdict = g.signature.verdict
-    if verdict != "(2,1)":
-        checks.append(Check("braid", True, {"skipped": f"signature {verdict}"}))
-        return checks
-    if g.exact:
-        lengths = cert.braid_lengths(g.params.p)
-    else:
+    def lengths():
         with mpmath.workprec(prec):  # R3^-1 R2 R3 of `_braid_pairs` is built at the ambient precision
-            lengths = [(name, expect, braid_length(a, b, max_l=expect, tol=tol, prec=prec))
-                       for name, (a, b, expect) in _braid_pairs(g).items()]
-    checks += [Check(name, got == expect, {"expected": expect, "got": got}) for name, expect, got in lengths]
-    return checks
+            return [(name, expect, braid_length(a, b, max_l=expect, tol=tol, prec=prec))
+                    for name, (a, b, expect) in _braid_pairs(g).items()]
+
+    return checks + _braid_checks(g.signature, lengths)
+
+
+def verify_symmetric(p: int, n: int, m: int, im_sign: int = 1, tol=None,
+                     prec: int = DEFAULT_PREC) -> tuple[list[Check], Signature]:
+    """(`verify`, signature of H) of the group of `build_symmetric`.  A candidate builds nothing at p:
+    it reads its `certificate` and `form_signature`.  Any other (n, m) builds its float group."""
+    if not is_candidate(n, m):
+        g = build_symmetric(p, n, m, im_sign, prec)
+        return verify(g, tol, prec), g.signature
+    if p < 2:
+        raise ValueError("reflection order p must be >= 2")
+    signature = form_signature(p, n, m, im_sign, prec)[0]
+    return _certified_checks(p, n, m, im_sign, signature), signature

@@ -10,6 +10,7 @@ import pytest
 import chtri.cli
 import chtri.cosearch
 import chtri.trigroup
+from chtri.candidates import ALL_IDS, parse_candidate
 
 CMD = [sys.executable, "-m", "chtri.cli"]
 
@@ -132,14 +133,21 @@ class TestVerify:
             json.loads(line)
 
 
+def _verify_args(cid: str, p: int) -> list:
+    n, m, im_sign = parse_candidate(cid)
+    return ["--p", str(p), "--n", str(n), "--m", str(m)] + (["--im-sign", "-1"] if im_sign < 0 else [])
+
+
 class TestVerifyGolden:
-    # one (2,1) case, (3,3)- at p = 7 (signature (1,2)), (8,6) at p = 2 (degenerate), (4,4) and a float group
+    # one (2,1) case, (3,3)- at p = 7 (signature (1,2)), (8,6) at p = 2 (degenerate), (4,4) and a float group,
+    # then every candidate at p = 2 and p = 20
     CASES = (
         ["--p", "5", "--n", "5", "--m", "4"],
         ["--p", "7", "--n", "3", "--m", "3", "--im-sign", "-1"],
         ["--p", "2", "--n", "8", "--m", "6"],
         ["--p", "12", "--n", "4", "--m", "4"],
         ["--p", "4", "--n", "5", "--m", "6"],
+        *(_verify_args(cid, p) for cid in ALL_IDS for p in (2, 20)),
     )
 
     def test_matches_the_golden_output(self, capsys):
@@ -150,6 +158,36 @@ class TestVerifyGolden:
             assert chtri.cli.main(["verify", *case]) == 0
             out.append(capsys.readouterr().out)
         assert "".join(out) == golden.read_text()
+
+
+class TestVerifyCandidate:
+    def test_a_cached_candidate_builds_no_group(self, monkeypatch, capsys):
+        # checks from the certificate, braid lengths from braid_lengths(p), signature from form_signature
+        argv = ["verify", "--n", "3", "--m", "5", "--im-sign", "-1"]
+        assert chtri.cli.main([*argv, "--p", "8"]) == 0  # caches the certificate and the generic H
+        built = []
+        for module, name in ((chtri.trigroup, "build_symmetric"), (chtri.trigroup, "build_group"),
+                             (chtri.trigroup, "symmetry_matrix"), (chtri.cli, "build_symmetric")):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: built.append(name))
+        capsys.readouterr()
+        for p in ("8", "9", "2"):
+            assert chtri.cli.main([*argv, "--p", p]) == 0
+        assert built == []
+        summaries = [json.loads(line) for line in capsys.readouterr().out.splitlines() if '"summary"' in line]
+        assert [s["signature"] for s in summaries] == ["(1,2)", "(1,2)", "(2,1)"]
+        assert [s["checks"] for s in summaries] == [12, 12, 15]
+
+    @pytest.mark.parametrize("cid", ALL_IDS)
+    def test_the_same_checks_as_verify_on_the_group(self, cid):
+        n, m, im_sign = parse_candidate(cid)
+        for p in (2, 3, 7):
+            g = chtri.trigroup.build_symmetric(p, n, m, im_sign=im_sign)
+            assert chtri.trigroup.verify_symmetric(p, n, m, im_sign) == (chtri.trigroup.verify(g), g.signature)
+
+    @pytest.mark.parametrize("n, m", [(3, 3), (5, 6)], ids=["candidate", "float"])
+    def test_p_below_2_is_a_usage_error(self, n, m, capsys):
+        assert chtri.cli.main(["verify", "--p", "1", "--n", str(n), "--m", str(m)]) == 2
+        assert "reflection order p must be >= 2" in capsys.readouterr().err
 
 
 class TestImport:

@@ -9,8 +9,9 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 from sympy.abc import x as X
 
 from chtri.cosearch import trace_table_angles
-from chtri.exact import Angle, Cyclo, Laurent, _expjpi, angle, cos_exact, cos_sum, cyclotomic_poly
+from chtri.exact import Angle, Cyclo, Laurent, _expjpi, angle, cos_exact, cos_sum, cyclotomic_poly, dot
 from chtri.linalg import Mat3
+from chtri.trigroup import generic_group
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -315,9 +316,9 @@ class TestCachedToMpc:
 
 
 @st.composite
-def laurents(draw):
-    """Up to 4 terms c_k * t^k, k in -6..6, with coefficients from `cyclos`."""
-    return Laurent(draw(st.dictionaries(st.integers(-6, 6), cyclos(), max_size=4)))
+def laurents(draw, coeffs=None):
+    """Up to 4 terms c_k * t^k, k in -6..6, with coefficients from `coeffs`, by default `cyclos`."""
+    return Laurent(draw(st.dictionaries(st.integers(-6, 6), cyclos() if coeffs is None else coeffs, max_size=4)))
 
 
 class TestLaurentEvaluation:
@@ -340,6 +341,14 @@ class TestLaurentEvaluation:
         else:
             with pytest.raises(ZeroDivisionError):
                 a.inverse()
+
+    def test_is_monomial_stops_at_the_second_nonzero_coefficient(self, monkeypatch):
+        zero, one = Cyclo(3, {0: 1, 1: 1, 2: 1}), Cyclo.one()  # 1 + zeta_3 + zeta_3^2 = 0, not zero as written
+        tested, is_zero = [], Cyclo.is_zero
+        monkeypatch.setattr(Cyclo, "is_zero", lambda x: tested.append(x) or is_zero(x))
+        assert not Laurent({0: zero, 1: one, 2: one, 3: one}).is_monomial() and len(tested) == 3
+        tested.clear()
+        assert Laurent({0: zero, 5: one}).is_monomial() and len(tested) == 2
 
 
 @st.composite
@@ -434,6 +443,9 @@ class TestSubtraction:
         assert not (a - a).c
 
 
+MIXED_CYCLOS = st.one_of(cyclos(), fraction_cyclos().map(lambda a: Cyclo(*a)))
+
+
 class TestExactProducts:
     # the exact product skips a term with a factor that is zero as written; the dense sum is the oracle
     @pytest.mark.parametrize("entries, zero, examples", [(cyclos(), Cyclo.zero(), 20), (laurents(), Laurent({}), 8)])
@@ -453,6 +465,54 @@ class TestExactProducts:
 
         check()
         assert seen == {0, 1, 2, 3}  # terms skipped and terms kept, in every number
+
+    # one `dot` per entry must keep each coefficient's (n, c, d): the term-by-term sum of x * y is the oracle;
+    # denominators 1..6 give the two sides of a product different denominators
+    @pytest.mark.parametrize("entries, zero, examples", [(MIXED_CYCLOS, Cyclo.zero(), 20),
+                                                         (laurents(MIXED_CYCLOS), Laurent({}), 8)])
+    def test_keep_the_forms_of_the_term_by_term_sum(self, entries, zero, examples):
+        def forms(x) -> dict:
+            return {k: form(v) for k, v in x.c.items()} if isinstance(x, Laurent) else {0: form(x)}
+
+        def term_by_term(xs, ys):
+            return sum((x * y for x, y in zip(xs, ys)), zero)
+
+        # no shrink phase, as in test_equal_the_dense_sum
+        @settings(max_examples=examples, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+        @given(matrices(entries, zero), matrices(entries, zero), matrices(MIXED_CYCLOS, Cyclo.zero()))
+        def check(a, b, c):
+            prod, cols = a * b, tuple(zip(*b.rows))
+            for i, row in enumerate(a.rows):
+                for j, col in enumerate(cols):
+                    want = forms(term_by_term(row, col))
+                    assert forms(dot(row, col)) == forms(prod[i, j]) == want
+            v = c.rows[0]  # a Cyclo vector with zero entries; times a Laurent matrix it gives a Laurent vector
+            for row, got in zip(a.rows, a.apply(v)):
+                assert type(got) is type(zero) and forms(got) == forms(term_by_term(row, v))
+
+        check()
+
+    def test_one_pass_per_entry(self, monkeypatch):
+        # a 3x3 Laurent product multiplies no Cyclo or Laurent, and reduces once per (entry, power of t)
+        g = generic_group(5, 4, 1)
+        a, b = g.S * g.S, g.R1 * g.R3  # 24 term pairs over 12 (entry, power of t)
+        powers = sum(len({k1 + k2 for k in range(3) for k1 in a[i, k].c for k2 in b[k, j].c})
+                     for i in range(3) for j in range(3))
+        products, reductions, of = [], [], Cyclo._of
+
+        def spy_of(cls, n, c, d):
+            reductions.append(n)
+            return of(n, c, d)
+
+        for cls in (Cyclo, Laurent):
+            for name in ("__mul__", "__rmul__"):
+                monkeypatch.setattr(cls, name, lambda x, y, f=getattr(cls, name): products.append(f) or f(x, y))
+        monkeypatch.setattr(Cyclo, "_of", classmethod(spy_of))
+        prod = a * b
+        assert products == [] and 0 < len(reductions) <= powers
+        monkeypatch.undo()
+        assert prod == Mat3([[sum((a[i, k] * b[k, j] for k in range(3)), Laurent({})) for j in range(3)]
+                             for i in range(3)])
 
     @pytest.mark.parametrize("one, zero", [(Cyclo.one(), Cyclo.zero()), (Laurent.t(1), Laurent({}))])
     def test_a_row_and_column_of_zero_terms_give_a_zero_of_the_entry_type(self, one, zero):
