@@ -224,10 +224,6 @@ class Cyclo:
         return cls(1, {0: 1})
 
     @classmethod
-    def rational(cls, q) -> "Cyclo":
-        return cls(1, {0: Fraction(q)})
-
-    @classmethod
     def root(cls, n: int, k: int = 1) -> "Cyclo":
         """zeta_n^k."""
         return cls(n, {k % n: 1})
@@ -322,21 +318,7 @@ class Cyclo:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (1 / Fraction(other))
-        if isinstance(other, Cyclo):
-            return self * other.inverse()
         return NotImplemented
-
-    def __pow__(self, k: int) -> "Cyclo":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Cyclo.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def conj(self) -> "Cyclo":
         return Cyclo._of(self.n, {(self.n - e) % self.n: v for e, v in self.c.items()}, self.d)
@@ -379,15 +361,6 @@ class Cyclo:
 
     def __hash__(self):
         raise TypeError("Cyclo is not hashable")
-
-    def is_rational(self):
-        """The value as a Fraction if rational, else None."""
-        can = self.canonical()
-        if not can:
-            return Fraction(0)
-        if any(can[1:]):
-            return None
-        return can[0]
 
     def is_real(self) -> bool:
         return (self - self.conj()).is_zero()
@@ -529,23 +502,12 @@ class Laurent:
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.c.values())
 
-    def _terms(self) -> list:
-        return [(k, v) for k, v in self.c.items() if not v.is_zero()]
-
     def is_monomial(self) -> bool:
         """Exactly one nonzero coefficient: c*t^k with c != 0, which is nonzero at every t on the circle.
 
         The zero tests stop at the second nonzero coefficient."""
         nonzero = (k for k, v in self.c.items() if not v.is_zero())
         return next(nonzero, None) is not None and next(nonzero, None) is None
-
-    def inverse(self) -> "Laurent":
-        """1/(c*t^k) = c^-1 * t^-k: the nonzero monomials are the units of the ring."""
-        terms = self._terms()
-        if len(terms) != 1:
-            raise ZeroDivisionError("only a nonzero monomial has an inverse")
-        (k, v), = terms
-        return Laurent({-k: v.inverse()})
 
     def at(self, n: int) -> Cyclo:
         """The value at t = zeta_n, exactly."""

@@ -63,11 +63,6 @@ class Mat3:
             return Mat3([[dot(row, col) for col in cols] for row in self.rows])
         return Mat3([[row[0] * col[0] + row[1] * col[1] + row[2] * col[2] for col in cols] for row in self.rows])
 
-    def __add__(self, other):
-        if not isinstance(other, Mat3):
-            return NotImplemented
-        return Mat3([[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
     def __sub__(self, other):
         if not isinstance(other, Mat3):
             return NotImplemented
@@ -75,18 +70,6 @@ class Mat3:
 
     def scale(self, k) -> "Mat3":
         return Mat3([[x * k for x in r] for r in self.rows])
-
-    def __pow__(self, k: int) -> "Mat3":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Mat3.identity(self.exact)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def adjoint(self) -> "Mat3":
         """Conjugate transpose."""
@@ -128,17 +111,15 @@ class Mat3:
         return Mat3(cof)
 
     def inverse(self) -> "Mat3":
+        """The inverse: of an exact matrix, the adjugate once det is exactly 1 (else it raises)."""
         d = self.det()
-        adj = self.adjugate()
         if self.exact:
-            if (d - 1).is_zero():
-                return adj
-            if d.is_zero():
-                raise SingularMatrixError("singular matrix")
-            return adj.scale(d.inverse())
+            if not (d - 1).is_zero():
+                raise SingularMatrixError("exact inverse needs det exactly 1")
+            return self.adjugate()
         if abs(d) < mpmath.mpf(2) ** (-mpmath.mp.prec // 2):
             raise SingularMatrixError("singular matrix")
-        return adj.scale(1 / d)
+        return self.adjugate().scale(1 / d)
 
     # -- conversions --------------------------------------------------------
 

@@ -20,7 +20,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import mpmath
 
@@ -34,15 +34,6 @@ from .trigroup import Group, build_symmetric, form_invariants, form_signature, s
 def build_candidate(cid: str, p: int, prec: int = DEFAULT_PREC) -> Group:
     n, m, im_sign = parse_candidate(cid)
     return build_symmetric(p, n, m, im_sign=im_sign, prec=prec)
-
-
-def claimed_verdict(cid: str, p: int) -> Optional[str]:
-    """The externally tabulated verdict for `cid` at p, or None when none is recorded.
-
-    The scan cross-checks it against the exact determinant and reports
-    mismatches.
-    """
-    return claim(cid).verdict(p)
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +72,14 @@ def signature_scan(cid: str, p_min: int = 2, p_max: int = 20, prec: int = DEFAUL
     generic H.  The verdict column follows the determinant-sign criterion
     (negative det <=> signature (2,1)), read off the signature; a row is
     flagged when the signature disagrees with it (det > 0 can also mean
-    (1,2)).  The printed det is the float det `form_signature` read, at
+    (1,2)), or when the verdict recorded in `claim(cid)` disagrees with it.
+    The printed det is the float det `form_signature` read, at
     max(prec, 128) bits, and an exact 0 on degenerate rows.
     """
     if not (2 <= p_min <= p_max):
         raise ValueError("need 2 <= p_min <= p_max")
     n, m, im_sign = parse_candidate(cid)
+    recorded = claim(cid)
     rows = []
     for p in range(p_min, p_max + 1):
         sig, det = form_signature(p, n, m, im_sign, prec)
@@ -95,7 +88,7 @@ def signature_scan(cid: str, p_min: int = 2, p_max: int = 20, prec: int = DEFAUL
         det_val = mpmath.mpf(0) if sig.n_zero else det
         if verdict != sig.verdict:
             flags.append(f"det-sign verdict {verdict} but exact signature {sig.verdict}")
-        claimed = claimed_verdict(cid, p)
+        claimed = recorded.verdict(p)
         if claimed is not None and claimed != verdict:
             flags.append(f"claimed {claimed}, computed {verdict}")
         rows.append(ScanRow(cid, p, det_val, verdict, sig.verdict, claimed, tuple(flags)))
@@ -104,21 +97,6 @@ def signature_scan(cid: str, p_min: int = 2, p_max: int = 20, prec: int = DEFAUL
 
 # ---------------------------------------------------------------------------
 # Closed-form determinants
-
-@dataclass(frozen=True)
-class ClosedForm:
-    candidate: str
-    formula: str
-    evaluator: Callable
-
-
-def closed_form(cid: str) -> ClosedForm:
-    """Registered closed-form det(H) expression in phi = 2*pi/p."""
-    c = claim(cid)
-    if c.det_formula is None:
-        raise KeyError(f"no registered closed form for {cid!r}")
-    return ClosedForm(cid, c.det_formula, c.det_eval)
-
 
 @dataclass(frozen=True)
 class DetComparison:
@@ -132,16 +110,19 @@ class DetComparison:
 
 
 def detH_closed_form(cid: str, p: int, prec: int = DEFAULT_PREC, tol=None) -> DetComparison:
-    """Evaluate the registered closed form and the exact matrix det at p (`form_invariants` at t = zeta_{6p})."""
-    cf = closed_form(cid)
+    """Evaluate the registered closed-form det(H) in phi = 2*pi/p and the exact matrix det at p
+    (`form_invariants` at t = zeta_{6p}).  Raises KeyError when `claim(cid)` records no closed form."""
+    c = claim(cid)
+    if c.det_formula is None:
+        raise KeyError(f"no registered closed form for {cid!r}")
     det = form_invariants(*parse_candidate(cid))[2].at(6 * p)
     tol = mpmath.mpf("1e-40") if tol is None else mpmath.mpf(tol)
     with mpmath.workprec(prec):
         phi = 2 * mpmath.pi / p
-        cv = mpmath.mpf(cf.evaluator(phi))
+        cv = mpmath.mpf(c.det_eval(phi))
         mv = det.to_mpc(prec).real
         diff = abs(cv - mv)
-    return DetComparison(cid, p, cv, mv, diff, bool(diff <= tol), cf.formula)
+    return DetComparison(cid, p, cv, mv, diff, bool(diff <= tol), c.det_formula)
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,6 @@ _conj = operator.methodcaller("conj")  # of an exact scalar, Cyclo or Laurent
 # Candidate parameters, read from the registry in `candidates`
 
 
-def candidate_ab(n: int, m: int) -> Optional[tuple[Angle, Angle]]:
-    """The (a, b) angles realizing tr(S) for a classified candidate, if any."""
-    e = entry(n, m)
-    return None if e is None else (e.a, e.b)
-
-
 def is_candidate(n: int, m: int) -> bool:
     return entry(n, m) is not None
 
@@ -76,11 +70,11 @@ def trace_s(a: Angle, b: Angle) -> Cyclo:
 
 
 def candidate_s(n: int, m: int, im_sign: int = 1) -> Cyclo:
-    """Exact tr(S) for a classified candidate (n, m)."""
-    ab = candidate_ab(n, m)
-    if ab is None:
+    """Exact tr(S) for a classified candidate (n, m), from the (a, b) angles of its registry entry."""
+    e = entry(n, m)
+    if e is None:
         raise ValueError(f"({n},{m}) is not a classified candidate")
-    s = trace_s(*ab)
+    s = trace_s(e.a, e.b)
     return s if im_sign >= 0 else s.conj()
 
 
@@ -312,39 +306,6 @@ def build_symmetric(p: int, n: int, m: int, im_sign: int = 1, prec: int = DEFAUL
 
 
 # ---------------------------------------------------------------------------
-# Complex reflections from polar vectors
-
-
-def reflection_matrix(phi: Angle, v: Sequence[Cyclo], h: Mat3) -> Mat3:
-    """Det-1 complex reflection through angle phi with polar vector v.
-
-    Implements z -> z + (e^{i*phi}-1) <z,v>/<v,v> v, scaled by e^{-i*phi/3},
-    where <z,w> = adjoint(w) H z.  Requires <v,v> > 0.
-    """
-    if not h.exact or not all(isinstance(x, Cyclo) for x in v):
-        raise ValueError("reflection_matrix requires exact inputs")
-    vconj = [x.conj() for x in v]
-    # <v,v> = sum_i conj(v_i) * (H v)_i
-    hv = h.apply(v)
-    vv = sum((vconj[i] * hv[i] for i in range(1, 3)), vconj[0] * hv[0])
-    if not vv.is_real() or vv.real_sign() <= 0:
-        raise ValueError("polar vector not positive")
-    e_phi = root_of_unity(phi)
-    scale = root_of_unity(angle(-phi.num, 3 * phi.den))  # e^{-i*phi/3}
-    factor = (e_phi - 1) * vv.inverse()
-    # rank-1 update: v * (adjoint(v) H) = v * row, row_j = (H^t conj(v))_j
-    row = [sum((h.rows[k][j] * vconj[k] for k in range(1, 3)), h.rows[0][j] * vconj[0]) for j in range(3)]
-    entries = [
-        [
-            (Cyclo.one() if i == j else Cyclo.zero()) + factor * v[i] * row[j]
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    return Mat3([[scale * x for x in r] for r in entries])
-
-
-# ---------------------------------------------------------------------------
 # Verification
 
 
@@ -548,7 +509,7 @@ def evaluate_word(g: Group, word: Sequence[int], prec: int = DEFAULT_PREC) -> Ma
             raise ValueError(f"bad generator index {idx}")
     with mpmath.workprec(prec):
         mats = dict(enumerate(g.generators(), start=1))
-        mats.update({-k: r.adjugate() if g.exact else r.inverse() for k, r in mats.items()})  # det = 1
+        mats.update({-k: r.inverse() for k, r in mats.items()})
         out = Mat3.identity(exact=g.exact)
         for idx in word:
             out = out * mats[idx]

@@ -7,12 +7,15 @@ parameter table, the symmetry/braid/eigenvalue suites, the signature
 tables, the identity suites, word identities, closed-form determinants,
 and the randomized property grids.
 """
+import functools
+import operator
 import random
 import time
 
 import mpmath
 import pytest
 
+from chtri.candidates import entry
 from chtri.exact import Cyclo, angle, root_of_unity
 from chtri.linalg import Mat3, hermitian_signature, projective_equal
 from chtri.cosearch import orbit, search, trace_s
@@ -20,7 +23,6 @@ from chtri.reports import detH_closed_form, signature_scan, parameter_table
 from chtri.trigroup import (
     braid_length,
     build_symmetric,
-    candidate_ab,
     candidate_s,
     evaluate_word,
     lemma_eigenvalues_residual,
@@ -63,12 +65,11 @@ def test_acceptance_2_parameter_table(full_search):
         ok &= len(rows) == 6 and all(r.validated for r in rows)
     # search-recovered (a, b) reproduce s up to conjugation and a cube root
     # of unity factor
-    omega = root_of_unity(angle(2, 3))
     for c in res:
         s_ref = candidate_s(c.n, c.m)
         allowed = []
         for j in range(3):
-            w = omega ** j if j else Cyclo.one()
+            w = Cyclo.root(3, j)
             allowed.extend([s_ref * w, s_ref.conj() * w])
         s_got = trace_s(c.a, c.b)
         ok &= any((s_got - t).is_zero() for t in allowed)
@@ -220,20 +221,20 @@ def test_acceptance_10_property_suites():
         for r in g.generators():
             ok &= (r.det() - 1).is_zero()
             ok &= (r.adjoint() * g.H * r - g.H).is_zero_exact()
-            rp = r ** p
+            rp = functools.reduce(operator.mul, [r] * p)
             target = Mat3([[u_cubed_bar if i == j else Cyclo.zero()
                             for j in range(3)] for i in range(3)])
             ok &= (rp - target).is_zero_exact()
         # Sylvester invariance of the signature under congruence
         base = hermitian_signature(g.H).verdict
-        a = Mat3([[Cyclo.rational(rng.randint(-2, 2)) + Cyclo.i() * rng.randint(-1, 1)
+        a = Mat3([[rng.randint(-2, 2) + Cyclo.i() * rng.randint(-1, 1)
                    for _ in range(3)] for _ in range(3)])
         if not a.det().is_zero():
             ok &= hermitian_signature(a.adjoint() * g.H * a).verdict == base
     # orbit invariance: |s| and the main-equation residual are orbit stable
     for _ in range(10):
         n, m = rng.choice(CANDIDATES)
-        a, b = candidate_ab(n, m)
+        a, b = entry(n, m).a, entry(n, m).b
         s_abs = trace_s(a, b).abs2()
         members = rng.sample(sorted(orbit(a, b)), 6)
         for x, y in members:

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import pathlib
@@ -158,6 +161,34 @@ class TestVerifyGolden:
             assert chtri.cli.main(["verify", *case]) == 0
             out.append(capsys.readouterr().out)
         assert "".join(out) == golden.read_text()
+
+
+def _main_digest(argv: list) -> dict:
+    """{argv, exit code, sha256 of stdout} of one in-process `chtri.cli.main` call."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = chtri.cli.main(argv)
+    return {"argv": argv, "exit": code, "sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
+
+
+# every candidate at p = 2 and p = 7, and the float group (5,6) at p = 3
+_GROUPS = (*(_verify_args(cid, p) for cid in ALL_IDS for p in (2, 7)), ["--p", "3", "--n", "5", "--m", "6"])
+_WORDS = ("1 2", "1 -3 2 3", "1 2 -3")
+
+
+class TestBuildClassifyGolden:
+    CALLS = (*(["build", *g] for g in _GROUPS), *(["classify", "--word", w, *g] for g in _GROUPS for w in _WORDS))
+    GOLDEN = pathlib.Path(__file__).parent / "data" / "build_classify_golden.jsonl"
+
+    @classmethod
+    def write_golden(cls):
+        """Write the golden file from the code on the import path."""
+        cls.GOLDEN.write_text("".join(json.dumps(_main_digest(argv)) + "\n" for argv in cls.CALLS))
+
+    def test_matches_the_golden_output(self):
+        # pins the bytes and exit code of build and classify on exact and float groups
+        want = [json.loads(line) for line in self.GOLDEN.read_text().splitlines()]
+        assert [_main_digest(argv) for argv in self.CALLS] == want
 
 
 class TestVerifyCandidate:

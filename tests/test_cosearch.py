@@ -131,14 +131,13 @@ class TestOrbit:
 
     def test_trace_s_orbit_values(self):
         # every orbit member gives s up to cube-root-of-unity times s or conj(s)
-        from chtri.exact import Cyclo, root_of_unity
+        from chtri.exact import Cyclo
 
         a, b = angle(2, 5), angle(7, 15)
         s = trace_s(a, b)
-        omega = root_of_unity(angle(2, 3))
         allowed = []
         for j in range(3):
-            w = omega ** j if j else Cyclo.one()
+            w = Cyclo.root(3, j)
             allowed.extend([s * w, s.conj() * w])
         for x, y in orbit(a, b):
             sx = trace_s(x, y)

@@ -333,15 +333,6 @@ class TestLaurentEvaluation:
         assert (a.conj().at(n) - x.conj()).is_zero()
         assert (a * b - b * a).is_zero() and (a - a).is_zero()
 
-    @ORACLE
-    @given(laurents(), st.integers(1, 60))
-    def test_monomials_are_the_units(self, a, n):
-        if a.is_monomial():
-            assert ((a * a.inverse()).at(n) - 1).is_zero() and not a.at(n).is_zero()
-        else:
-            with pytest.raises(ZeroDivisionError):
-                a.inverse()
-
     def test_is_monomial_stops_at_the_second_nonzero_coefficient(self, monkeypatch):
         zero, one = Cyclo(3, {0: 1, 1: 1, 2: 1}), Cyclo.one()  # 1 + zeta_3 + zeta_3^2 = 0, not zero as written
         tested, is_zero = [], Cyclo.is_zero
@@ -366,7 +357,7 @@ def form(x: Cyclo) -> tuple:
 
 def term_by_term(terms, const) -> Cyclo:
     """sum k * cos(t) + const, one cos_exact and one addition at a time."""
-    return sum((cos_exact(t) * k for k, t in terms), Cyclo.rational(const))
+    return sum((cos_exact(t) * k for k, t in terms), Cyclo(1, {0: const}))
 
 
 # Few small denominators and coefficients -3..3, so that repeated angles,
@@ -405,8 +396,7 @@ class TestCosSum:
         ([(0, angle(1, 7))], 2, 2),
     ])
     def test_cancelling_and_rational_sums(self, terms, const, value):
-        x = self.check(terms, const)
-        assert x.is_rational() == value
+        assert self.check(terms, const) == value
 
     @pytest.mark.parametrize("den", [1, 2, 3, 7, 60])
     def test_cos_exact_is_the_one_term_case(self, den):

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chtri.exact import Cyclo, angle, cos_exact, root_of_unity
+from chtri.exact import Cyclo, Laurent, angle, cos_exact, root_of_unity
 from chtri.linalg import (
     DEFAULT_TOL,
     Mat3,
@@ -29,7 +29,7 @@ def form_residual(m: Mat3, h: Mat3, prec: int = 256):
 
 def _rand_exact_mat(rng):
     def entry():
-        return Cyclo.rational(rng.randint(-3, 3)) + Cyclo.i() * rng.randint(-2, 2)
+        return rng.randint(-3, 3) + Cyclo.i() * rng.randint(-2, 2)
 
     return Mat3([[entry() for _ in range(3)] for _ in range(3)])
 
@@ -47,11 +47,14 @@ class TestMat3:
         assert ((a * b).det() - a.det() * b.det()).is_zero()
 
     def test_exact_inverse(self):
+        # a product of unitriangular matrices has det exactly 1
         rng = random.Random(3)
-        m = _rand_exact_mat(rng)
-        while m.det().is_zero():
-            m = _rand_exact_mat(rng)
-        assert (m * m.inverse() - Mat3.identity(exact=True)).is_zero_exact()
+        lower, upper = _rand_exact_mat(rng).rows, _rand_exact_mat(rng).rows
+        one, zero = Cyclo.one(), Cyclo.zero()
+        m = (Mat3([[one if i == j else lower[i][j] if i > j else zero for j in range(3)] for i in range(3)])
+             * Mat3([[one if i == j else upper[i][j] if i < j else zero for j in range(3)] for i in range(3)]))
+        ident = Mat3.identity(exact=True)
+        assert (m * m.inverse() - ident).is_zero_exact() and (m.inverse() * m - ident).is_zero_exact()
 
     def test_singular_inverse_raises(self):
         z = Cyclo.zero()
@@ -60,12 +63,17 @@ class TestMat3:
         with pytest.raises(SingularMatrixError):
             m.inverse()
 
-    def test_power(self):
-        m = Mat3([[Cyclo.root(5, 1), Cyclo.zero(), Cyclo.zero()],
-                  [Cyclo.zero(), Cyclo.one(), Cyclo.zero()],
-                  [Cyclo.zero(), Cyclo.zero(), Cyclo.one()]])
-        assert ((m ** 5).rows[0][0] - 1).is_zero()
-        assert ((m ** -1).rows[0][0] - Cyclo.root(5, 4)).is_zero()
+    def test_exact_inverse_needs_det_one(self):
+        # an exact matrix with det 2, and a Laurent matrix with det 1 + t
+        one, zero, two = Cyclo.one(), Cyclo.zero(), Cyclo(1, {0: 2})
+        m = Mat3([[two, one, zero], [zero, one, zero], [zero, zero, one]])
+        assert (m.det() - 2).is_zero()
+        lone, lzero, t = Laurent({0: one}), Laurent({}), Laurent.t(1)
+        lm = Mat3([[lone + t, lzero, lzero], [lzero, lone, t], [lzero, lzero, lone]])
+        assert not (lm.det() - 1).is_zero()
+        for x in (m, lm):
+            with pytest.raises(SingularMatrixError):
+                x.inverse()
 
     def test_adjoint_is_conjugate_transpose(self):
         m = _rand_exact_mat(random.Random(4))
@@ -94,9 +102,9 @@ class TestEigenvalues:
     def test_diagonal_values(self):
         # oracle: diagonal matrix with known entries 2, -1, 1/2
         z = Cyclo.zero()
-        m = Mat3([[Cyclo.rational(2), z, z],
-                  [z, Cyclo.rational(-1), z],
-                  [z, z, Cyclo.rational(Fraction(1, 2))]])
+        m = Mat3([[Cyclo(1, {0: 2}), z, z],
+                  [z, Cyclo(1, {0: -1}), z],
+                  [z, z, Cyclo(1, {0: Fraction(1, 2)})]])
         eigs = sorted(eigenvalues3(m, 100), key=lambda e: float(e.real))
         assert abs(eigs[0] + 1) < 1e-25
         assert abs(eigs[1] - 0.5) < 1e-25
@@ -105,7 +113,7 @@ class TestEigenvalues:
 
 class TestSignature:
     def test_diagonal_signatures(self):
-        for num in (Cyclo.rational, mpmath.mpc):  # exact, then float entries
+        for num in (lambda q: Cyclo(1, {0: q}), mpmath.mpc):  # exact, then float entries
             z = num(0)
 
             def diag(a, b, c):
@@ -125,9 +133,9 @@ class TestSignature:
         # congruence by an invertible matrix preserves the signature
         rng = random.Random(6)
         z = Cyclo.zero()
-        h = Mat3([[Cyclo.rational(2), Cyclo.i(), z],
-                  [-Cyclo.i(), Cyclo.rational(1), z],
-                  [z, z, Cyclo.rational(-3)]])
+        h = Mat3([[Cyclo(1, {0: 2}), Cyclo.i(), z],
+                  [-Cyclo.i(), Cyclo(1, {0: 1}), z],
+                  [z, z, Cyclo(1, {0: -3})]])
         base = hermitian_signature(h).verdict
         for _ in range(5):
             a = _rand_exact_mat(rng)
@@ -146,7 +154,7 @@ class TestProjective:
 
     def test_different_not_equal(self):
         ident = Mat3.identity(exact=True)
-        m = Mat3([[Cyclo.rational(2), Cyclo.zero(), Cyclo.zero()],
+        m = Mat3([[Cyclo(1, {0: 2}), Cyclo.zero(), Cyclo.zero()],
                   [Cyclo.zero(), Cyclo.one(), Cyclo.zero()],
                   [Cyclo.zero(), Cyclo.zero(), Cyclo.one()]])
         assert not projective_equal(ident, m)
@@ -200,7 +208,7 @@ class TestProjectiveFastPaths:
         with mpmath.workprec(prec):
             a = b.scale(mpmath.expjpi(mpmath.mpf(2 * k) / 3))
             if perturb:
-                a = a + Mat3([[mpmath.mpc(1e-3 * (i - j)) for j in range(3)] for i in range(3)])
+                a = Mat3([[x + mpmath.mpc(1e-3 * (i - j)) for j, x in enumerate(r)] for i, r in enumerate(a.rows)])
         got, want = projective_residual(a, b, prec), reference_residual(a, b, prec)
         assert got._mpf_ == want._mpf_
         assert projective_equal(a, b, prec=prec) == (want <= DEFAULT_TOL)

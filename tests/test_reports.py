@@ -10,8 +10,6 @@ from chtri import candidates, cli, reports, trigroup
 from chtri.exact import Laurent, angle
 from chtri.reports import (
     build_candidate,
-    claimed_verdict,
-    closed_form,
     detH_closed_form,
     parse_candidate,
     scan_to_csv,
@@ -38,6 +36,11 @@ class TestParsing:
     def test_build(self):
         g = build_candidate("(4,3)", 4)
         assert g.exact and g.params.p == 4
+
+
+def claimed_verdict(cid: str, p: int):
+    """The verdict recorded for `cid` at p, which `signature_scan` reports as `claimed`."""
+    return candidates.claim(cid).verdict(p)
 
 
 class TestClaims:
@@ -203,10 +206,10 @@ class TestClosedForms:
 
     def test_no_form_registered(self):
         with pytest.raises(KeyError):
-            closed_form("(5,4)")
+            detH_closed_form("(5,4)", 2)
 
     def test_formula_strings(self):
-        assert "sin" in closed_form("(4,3)").formula
+        assert "sin" in detH_closed_form("(4,3)", 2).formula
 
 
 class TestParameterTable:

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 
 import mpmath
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import chtri.cli
 from chtri.candidates import ALL_IDS, parse_candidate
 from chtri.exact import Cyclo, Laurent, angle, cos_exact, root_of_unity
-from chtri.linalg import Mat3, hermitian_signature, invariant_signature, projective_equal
+from chtri.linalg import Mat3, SingularMatrixError, hermitian_signature, invariant_signature, projective_equal
 from chtri.trigroup import (
     Certificate,
     InfeasibleGroupError,
@@ -16,7 +18,6 @@ from chtri.trigroup import (
     braid_length,
     build_group,
     build_symmetric,
-    candidate_ab,
     candidate_s,
     certificate,
     evaluate_word,
@@ -26,7 +27,6 @@ from chtri.trigroup import (
     is_candidate,
     lemma_eigenvalues_residual,
     parameter_feasible,
-    reflection_matrix,
     symmetric_params,
     symmetry_matrix,
     trace_invariants,
@@ -81,7 +81,7 @@ class TestBuild:
             # det = 1 exactly
             assert (r.det() - 1).is_zero()
             # R^p = e^{-2 pi i/3} I
-            rp = r ** g.params.p
+            rp = functools.reduce(operator.mul, [r] * g.params.p)
             target = Mat3([[u_cubed.conj() if i == j else Cyclo.zero()
                             for j in range(3)] for i in range(3)])
             assert (rp - target).is_zero_exact()
@@ -360,6 +360,26 @@ class TestEigenvalueLemma:
         assert lemma_eigenvalues_residual(g, prec=128) <= mpmath.mpf("1e-30")
 
 
+def reflection_matrix(phi, v, h: Mat3) -> Mat3:
+    """Det-1 complex reflection through angle phi with polar vector v: an oracle for `build_group`.
+
+    Implements z -> z + (e^{i*phi}-1) <z,v>/<v,v> v, scaled by e^{-i*phi/3},
+    where <z,w> = adjoint(w) H z.  Requires <v,v> > 0.
+    """
+    vconj = [x.conj() for x in v]
+    # <v,v> = sum_i conj(v_i) * (H v)_i
+    hv = h.apply(v)
+    vv = sum((vconj[i] * hv[i] for i in range(1, 3)), vconj[0] * hv[0])
+    if not vv.is_real() or vv.real_sign() <= 0:
+        raise ValueError("polar vector not positive")
+    scale = root_of_unity(angle(-phi.num, 3 * phi.den))  # e^{-i*phi/3}
+    factor = (root_of_unity(phi) - 1) * vv.inverse()
+    # rank-1 update: v * (adjoint(v) H) = v * row, row_j = (H^t conj(v))_j
+    row = [sum((h.rows[k][j] * vconj[k] for k in range(1, 3)), h.rows[0][j] * vconj[0]) for j in range(3)]
+    return Mat3([[scale * ((Cyclo.one() if i == j else Cyclo.zero()) + factor * v[i] * row[j]) for j in range(3)]
+                 for i in range(3)])
+
+
 class TestReflection:
     def test_reproduces_generators(self):
         g = build_symmetric(4, 4, 3)
@@ -483,6 +503,8 @@ class TestCertificate:
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (0, 2), (1, 0), (2, 1), (2, 2)])
     def test_a_sign_flipped_in_s_fails(self, entry, monkeypatch, capsys):
+        # only the flip at (0,0) keeps det S = 1, and a symmetry check fails; any other flip leaves
+        # S with no exact inverse, and reading the certificate raises
         orig = symmetry_matrix
 
         def flipped(*args, **kwargs):
@@ -492,9 +514,16 @@ class TestCertificate:
         monkeypatch.setattr("chtri.trigroup.symmetry_matrix", flipped)
         certificate.cache_clear()
         generic_group.cache_clear()
+        argv = ["verify", "--p", "5", "--n", "5", "--m", "4"]
         try:
+            if entry != (0, 0):
+                assert not (generic_group(5, 4, 1).S.det() - 1).is_zero()
+                for read in (lambda: certificate(5, 4, 1), lambda: chtri.cli.main(argv)):
+                    with pytest.raises(SingularMatrixError, match="det exactly 1"):
+                        read()
+                return
             assert not all(ok for _, ok in certificate(5, 4, 1).checks)
-            assert chtri.cli.main(["verify", "--p", "5", "--n", "5", "--m", "4"]) == 1
+            assert chtri.cli.main(argv) == 1
         finally:
             certificate.cache_clear()
             generic_group.cache_clear()
