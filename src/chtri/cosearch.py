@@ -8,8 +8,9 @@ are rational multiples of pi.  A pair (n, m) is admissible when
             - cos(a-b) - cos(a+2b) - cos(2a+b) = 1
 
 have a common solution.  `search` solves the minor equation for b at each
-angle a of a rational grid, screens the grid angles next to each root in
-float arithmetic, and confirms survivors in exact cyclotomic arithmetic.
+angle a of a rational grid, screens in float arithmetic only the grid angles
+within ROOT_ERROR of a root, and confirms survivors in exact cyclotomic
+arithmetic.
 
 The module also carries exact residual evaluators for the classical
 vanishing-cosine-sum identities used to classify the solutions.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -73,9 +74,10 @@ def canonicalize_ab(a: Angle, b: Angle) -> tuple:
 
 # Float screen: a grid pair survives when each equation holds to this tolerance.
 PREFILTER_TOL = 1e-9
-# An exact grid solution b lies within this distance of the computed root
-# (arccos amplifies rounding near a double root).  `search` needs the least
-# gap pi/den_max**2 between grid angles to exceed it.
+# An exact grid solution b lies within this distance of a computed root of the
+# minor equation (arccos amplifies rounding near a double root), so `search`
+# screens only the grid angles this close to a root.  It needs the least gap
+# pi/den_max**2 between grid angles to exceed it.
 ROOT_ERROR = 1e-7
 
 
@@ -107,10 +109,59 @@ def _angle_grid(den_max: int) -> list:
             for num in range(2 * den) if math.gcd(num, den) == 1]
 
 
-def _screen(a_th: float, a_cos: float, b_th: float, b_cos: float, cn: float, cos_m: dict) -> list:
+def _root_table(grid: list) -> tuple:
+    """(sorted_th, by_angle, cos_a, twice_half) for `_near_roots`: the grid
+    angles in increasing order with 2*pi appended, the grid index of each,
+    and cos(a) and 2*cos(a/2) for the sorted a in [0, pi]."""
+    th = [math.pi * (g.num / g.den) for g in grid]
+    by_angle = sorted(range(len(th)), key=th.__getitem__)
+    sorted_th = [th[k] for k in by_angle]
+    domain = sorted_th[:bisect_right(sorted_th, math.pi)]
+    cos_a = [math.cos(t) for t in domain]
+    twice_half = [2 * math.cos(t / 2) for t in domain]
+    sorted_th.append(2 * math.pi)
+    return sorted_th, by_angle, cos_a, twice_half
+
+
+def _near_roots(cn: float, sorted_th: list, by_angle: list, cos_a: list, twice_half: list) -> list:
+    """The grid index pairs (i, j), a = grid[i] in [0, pi], with b = grid[j]
+    within ROOT_ERROR of a root of cos a + cos b + cos(a+b) = cn whose circle
+    distance to 0 is at least a - ROOT_ERROR.  Sorted, without repeats.
+
+    The roots are b = +-phase - a/2 with cos(phase) = (cn - cos a) / (2 cos(a/2)).
+    Each root is kept or dropped by two float comparisons with its neighbours
+    in sorted_th; the appended 2*pi makes the angle 0 the upper neighbour of a
+    root just below 2*pi.
+    """
+    two_pi, size = 2 * math.pi, len(by_angle)
+    near = []
+    # zip stops at the last a in [0, pi]
+    for k, (a_th, a_cos, half) in enumerate(zip(sorted_th, cos_a, twice_half)):
+        x = cn - a_cos
+        if abs(x) >= half + PREFILTER_TOL:
+            continue  # no b comes within PREFILTER_TOL of the equation
+        x /= half
+        phase = math.acos(x if -1.0 <= x <= 1.0 else math.copysign(1.0, x))
+        low = a_th - ROOT_ERROR  # a root with |root| < low has no solution b with |b| >= a near it
+        shift = a_th / 2
+        for root in (phase - shift, -phase - shift):
+            root %= two_pi
+            if not low <= root <= two_pi - low:
+                continue
+            r = bisect_left(sorted_th, root)  # sorted_th[r - 1] < root <= sorted_th[r]
+            # at r = 0 the root is 0 and sorted_th[-1] is the appended 2*pi: no lower neighbour
+            if root - ROOT_ERROR <= sorted_th[r - 1] <= root:
+                near.append((by_angle[k], by_angle[r - 1]))
+            if sorted_th[r] <= root + ROOT_ERROR:
+                near.append((by_angle[k], by_angle[r % size]))
+    return sorted(set(near))
+
+
+def _screen(a: Angle, b: Angle, cn: float, cos_m: dict) -> list:
     """The m whose main equation, with the minor one for cos(2*pi/n) = cn,
     holds at (a, b) to PREFILTER_TOL in floats."""
-    if abs(a_cos + b_cos + math.cos(a_th + b_th) - cn) >= PREFILTER_TOL:
+    a_th, b_th = math.pi * (a.num / a.den), math.pi * (b.num / b.den)
+    if abs(math.cos(a_th) + math.cos(b_th) + math.cos(a_th + b_th) - cn) >= PREFILTER_TOL:
         return []
     core = (-math.cos(a_th - b_th) - math.cos(a_th + 2 * b_th)
             - math.cos(2 * a_th + b_th) - 1.0) - cn
@@ -124,15 +175,14 @@ def search(den_max: int = 90, n_max: int = 12, m_max: int = 12) -> list:
     and negating them) preserve both equations, and swapping or negating
     (a, b) keeps a grid pair on the grid.  So every orbit of grid solutions
     has a member with a in [0, pi] and |b| >= a (|b| the distance of b to 0
-    on the circle), and only those a are visited.  For each such a and each
-    n <= n_max the minor equation is solved for b in closed form; the grid
-    angles on either side of each root with |b| >= a are screened in float
-    arithmetic against the minor and every main equation with m <= m_max.
-    A hit in a new orbit is expanded once into its grid members, which are
-    marked seen; the representative is the least member (a, b), a not after
-    b in grid order, that passes the float screen, and it is confirmed in
-    exact arithmetic.  Returns Candidates sorted by (n, m, a, b); entries
-    that fail exact confirmation are kept but flagged.
+    on the circle).  For each n <= n_max, only the pairs of that domain that
+    `_near_roots` gives are screened in float arithmetic against the minor
+    and every main equation with m <= m_max.  A hit in a new orbit is
+    expanded once into its grid members, which are marked seen; the
+    representative is the least member (a, b), a not after b in grid order,
+    that passes the float screen, and it is confirmed in exact arithmetic.
+    Returns Candidates sorted by (n, m, a, b); entries that fail exact
+    confirmation are kept but flagged.
     """
     if den_max < 1:
         raise ValueError("den_max must be >= 1")
@@ -142,51 +192,22 @@ def search(den_max: int = 90, n_max: int = 12, m_max: int = 12) -> list:
     if n_max < 3 or m_max < 3:
         raise ValueError("n_max and m_max must be >= 3")
     grid = _angle_grid(den_max)
-    th = [math.pi * (g.num / g.den) for g in grid]
-    cos_th = [math.cos(t) for t in th]
-    by_angle = sorted(range(len(th)), key=th.__getitem__)
-    sorted_th = [th[k] for k in by_angle]
+    table = _root_table(grid)
     cos_n = {n: math.cos(2 * math.pi / n) for n in range(3, n_max + 1)}
     cos_m = {m: math.cos(2 * math.pi / m) for m in range(3, m_max + 1)}
-    two_pi, size = 2 * math.pi, len(th)
 
     hits: dict = {}  # (n, m) + orbit key -> least grid member that passes the screen
     seen: set = set()  # (n, m, a, b) for every grid member of an expanded orbit
-    for i, a in enumerate(grid):
-        if a.num > a.den:
-            continue  # a > pi: a swap or negation of (a, b) lies in the domain
-        a_th = th[i]
-        a_cos = cos_th[i]
-        # minor: cos a + cos b + cos(a+b) = cos a + twice_half * cos(b + a/2)
-        twice_half = 2 * math.cos(a_th / 2)
-        low = a_th - ROOT_ERROR  # a root with |root| < low has no solution b with |b| >= a near it
-        for n, cn in cos_n.items():
-            if abs(cn - a_cos) >= abs(twice_half) + PREFILTER_TOL:
-                continue  # no b comes within PREFILTER_TOL of the minor equation
-            phase = math.acos(max(-1.0, min(1.0, (cn - a_cos) / twice_half)))
-            # An exact grid solution b lies within ROOT_ERROR of a computed root,
-            # inside the least gap pi/den_max**2 between grid angles: it is one of
-            # the two around a root, and a root farther than ROOT_ERROR inside
-            # |b| < a has no solution in the domain.
-            near = set()
-            for root in (phase - a_th / 2, -phase - a_th / 2):
-                root %= two_pi
-                if not low <= root <= two_pi - low:
-                    continue
-                k = bisect_left(sorted_th, root)
-                near.update((by_angle[k - 1], by_angle[k % size]))
-            for j in near:
-                b = grid[j]
-                if not a.num * b.den <= b.num * a.den <= (2 * a.den - a.num) * b.den:
-                    continue  # |b| < a
-                lo, hi = (i, j) if i <= j else (j, i)
-                # _screen's minor test, inlined: it rejects almost every neighbour
-                if abs(cos_th[lo] + cos_th[hi] + math.cos(th[lo] + th[hi]) - cn) >= PREFILTER_TOL:
-                    continue
-                for m in _screen(th[lo], cos_th[lo], th[hi], cos_th[hi], cn, cos_m):
-                    if (n, m, a, b) not in seen:
-                        key, rep = _expand(n, m, a, b, den_max, cn, cos_m, seen)
-                        hits[(n, m) + key] = rep
+    for n, cn in cos_n.items():
+        for i, j in _near_roots(cn, *table):
+            a, b = grid[i], grid[j]
+            if not a.num * b.den <= b.num * a.den <= (2 * a.den - a.num) * b.den:
+                continue  # |b| < a
+            lo, hi = (a, b) if i <= j else (b, a)  # screened in grid order, as _expand screens
+            for m in _screen(lo, hi, cn, cos_m):
+                if (n, m, a, b) not in seen:
+                    key, rep = _expand(n, m, a, b, den_max, cn, cos_m, seen)
+                    hits[(n, m) + key] = rep
     out = []
     for (n, m, *_orbit), (a, b) in hits.items():
         confirmed = minor_residual(n, a, b).is_zero() and main_residual(m, n, a, b).is_zero()
@@ -207,10 +228,8 @@ def _expand(n: int, m: int, a: Angle, b: Angle, den_max: int, cn: float, cos_m: 
         if max(x.den, y.den) > den_max:
             continue
         seen.add((n, m, x, y))
-        if (x.den, x.num) <= (y.den, y.num) and (rep is None or (x, y) < rep):
-            x_th, y_th = math.pi * (x.num / x.den), math.pi * (y.num / y.den)
-            if m in _screen(x_th, math.cos(x_th), y_th, math.cos(y_th), cn, cos_m):
-                rep = (x, y)
+        if (x.den, x.num) <= (y.den, y.num) and (rep is None or (x, y) < rep) and m in _screen(x, y, cn, cos_m):
+            rep = (x, y)
     return canonicalize_ab(a, b), rep
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from chtri.exact import Cyclo, angle
+from chtri.exact import Cyclo, angle, cos_sum
 from chtri.cosearch import (
     COSINE_SUM_LABELS,
     PARAMETRIC_TRACE_ROWS,
@@ -16,6 +16,8 @@ from chtri.cosearch import (
     TRACE_TABLE_LABELS,
     Candidate,
     _angle_grid,
+    _near_roots,
+    _root_table,
     canonicalize_ab,
     factorization_residual,
     half_angle_residuals,
@@ -171,6 +173,73 @@ def pair_scan(den_max, n_max, m_max):
         confirmed = minor_residual(n, a, b).is_zero() and main_residual(m, n, a, b).is_zero()
         out.append(Candidate(n, m, a, b, confirmed, parameter_feasible(n, m)))
     return sorted(out, key=lambda c: (c.n, c.m, c.a.frac, c.b.frac))
+
+
+def in_domain(a, b):
+    """a in [0, pi] and |b| >= a, |b| the circle distance of b to 0: exact, on Angles."""
+    return a.num <= a.den and a.num * b.den <= b.num * a.den <= (2 * a.den - a.num) * b.den
+
+
+def minor_float(a, b):
+    """cos a + cos b + cos(a+b) in floats, from the angles as `search` rounds them."""
+    ta, tb = math.pi * (a.num / a.den), math.pi * (b.num / b.den)
+    return math.cos(ta) + math.cos(tb) + math.cos(ta + tb)
+
+
+def domain_solutions(grid, a0, b0):
+    """Every grid pair (i, j) in the search domain with cos a + cos b + cos(a+b) equal to its
+    value at (a0, b0): a scan of every pair in floats, then an exact test of each survivor."""
+    th = [math.pi * (g.num / g.den) for g in grid]
+    cn = minor_float(a0, b0)
+    target = [(-1, a0), (-1, b0), (-1, a0 + b0)]
+    out = set()
+    for (i, a), (j, b) in itertools.product(enumerate(grid), repeat=2):
+        if in_domain(a, b) and abs(math.cos(th[i]) + math.cos(th[j]) + math.cos(th[i] + th[j]) - cn) < PREFILTER_TOL:
+            if cos_sum([(1, a), (1, b), (1, a + b)] + target).is_zero():
+                out.add((i, j))
+    return cn, out
+
+
+# grid pairs (a, b) on the edges of the search domain, as ((num, den), (num, den)) of pi
+DOMAIN_EDGES = {
+    "a = pi": ((1, 1), (1, 1)),  # target -1: every (a, pi) and (a, pi - a) solves it
+    "a in (pi/2, pi)": ((3, 4), (5, 6)),
+    "|b| = a": ((5, 12), (5, 12)),
+    "b = 2pi - a": ((5, 12), (19, 12)),
+    "a = 0": ((0, 1), (2, 3)),
+    # b = pi - a/2: the two roots meet; at 2pi/3 the whole orbit has a > pi/2
+    "tangent at 2pi/3": ((2, 3), (2, 3)),
+    "tangent at pi/2": ((1, 2), (3, 4)),
+}
+
+
+class TestNearRoots:
+    @pytest.mark.parametrize("edge", sorted(DOMAIN_EDGES))
+    def test_finds_every_domain_solution_and_nothing_else(self, edge):
+        grid = _angle_grid(24)
+        (an, ad), (bn, bd) = DOMAIN_EDGES[edge]
+        cn, expected = domain_solutions(grid, angle(an, ad), angle(bn, bd))
+        assert expected  # the pair's own orbit has a member in the domain
+        assert _near_roots(cn, *_root_table(grid)) == sorted(expected)
+
+    def test_no_pair_just_inside_the_domain_edge(self):
+        # 28pi/57 lies pi/3363 (under 1e-3) below 29pi/59: (29pi/59, 28pi/57) is a solution
+        # outside the domain, and its swap is the domain member of its orbit
+        grid = _angle_grid(60)
+        a0, b0 = angle(29, 59), angle(28, 57)
+        assert 0 < math.pi * float(a0.frac - b0.frac) < 1e-3
+        near = _near_roots(minor_float(a0, b0), *_root_table(grid))
+        assert (grid.index(b0), grid.index(a0)) in near
+        assert all(in_domain(grid[i], grid[j]) for i, j in near)
+
+    @pytest.mark.parametrize("den_max, pairs", [(90, 51), (150, 64)])
+    def test_work_count(self, den_max, pairs):
+        # the near-root pairs of the n <= 12 pass, and under 1% of the (a, n) root solves:
+        # screening every grid neighbour of every root would be over 100 times as many
+        table = _root_table(_angle_grid(den_max))
+        near = [p for n in range(3, 13) for p in _near_roots(math.cos(2 * math.pi / n), *table)]
+        assert len(near) == pairs
+        assert len(near) < 0.01 * len(table[2]) * 10
 
 
 class TestSearch:
