@@ -7,9 +7,11 @@ are rational multiples of pi.  A pair (n, m) is admissible when
     main:   cos(2*pi/m) - cos(2*pi/n)
             - cos(a-b) - cos(a+2b) - cos(2a+b) = 1
 
-have a common solution.  `search` solves the minor equation for b at each
-angle a of a rational grid, screens in float arithmetic only the grid angles
-within ROOT_ERROR of a root, and confirms survivors in exact cyclotomic
+have a common solution.  They say Re s = cos(2*pi/n) and
+|s|^2 = 1 + 2cos(2*pi/m) - 2cos(2*pi/n), so (n, m) fixes s up to conjugation,
+and e^{ia}, e^{ib}, e^{-i(a+b)} are the roots of X^3 - s X^2 + conj(s) X - 1.
+`search` solves that cubic once for each (n, m) in complex doubles, reads the
+root angles as fractions of pi, and confirms them in exact cyclotomic
 arithmetic.
 
 The module also carries exact residual evaluators for the classical
@@ -17,10 +19,10 @@ vanishing-cosine-sum identities used to classify the solutions.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -47,21 +49,24 @@ def main_residual(m: int, n: int, a: Angle, b: Angle) -> Cyclo:
 # ---------------------------------------------------------------------------
 # Orbit canonicalization
 
+def _images(a: Angle, b: Angle):
+    """The 12 images of (a, b) that permute the exponents {a, b, -(a+b)} of s, with or without
+    negating them.  They keep Re s and |s|^2, and with them the minor and main equations."""
+    for x, y in itertools.permutations((a, b, -(a + b)), 2):
+        yield x, y
+        yield -x, -y
+
+
 def orbit(a: Angle, b: Angle) -> set:
     """All 36 images of (a, b) under the symmetries of s, as Angle pairs.
 
     s is unchanged by permuting the exponents {a, b, -(a+b)}, conjugated by
     negating them, and multiplied by a cube root of unity when all three are
-    shifted by 2*pi/3.  Only the 12 images with no shift (the permutations,
-    with or without negation) preserve Re s and |s|^2, and with them the
-    minor and main equations; a shift changes Re s.
+    shifted by 2*pi/3.  Only the 12 `_images` with no shift preserve Re s and
+    |s|^2; a shift changes Re s.
     """
     shifts = [angle(2 * k, 3) for k in range(3)]
-    out = set()
-    for x, y in itertools.permutations((a, b, -(a + b)), 2):
-        for u, v in ((x, y), (-x, -y)):
-            out.update((u + shift, v + shift) for shift in shifts)
-    return out
+    return {(x + shift, y + shift) for x, y in _images(a, b) for shift in shifts}
 
 
 def canonicalize_ab(a: Angle, b: Angle) -> tuple:
@@ -72,13 +77,15 @@ def canonicalize_ab(a: Angle, b: Angle) -> tuple:
 # ---------------------------------------------------------------------------
 # Search
 
-# Float screen: a grid pair survives when each equation holds to this tolerance.
-PREFILTER_TOL = 1e-9
-# An exact grid solution b lies within this distance of a computed root of the
-# minor equation (arccos amplifies rounding near a double root), so `search`
-# screens only the grid angles this close to a root.  It needs the least gap
-# pi/den_max**2 between grid angles to exceed it.
-ROOT_ERROR = 1e-7
+# Im^2 s and f(s) are decided exactly when their float value is smaller than this;
+# the float error of either is under 1e-13.
+EXACT_BELOW = 1e-9
+# A root's angle is read as a fraction of pi only within this distance of it.  It is above
+# the error of a computed angle: under 1e-14 for n, m <= 60, growing as 1/Im s.  Up to
+# den_max 1e5 it is far below 1/den_max**2, the least gap between two fractions, so an
+# irrational angle is seldom read as one.
+ANGLE_TOL = 1e-13
+_CUBE_ROOTS = [cmath.exp(2j * math.pi * k / 3) for k in range(3)]
 
 
 @dataclass(frozen=True)
@@ -104,133 +111,93 @@ class Candidate:
 
 
 def _angle_grid(den_max: int) -> list:
-    """The Angles pi*q for all reduced q in [0, 2) with denominator <= den_max, in (den, num) order."""
+    """The Angles pi*q for all reduced q in [0, 2) with denominator <= den_max, in (den, num) order.
+
+    `search` visits no grid: this is the domain of the tests' exhaustive pair scan."""
     return [Angle(num, den) for den in range(1, den_max + 1)
             for num in range(2 * den) if math.gcd(num, den) == 1]
 
 
-def _root_table(grid: list) -> tuple:
-    """(sorted_th, by_angle, cos_a, twice_half) for `_near_roots`: the grid
-    angles in increasing order with 2*pi appended, the grid index of each,
-    and cos(a) and 2*cos(a/2) for the sorted a in [0, pi]."""
-    th = [math.pi * (g.num / g.den) for g in grid]
-    by_angle = sorted(range(len(th)), key=th.__getitem__)
-    sorted_th = [th[k] for k in by_angle]
-    domain = sorted_th[:bisect_right(sorted_th, math.pi)]
-    cos_a = [math.cos(t) for t in domain]
-    twice_half = [2 * math.cos(t / 2) for t in domain]
-    sorted_th.append(2 * math.pi)
-    return sorted_th, by_angle, cos_a, twice_half
+def _invariants(x, mod2) -> tuple:
+    """(Im^2 s, Goldman's f(s)) from x = Re s and mod2 = |s|^2, as floats or as exact Cyclos.
 
-
-def _near_roots(cn: float, sorted_th: list, by_angle: list, cos_a: list, twice_half: list) -> list:
-    """The grid index pairs (i, j), a = grid[i] in [0, pi], with b = grid[j]
-    within ROOT_ERROR of a root of cos a + cos b + cos(a+b) = cn whose circle
-    distance to 0 is at least a - ROOT_ERROR.  Sorted, without repeats.
-
-    The roots are b = +-phase - a/2 with cos(phase) = (cn - cos a) / (2 cos(a/2)).
-    Each root is kept or dropped by two float comparisons with its neighbours
-    in sorted_th; the appended 2*pi makes the angle 0 the upper neighbour of a
-    root just below 2*pi.
+    f(s) = |s|^4 - 8 Re(s^3) + 18|s|^2 - 27, with Re(s^3) = 4x^3 - 3x|s|^2.  The three roots
+    of X^3 - s X^2 + conj(s) X - 1 lie on the unit circle iff f(s) <= 0, and two of them
+    coincide iff f(s) = 0 (Goldman, Complex Hyperbolic Geometry, 1999).
     """
-    two_pi, size = 2 * math.pi, len(by_angle)
-    near = []
-    # zip stops at the last a in [0, pi]
-    for k, (a_th, a_cos, half) in enumerate(zip(sorted_th, cos_a, twice_half)):
-        x = cn - a_cos
-        if abs(x) >= half + PREFILTER_TOL:
-            continue  # no b comes within PREFILTER_TOL of the equation
-        x /= half
-        phase = math.acos(x if -1.0 <= x <= 1.0 else math.copysign(1.0, x))
-        low = a_th - ROOT_ERROR  # a root with |root| < low has no solution b with |b| >= a near it
-        shift = a_th / 2
-        for root in (phase - shift, -phase - shift):
-            root %= two_pi
-            if not low <= root <= two_pi - low:
-                continue
-            r = bisect_left(sorted_th, root)  # sorted_th[r - 1] < root <= sorted_th[r]
-            # at r = 0 the root is 0 and sorted_th[-1] is the appended 2*pi: no lower neighbour
-            if root - ROOT_ERROR <= sorted_th[r - 1] <= root:
-                near.append((by_angle[k], by_angle[r - 1]))
-            if sorted_th[r] <= root + ROOT_ERROR:
-                near.append((by_angle[k], by_angle[r % size]))
-    return sorted(set(near))
+    return mod2 - x * x, mod2 * (mod2 + x * 24 + 18) - x * x * x * 32 - 27
 
 
-def _screen(a: Angle, b: Angle, cn: float, cos_m: dict) -> list:
-    """The m whose main equation, with the minor one for cos(2*pi/n) = cn,
-    holds at (a, b) to PREFILTER_TOL in floats."""
-    a_th, b_th = math.pi * (a.num / a.den), math.pi * (b.num / b.den)
-    if abs(math.cos(a_th) + math.cos(b_th) + math.cos(a_th + b_th) - cn) >= PREFILTER_TOL:
-        return []
-    core = (-math.cos(a_th - b_th) - math.cos(a_th + 2 * b_th)
-            - math.cos(2 * a_th + b_th) - 1.0) - cn
-    return [m for m, cm in cos_m.items() if abs(cm + core) < PREFILTER_TOL]
+def _eigenvalues(n: int, m: int) -> Optional[list]:
+    """The roots e^{ia}, e^{ib}, e^{-i(a+b)} of X^3 - s X^2 + conj(s) X - 1 in complex doubles,
+    for the s of (n, m) with Im s >= 0; None when no real (a, b) solves both equations.
+
+    Re s = cos(2*pi/n) is the minor equation and |s|^2 = 1 + 2cos(2*pi/m) - 2cos(2*pi/n) the
+    main one.  There is no real solution when Im^2 s < 0, or when f(s) > 0 puts a root off
+    the unit circle.
+    """
+    x = math.cos(2 * math.pi / n)
+    mod2 = 1 + 2 * math.cos(2 * math.pi / m) - 2 * x
+    im2, f = _invariants(x, mod2)
+    if min(abs(im2), abs(f)) < EXACT_BELOW:  # s = 0 at (4,3), f(s) = 0 at (6,6): floats give noise
+        exact = _invariants(cos_exact(angle(2, n)), cos_sum([(2, angle(2, m)), (-2, angle(2, n))], 1))
+        im2, f = (v if abs(v) >= EXACT_BELOW else e.real_sign() * abs(v) for v, e in zip((im2, f), exact))
+    if im2 < 0 or f > 0:
+        return None
+    s = complex(x, math.sqrt(im2))
+    sb = s.conjugate()
+    if f == 0:
+        # Cardano loses half its digits at a double root, which is a simple root of the derivative
+        # 3X^2 - 2sX + conj(s); the other root of the derivative has modulus |s|/3 < 1
+        w = cmath.sqrt(s * s - 3 * sb)
+        root = max((s + w) / 3, (s - w) / 3, key=abs)
+        return [root, root, root.conjugate() ** 2]
+    # Cardano on X = Y + s/3, Y^3 + pY + q = 0, from the larger of the two cubes u^3
+    p, q = sb - s * s / 3, s * sb / 3 - 1 - 2 * s ** 3 / 27
+    w = cmath.sqrt(q * q / 4 + p ** 3 / 27)
+    u = max(w - q / 2, -w - q / 2, key=abs) ** (1 / 3)
+    return [u * r - p / (3 * u * r) + s / 3 for r in _CUBE_ROOTS]
+
+
+def _read(root: complex, den_max: int) -> Optional[Angle]:
+    """The angle pi*k/q nearest to the argument of root with q <= den_max, or None when it
+    lies farther than ANGLE_TOL from that argument."""
+    t = cmath.phase(root) / math.pi
+    q = Fraction(t).limit_denominator(den_max)
+    return angle(q.numerator, q.denominator) if abs(t - q) < ANGLE_TOL else None
 
 
 def search(den_max: int = 90, n_max: int = 12, m_max: int = 12) -> list:
-    """Enumerate exact solutions of the minor/main equations on the grid.
+    """The exact solutions (a, b) of the minor and main equations with denominators <= den_max,
+    at most one orbit for each n <= n_max and m <= m_max.
 
-    The 12 symmetries of s without a 2*pi/3 shift (permuting a, b, -(a+b)
-    and negating them) preserve both equations, and swapping or negating
-    (a, b) keeps a grid pair on the grid.  So every orbit of grid solutions
-    has a member with a in [0, pi] and |b| >= a (|b| the distance of b to 0
-    on the circle).  For each n <= n_max, only the pairs of that domain that
-    `_near_roots` gives are screened in float arithmetic against the minor
-    and every main equation with m <= m_max.  A hit in a new orbit is
-    expanded once into its grid members, which are marked seen; the
-    representative is the least member (a, b), a not after b in grid order,
-    that passes the float screen, and it is confirmed in exact arithmetic.
-    Returns Candidates sorted by (n, m, a, b); entries that fail exact
-    confirmation are kept but flagged.
+    The equations fix Re s and |s|^2, so s up to conjugation, and (a, b) up to the 12
+    `_images`: e^{ia}, e^{ib} and e^{-i(a+b)} are the roots of one cubic, `_eigenvalues`.
+    Each root's angle is read as a fraction of pi (`_read`).  When two are read, the
+    representative is the least image (x, y) in Angle order with both denominators <= den_max
+    and x not after y in (den, num) order, and it is kept when both residuals are exactly
+    zero.  So den_max only filters what is returned; the work does not depend on it.  For
+    n, m <= 12 every eigenvalue angle has a denominator <= 3150 (a degree bound, see README),
+    so from den_max 3150 on the result is every rational solution.
+    Returns exactly confirmed Candidates, sorted by (n, m).
     """
     if den_max < 1:
         raise ValueError("den_max must be >= 1")
-    if math.pi / den_max ** 2 <= ROOT_ERROR:
-        raise ValueError(f"den_max {den_max} is too large: the least grid gap pi/den_max**2 "
-                         f"must exceed the root error {ROOT_ERROR}")
     if n_max < 3 or m_max < 3:
         raise ValueError("n_max and m_max must be >= 3")
-    grid = _angle_grid(den_max)
-    table = _root_table(grid)
-    cos_n = {n: math.cos(2 * math.pi / n) for n in range(3, n_max + 1)}
-    cos_m = {m: math.cos(2 * math.pi / m) for m in range(3, m_max + 1)}
-
-    hits: dict = {}  # (n, m) + orbit key -> least grid member that passes the screen
-    seen: set = set()  # (n, m, a, b) for every grid member of an expanded orbit
-    for n, cn in cos_n.items():
-        for i, j in _near_roots(cn, *table):
-            a, b = grid[i], grid[j]
-            if not a.num * b.den <= b.num * a.den <= (2 * a.den - a.num) * b.den:
-                continue  # |b| < a
-            lo, hi = (a, b) if i <= j else (b, a)  # screened in grid order, as _expand screens
-            for m in _screen(lo, hi, cn, cos_m):
-                if (n, m, a, b) not in seen:
-                    key, rep = _expand(n, m, a, b, den_max, cn, cos_m, seen)
-                    hits[(n, m) + key] = rep
     out = []
-    for (n, m, *_orbit), (a, b) in hits.items():
-        confirmed = minor_residual(n, a, b).is_zero() and main_residual(m, n, a, b).is_zero()
-        out.append(Candidate(n, m, a, b, exact_confirmed=confirmed, parameter_feasible=parameter_feasible(n, m)))
-    out.sort(key=lambda c: (c.n, c.m, c.a.frac, c.b.frac))
+    for n, m in itertools.product(range(3, n_max + 1), range(3, m_max + 1)):
+        roots = _eigenvalues(n, m) or []
+        read = [t for t in (_read(r, den_max) for r in roots) if t is not None]
+        if len(read) < 2:
+            continue  # two read angles a, b fix the third, -(a+b)
+        reps = [(x, y) for x, y in _images(*read[:2])
+                if max(x.den, y.den) <= den_max and (x.den, x.num) <= (y.den, y.num)]
+        if reps:
+            a, b = min(reps)
+            if minor_residual(n, a, b).is_zero() and main_residual(m, n, a, b).is_zero():
+                out.append(Candidate(n, m, a, b, exact_confirmed=True, parameter_feasible=parameter_feasible(n, m)))
     return out
-
-
-def _expand(n: int, m: int, a: Angle, b: Angle, den_max: int, cn: float, cos_m: dict, seen: set):
-    """(orbit key, representative) of the orbit of grid pair (a, b) for (n, m).
-
-    Marks every grid member (den <= den_max) seen.  The representative is
-    the least (x, y) in Angle order with x not after y in the grid's
-    (den, num) order that passes the float screen of (n, m).
-    """
-    rep = None
-    for x, y in orbit(a, b):
-        if max(x.den, y.den) > den_max:
-            continue
-        seen.add((n, m, x, y))
-        if (x.den, x.num) <= (y.den, y.num) and (rep is None or (x, y) < rep) and m in _screen(x, y, cn, cos_m):
-            rep = (x, y)
-    return canonicalize_ab(a, b), rep
 
 
 def results_to_json(cands: Iterable[Candidate], digits: int = 50) -> str:

@@ -252,6 +252,11 @@ class TestSearch:
         assert chtri.cli.main(argv) == 0
         assert capsys.readouterr().out == golden.read_text()
 
+    def test_den_max_only_filters_the_rows(self):
+        golden = pathlib.Path(__file__).parent / "data" / "search_den90.json"
+        r = run("search", "--den-max", "10000", "--n-max", "12", "--m-max", "12", "--format", "json")
+        assert r.returncode == 0 and r.stdout == golden.read_text()
+
     def test_deterministic(self):
         a = run("search", "--den-max", "10", "--n-max", "6", "--m-max", "6")
         b = run("search", "--den-max", "10", "--n-max", "6", "--m-max", "6")
@@ -410,7 +415,7 @@ class TestConfig:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [
-        ("--den-max", "0"), ("--den-max", "5605"), ("--n-max", "2"), ("--m-max", "2"),
+        ("--den-max", "0"), ("--n-max", "2"), ("--m-max", "2"),
     ])
     def test_search_bounds_rejected(self, flag, value):
         args = {"--den-max": "4", "--n-max": "6", "--m-max": "6", flag: value}

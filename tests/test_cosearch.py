@@ -1,23 +1,26 @@
+import cmath
 import itertools
 import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
-from chtri.exact import Cyclo, angle, cos_sum
+import chtri.cli
+from chtri.exact import Cyclo, angle, cos_exact, cos_sum
 from chtri.cosearch import (
     COSINE_SUM_LABELS,
+    ANGLE_TOL,
     PARAMETRIC_TRACE_ROWS,
-    PREFILTER_TOL,
-    ROOT_ERROR,
     TRACE_TABLE_LABELS,
     Candidate,
     _angle_grid,
-    _near_roots,
-    _root_table,
+    _eigenvalues,
+    _invariants,
     canonicalize_ab,
     factorization_residual,
     half_angle_residuals,
@@ -146,6 +149,10 @@ class TestOrbit:
             assert any((sx - t).is_zero() for t in allowed)
 
 
+# the float screen of the pair scan: a grid pair survives when each equation holds to this tolerance
+PREFILTER_TOL = 1e-9
+
+
 def pair_scan(den_max, n_max, m_max):
     """The search as a scan of every grid pair (a, b) with b not before a: a test oracle."""
     grid = _angle_grid(den_max)
@@ -175,71 +182,11 @@ def pair_scan(den_max, n_max, m_max):
     return sorted(out, key=lambda c: (c.n, c.m, c.a.frac, c.b.frac))
 
 
-def in_domain(a, b):
-    """a in [0, pi] and |b| >= a, |b| the circle distance of b to 0: exact, on Angles."""
-    return a.num <= a.den and a.num * b.den <= b.num * a.den <= (2 * a.den - a.num) * b.den
-
-
-def minor_float(a, b):
-    """cos a + cos b + cos(a+b) in floats, from the angles as `search` rounds them."""
-    ta, tb = math.pi * (a.num / a.den), math.pi * (b.num / b.den)
-    return math.cos(ta) + math.cos(tb) + math.cos(ta + tb)
-
-
-def domain_solutions(grid, a0, b0):
-    """Every grid pair (i, j) in the search domain with cos a + cos b + cos(a+b) equal to its
-    value at (a0, b0): a scan of every pair in floats, then an exact test of each survivor."""
-    th = [math.pi * (g.num / g.den) for g in grid]
-    cn = minor_float(a0, b0)
-    target = [(-1, a0), (-1, b0), (-1, a0 + b0)]
-    out = set()
-    for (i, a), (j, b) in itertools.product(enumerate(grid), repeat=2):
-        if in_domain(a, b) and abs(math.cos(th[i]) + math.cos(th[j]) + math.cos(th[i] + th[j]) - cn) < PREFILTER_TOL:
-            if cos_sum([(1, a), (1, b), (1, a + b)] + target).is_zero():
-                out.add((i, j))
-    return cn, out
-
-
-# grid pairs (a, b) on the edges of the search domain, as ((num, den), (num, den)) of pi
-DOMAIN_EDGES = {
-    "a = pi": ((1, 1), (1, 1)),  # target -1: every (a, pi) and (a, pi - a) solves it
-    "a in (pi/2, pi)": ((3, 4), (5, 6)),
-    "|b| = a": ((5, 12), (5, 12)),
-    "b = 2pi - a": ((5, 12), (19, 12)),
-    "a = 0": ((0, 1), (2, 3)),
-    # b = pi - a/2: the two roots meet; at 2pi/3 the whole orbit has a > pi/2
-    "tangent at 2pi/3": ((2, 3), (2, 3)),
-    "tangent at pi/2": ((1, 2), (3, 4)),
-}
-
-
-class TestNearRoots:
-    @pytest.mark.parametrize("edge", sorted(DOMAIN_EDGES))
-    def test_finds_every_domain_solution_and_nothing_else(self, edge):
-        grid = _angle_grid(24)
-        (an, ad), (bn, bd) = DOMAIN_EDGES[edge]
-        cn, expected = domain_solutions(grid, angle(an, ad), angle(bn, bd))
-        assert expected  # the pair's own orbit has a member in the domain
-        assert _near_roots(cn, *_root_table(grid)) == sorted(expected)
-
-    def test_no_pair_just_inside_the_domain_edge(self):
-        # 28pi/57 lies pi/3363 (under 1e-3) below 29pi/59: (29pi/59, 28pi/57) is a solution
-        # outside the domain, and its swap is the domain member of its orbit
-        grid = _angle_grid(60)
-        a0, b0 = angle(29, 59), angle(28, 57)
-        assert 0 < math.pi * float(a0.frac - b0.frac) < 1e-3
-        near = _near_roots(minor_float(a0, b0), *_root_table(grid))
-        assert (grid.index(b0), grid.index(a0)) in near
-        assert all(in_domain(grid[i], grid[j]) for i, j in near)
-
-    @pytest.mark.parametrize("den_max, pairs", [(90, 51), (150, 64)])
-    def test_work_count(self, den_max, pairs):
-        # the near-root pairs of the n <= 12 pass, and under 1% of the (a, n) root solves:
-        # screening every grid neighbour of every root would be over 100 times as many
-        table = _root_table(_angle_grid(den_max))
-        near = [p for n in range(3, 13) for p in _near_roots(math.cos(2 * math.pi / n), *table)]
-        assert len(near) == pairs
-        assert len(near) < 0.01 * len(table[2]) * 10
+def invariants(n, m):
+    """(Im^2 s, f(s)) of (n, m) in floats, as the search computes them, and exactly."""
+    x = math.cos(2 * math.pi / n)
+    floats = _invariants(x, 1 + 2 * math.cos(2 * math.pi / m) - 2 * x)
+    return floats, _invariants(cos_exact(angle(2, n)), cos_sum([(2, angle(2, m)), (-2, angle(2, n))], 1))
 
 
 class TestSearch:
@@ -253,20 +200,57 @@ class TestSearch:
         assert len(coarse) == 15 and all(c.exact_confirmed for c in coarse)
         assert search(den_max=210) == coarse
 
-    def test_one_orbit_expansion_per_key(self, monkeypatch):
+    def test_at_most_one_orbit_per_pair(self):
+        # Re s and |s|^2 fix s up to conjugation, so its eigenvalues up to the 12 images of (a, b)
+        res = search(den_max=90, n_max=60, m_max=60)
+        pairs = [(c.n, c.m) for c in res]
+        assert len(pairs) == len(set(pairs)) == 56
+        assert all(c.exact_confirmed for c in res)
+
+    def test_eigenvalues_match_mpmath(self):
+        # against mpmath's roots of the cubic at 120 bits: None exactly when Im^2 s < 0 or a root
+        # is off the unit circle, and otherwise every angle within 1e-14 (in units of pi), inside ANGLE_TOL;
+        # the largest error, 6e-15 at (24,17), comes from Im^2 s = 8e-5 rounded to doubles
+        worst = 0
+        with mpmath.workprec(120):
+            for n, m in itertools.product(range(3, 31), repeat=2):
+                x = mpmath.cospi(mpmath.mpf(2) / n)
+                im2 = 1 + 2 * mpmath.cospi(mpmath.mpf(2) / m) - 2 * x - x * x
+                roots = _eigenvalues(n, m)
+                if im2 < -1e-30:
+                    assert roots is None, (n, m)
+                    continue
+                s = mpmath.mpc(x, mpmath.sqrt(max(im2, 0)))
+                ref = mpmath.polyroots([1, -s, mpmath.conj(s), -1], maxsteps=500, extraprec=240)
+                assert (roots is not None) == all(abs(abs(r) - 1) < 1e-9 for r in ref), (n, m)
+                want = [mpmath.arg(r) / mpmath.pi for r in ref]
+                for r in roots or []:
+                    got = cmath.phase(r) / math.pi
+                    worst = max(worst, min(float(abs((got - w + 1) % 2 - 1)) for w in want))
+        assert worst < 1e-14 <= ANGLE_TOL / 10
+
+    def test_the_equality_cases_are_found(self):
+        # (4,3): s = 0, but Im^2 s is rounding noise in floats; (6,6): f(s) = 0, a double eigenvalue
+        (im2, _), (exact_im2, _) = invariants(4, 3)
+        assert exact_im2.is_zero() and im2 != 0
+        (_, f), (_, exact_f) = invariants(6, 6)
+        assert exact_f.is_zero() and f != 0
+        res = {(c.n, c.m): (c.a, c.b) for c in search(den_max=12, n_max=6, m_max=6)}
+        assert res[(4, 3)] == (angle(0, 1), angle(2, 3)) and trace_s(*res[(4, 3)]).is_zero()
+        assert res[(6, 6)] == (angle(1, 3), angle(1, 3))
+
+    def test_work_count(self, monkeypatch):
+        # one cubic per (n, m) and one exact test per printed row, at any den_max
         import chtri.cosearch as cosearch
 
-        calls = []
-        real = cosearch.canonicalize_ab
-        monkeypatch.setattr(cosearch, "canonicalize_ab", lambda a, b: calls.append((a, b)) or real(a, b))
-        res = search(den_max=90)
-        assert len(calls) == len(res) == 15
-
-    def test_grid_finer_than_the_root_error_is_rejected(self):
-        # the least grid gap pi/den_max**2 must exceed ROOT_ERROR; raised before the grid is built
-        assert math.pi / 5604 ** 2 > ROOT_ERROR >= math.pi / 5605 ** 2
-        with pytest.raises(ValueError, match="root error"):
-            search(den_max=5605)
+        eigenvalues, minor = cosearch._eigenvalues, cosearch.minor_residual
+        for den_max in (90, 10**5):
+            cubics, exact = [], []
+            monkeypatch.setattr(cosearch, "_eigenvalues", lambda n, m: cubics.append((n, m)) or eigenvalues(n, m))
+            monkeypatch.setattr(cosearch, "minor_residual", lambda n, a, b: exact.append(n) or minor(n, a, b))
+            res = search(den_max=den_max, n_max=20, m_max=20)
+            assert cubics == list(itertools.product(range(3, 21), repeat=2))
+            assert len(exact) == len(res)
 
     def test_small_grid(self):
         # frozen output of the denominator-12 grid with m capped at 7
@@ -284,6 +268,47 @@ class TestSearch:
         assert set(row["a"]) == {"num", "den"}
         # 50 significant digits in the decimal strings
         assert len(row["s"]["re"].replace("-", "").replace(".", "").lstrip("0")) >= 45
+
+
+def largest_order(phi_max):
+    """The largest K with phi(K) <= phi_max: each prime power p^e of K has p^(e-1) (p-1) <= phi_max."""
+
+    def walk(primes, k, phi):
+        best = k
+        for i, p in enumerate(primes):
+            if phi * (p - 1) > phi_max:
+                break  # the primes ascend
+            q, f = p, p - 1
+            while phi * f <= phi_max:
+                best = max(best, walk(primes[i + 1:], k * q, phi * f))
+                q, f = q * p, f * p
+        return best
+
+    return walk(list(sympy.primerange(2, phi_max + 2)), 1, 1)
+
+
+class TestCompleteness:
+    def test_largest_order(self):
+        # against a direct scan of phi up to 2 phi_max^2, since phi(k) >= sqrt(k/2)
+        for phi_max in (1, 2, 4, 8, 24, 72):
+            direct = max(k for k in range(1, 2 * phi_max ** 2 + 3) if sympy.totient(k) <= phi_max)
+            assert largest_order(phi_max) == direct, phi_max
+
+    def test_no_orbit_beyond_den_90(self):
+        # s lies in Q(zeta_L, Im s), L = lcm(4, n, m), of degree <= 2 phi(L); each eigenvalue of S
+        # is a root of a cubic over it, so a root of unity zeta_K there has phi(K) <= 6 phi(L),
+        # and each angle pi*j/q of the eigenvalues has q <= K
+        phi_max = max(6 * sympy.totient(math.lcm(4, n, m)) for n in range(3, 13) for m in range(3, 13))
+        bound = largest_order(phi_max)
+        assert (phi_max, bound) == (720, 3150)
+        assert search(den_max=bound) == search(den_max=90)
+
+    @pytest.mark.parametrize("den_max", [1000, 3000, 10**5])
+    def test_larger_den_max_prints_the_same_rows(self, den_max, capsys):
+        golden = pathlib.Path(__file__).parent / "data" / "search_den90.json"
+        argv = ["search", "--den-max", str(den_max), "--n-max", "12", "--m-max", "12", "--format", "json"]
+        assert chtri.cli.main(argv) == 0
+        assert capsys.readouterr().out == golden.read_text()
 
 
 class TestIdentities:

@@ -59,6 +59,10 @@ ALLOWED = {
     ("candidates", "_diagonal_det"): README_API + "the closed-form det(H) of (k,k), read by detH_closed_form",
     ("reports", "SignatureReport.mismatches"): README_API + "the rows of a scan whose recorded verdict differs",
     ("reports", "ScanRow.mismatch"): README_API + "read by SignatureReport.mismatches",
+    ("cosearch", "_angle_grid"): "perfbench/tracer.py originals() resolves it, and the pair_scan oracle of "
+        "tests/test_cosearch.py uses it as its grid",
+    ("cosearch", "orbit"): "canonicalize_ab, a traced name, reads it",
+    ("exact", "Angle.frac"): "public Angle API, the angle as a Fraction of pi, that the tests' oracles read",
     ("trigroup", "Certificate.braid_lengths.<locals>.vanishes"):
         "decides an undecided braid length at p; no classified candidate has one, but the certificate must "
         "stay sound if one does",
