@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exact import Angle, Cyclo, angle, cos_exact, cos_sum, printed_value
-from .trigroup import parameter_feasible, trace_s
+from .exact import Angle, Cyclo, angle, cos_exact, cos_sign, cos_sum, printed_value
+# parameter_feasible is unused here: perfbench/tracer.py patches chtri.cosearch.parameter_feasible
+from .trigroup import feasibility_sign, parameter_feasible, trace_s  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # Exact residuals: sums of cosines are one `cos_sum` each; products of cosines stay
@@ -77,11 +78,8 @@ def canonicalize_ab(a: Angle, b: Angle) -> tuple:
 # ---------------------------------------------------------------------------
 # Search
 
-# Im^2 s and f(s) are decided exactly when their float value is smaller than this;
-# the float error of either is under 1e-13.
-EXACT_BELOW = 1e-9
 # A root's angle is read as a fraction of pi only within this distance of it.  It is above
-# the error of a computed angle: under 1e-14 for n, m <= 60, growing as 1/Im s.  Up to
+# the error of a computed angle: under 2e-15 for n, m <= 60, growing as 1/Im s.  Up to
 # den_max 1e5 it is far below 1/den_max**2, the least gap between two fractions, so an
 # irrational angle is seldom read as one.
 ANGLE_TOL = 1e-13
@@ -94,8 +92,9 @@ class Candidate:
     m: int
     a: Angle
     b: Angle
-    exact_confirmed: bool
-    parameter_feasible: bool
+    # every row `search` returns is exactly confirmed, and its (n, m) feasible: printed as constants
+    exact_confirmed = True
+    parameter_feasible = True
 
     def to_dict(self, digits: int = 50) -> dict:
         s = trace_s(self.a, self.b)
@@ -118,33 +117,29 @@ def _angle_grid(den_max: int) -> list:
             for num in range(2 * den) if math.gcd(num, den) == 1]
 
 
-def _invariants(x, mod2) -> tuple:
-    """(Im^2 s, Goldman's f(s)) from x = Re s and mod2 = |s|^2, as floats or as exact Cyclos.
-
-    f(s) = |s|^4 - 8 Re(s^3) + 18|s|^2 - 27, with Re(s^3) = 4x^3 - 3x|s|^2.  The three roots
-    of X^3 - s X^2 + conj(s) X - 1 lie on the unit circle iff f(s) <= 0, and two of them
-    coincide iff f(s) = 0 (Goldman, Complex Hyperbolic Geometry, 1999).
-    """
-    return mod2 - x * x, mod2 * (mod2 + x * 24 + 18) - x * x * x * 32 - 27
-
-
 def _eigenvalues(n: int, m: int) -> Optional[list]:
     """The roots e^{ia}, e^{ib}, e^{-i(a+b)} of X^3 - s X^2 + conj(s) X - 1 in complex doubles,
     for the s of (n, m) with Im s >= 0; None when no real (a, b) solves both equations.
 
     Re s = cos(2*pi/n) is the minor equation and |s|^2 = 1 + 2cos(2*pi/m) - 2cos(2*pi/n) the
-    main one.  There is no real solution when Im^2 s < 0, or when f(s) > 0 puts a root off
-    the unit circle.
+    main one.  So Im^2 s = 4(cos(pi/m) - cos^2(pi/n))(cos(pi/m) + cos^2(pi/n)) has the sign of
+    `feasibility_sign` (0 at (4,3)); its value is read from the small terms 4(sin^2(pi/n) -
+    2sin^2(pi/2m))(cos(pi/m) + cos^2(pi/n)).  The roots lie on the unit circle iff Goldman's
+    f(s) = |s|^4 - 8 Re(s^3) + 18|s|^2 - 27 <= 0, two of them equal iff f(s) = 0, as at (6,6)
+    (Goldman, Complex Hyperbolic Geometry, 1999); with A = 2pi/n, B = 2pi/m, the `cos_sign` of
+    f(s) = 40cos B - 40cos A - 22cos 2A + 2cos 2B + 20cos(A+B) + 20cos(A-B) - 8cos 3A - 28.
     """
-    x = math.cos(2 * math.pi / n)
-    mod2 = 1 + 2 * math.cos(2 * math.pi / m) - 2 * x
-    im2, f = _invariants(x, mod2)
-    if min(abs(im2), abs(f)) < EXACT_BELOW:  # s = 0 at (4,3), f(s) = 0 at (6,6): floats give noise
-        exact = _invariants(cos_exact(angle(2, n)), cos_sum([(2, angle(2, m)), (-2, angle(2, n))], 1))
-        im2, f = (v if abs(v) >= EXACT_BELOW else e.real_sign() * abs(v) for v, e in zip((im2, f), exact))
-    if im2 < 0 or f > 0:
+    im = feasibility_sign(n, m)
+    if im < 0:
         return None
-    s = complex(x, math.sqrt(im2))
+    f = cos_sign(((40, 2, m), (-40, 2, n), (-22, 4, n), (2, 4, m), (20, 2 * (n + m), n * m),
+                  (20, 2 * (m - n), n * m), (-8, 6, n)), -28)
+    if f > 0:
+        return None
+    im2 = 4 * (math.sin(math.pi / n) ** 2 - 2 * math.sin(math.pi / (2 * m)) ** 2) * (
+        math.cos(math.pi / m) + math.cos(math.pi / n) ** 2)
+    # im > 0 with im2 <= 0 only when the doubles could not decide a gap below their error
+    s = complex(math.cos(2 * math.pi / n), math.sqrt(max(im2, 0.0)) if im else 0.0)
     sb = s.conjugate()
     if f == 0:
         # Cardano loses half its digits at a double root, which is a simple root of the derivative
@@ -196,7 +191,7 @@ def search(den_max: int = 90, n_max: int = 12, m_max: int = 12) -> list:
         if reps:
             a, b = min(reps)
             if minor_residual(n, a, b).is_zero() and main_residual(m, n, a, b).is_zero():
-                out.append(Candidate(n, m, a, b, exact_confirmed=True, parameter_feasible=parameter_feasible(n, m)))
+                out.append(Candidate(n, m, a, b))
     return out
 
 

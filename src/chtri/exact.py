@@ -8,7 +8,9 @@ testing (and hence equality) is exact and needs no division: x is zero iff
 x * prod_{p | N} (1 - X^{N/p}) vanishes modulo X^N - 1, a few integer
 shift-and-subtract passes over the numerators (see ``Cyclo.is_zero``).
 Reduction modulo the N-th cyclotomic polynomial, whose power basis is a
-Q-basis, is kept for the coefficients that ``canonical`` reports.
+Q-basis, is kept for the coefficients that ``canonical`` reports.  Signs are
+read in doubles, or at more bits, with one proved bound (``_float_value``), and
+exactly only when that cannot decide (``cos_sign``, ``Cyclo.real_sign``).
 """
 from __future__ import annotations
 
@@ -399,10 +401,6 @@ class Cyclo:
 
     # -- numeric conversion -------------------------------------------------
 
-    def coeff_mass(self) -> Fraction:
-        """sum |c[e]| / d, the sum of the absolute coefficients."""
-        return Fraction(sum(abs(v) for v in self.c.values()), self.d)
-
     def to_mpc(self, prec: int = 53):
         """Numeric value at `prec` bits; error <= 2^(3-prec)*(1+sum|coeffs|)."""
         if prec < 53:
@@ -415,22 +413,16 @@ class Cyclo:
             return total / self.d
 
     def real_sign(self) -> int:
-        """Sign of a real cyclotomic number (-1, 0, or +1). Exact.
-
-        The zero test runs only when the 128-bit value cannot decide the sign.
-        """
-        prec = 128
-        mass = float(1 + self.coeff_mass())
-        while True:
-            val = self.to_mpc(prec)
-            bound = mpmath.mpf(2) ** (3 - prec) * mass
-            if abs(val.real) > 4 * bound:
-                return 1 if val.real > 0 else -1
-            if prec == 128 and self.is_zero():
-                return 0
-            prec *= 2
-            if prec > 1 << 16:
-                raise RuntimeError("cannot determine sign; value may not be real")
+        """Sign of the real part (-1, 0, or +1), exactly: the `_float_sign` of its terms (c[e]/d) * cos(2pi*e/n)
+        in doubles, else the exact zero test, else, on a value proved nonzero, from 128 bits, doubling."""
+        terms = [(Fraction(v, self.d) if self.d > 1 else v, 2 * e, self.n) for e, v in self.c.items()]
+        sign = _float_sign(terms)
+        if sign or self.is_zero():
+            return sign
+        sign = _float_sign(terms, 128, 1 << 16)
+        if not sign:
+            raise RuntimeError("cannot determine sign; value may not be real")
+        return sign
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +590,71 @@ def cos_sum(terms, const=0) -> Cyclo:
         e = (n - e) % n
         c[e] = c.get(e, 0) + k * q
     return Cyclo._of(n, c, 2 * q)
+
+
+def _float_value(terms, prec: int = 53) -> tuple:
+    """(v, E): x = sum(k * cos(pi*num/den)) over the (k, num, den) terms, read in doubles (prec = 53) or
+    in mpmath at prec >= 128 bits, and the bound |v| must pass for its sign to be the sign of x.  k is an
+    int or Fraction; num, den are ints, 0 < den < 2^1000; there are fewer than 2^60 terms.  In doubles,
+    a k or a sum of 2^1024 or more raises OverflowError, and E = inf: the doubles decide nothing.
+
+    v = fsum(k' * cos(pi' * q')), with k' and q' = r / den, r = num mod 2den, each rounded once to prec
+    bits, and E = 2^(13-prec) * K' (+ 2^-1000 in doubles), K' = fsum(|k'|).  Claim: |v - x| <= 25u * K
+    (+ 2^-1012 in doubles), u = 2^-prec, which E exceeds more than 2^8-fold, as K' >= K(1 - 2u) (- 2^-1012)
+    and 2^13 * u = 327 * 25u.  Proof, for rounding to nearest (fl(a op b) = (a op b)(1 + d) + e, |d| <= u,
+    and |e| <= 2^-1075 only for a subnormal double; mpmath has none), pi' rounded (mpmath's from 20
+    guard bits) and a cos within 1 ulp, at most 2u, as glibc documents and mpmath's guard bits give:
+    - the angle pi' * q' in [0, 2pi) is read within ((1+u)^3 - 1) * 2pi < 19u, and cos is
+      1-Lipschitz, so its cosine c is within 21u;
+    - k' * c, rounded, is within ((1+u)^2 - 1)(1 + 21u)|k| + 21u|k| < 23.1u|k| of k * cos; math.fsum
+      rounds the sum of these once, adding at most u(1 + 24u)K, and mpmath.fsum too, once it has dropped
+      the addends 2^(2prec) times below another, less than 2^(60-2prec) * K in all;
+    - in doubles, q' is 0 or above 2^-1000, and the other subnormal errors e, fewer than 2^62, add < 2^-1012.
+    """
+    if prec == 53:
+        try:
+            terms = [(float(k), num, den) for k, num, den in terms]
+            v = math.fsum(k * math.cos(math.pi * (num % (2 * den) / den)) for k, num, den in terms)
+            return v, math.ldexp(math.fsum(abs(k) for k, _, _ in terms), -40) + 2.0 ** -1000
+        except OverflowError:
+            return 0.0, math.inf
+    with mpmath.workprec(prec):
+        def rounded(a, b):
+            return mpmath.mpf(mpmath.libmp.from_rational(a, b, prec, mpmath.libmp.round_nearest))
+        terms = [(rounded(k.numerator, k.denominator), rounded(num % (2 * den), den)) for k, num, den in terms]
+        v = mpmath.fsum(k * mpmath.cos(mpmath.pi * q) for k, q in terms)
+        return v, mpmath.ldexp(mpmath.fsum(abs(k) for k, _ in terms), 13 - prec)
+
+
+def _float_sign(terms, prec: int = 53, last: int = 53) -> int:
+    """The sign of the (k, num, den) terms' sum that `_float_value` at prec bits proves, doubling prec up to
+    `last` bits; 0 when none does."""
+    while prec <= last:
+        v, bound = _float_value(terms, prec)
+        if abs(v) > bound:
+            return 1 if v > 0 else -1
+        prec *= 2
+    return 0
+
+
+def cos_sign(terms, const=0, exact=None) -> int:
+    """The sign (-1, 0 or +1) of const + sum(k * cos(pi*num/den)) over a sequence of (k, num, den) terms,
+    k and const ints or Fractions: by `_float_value` in doubles when they can decide; else by the
+    `Cyclo.real_sign` of the exact value, exact() when given or the `cos_sum` of the terms (int k); else,
+    when that conductor is above CONDUCTOR_LIMIT, by `_float_value` from 128 bits, doubling up to 1024,
+    which decides a nonzero value (ConductorError when none does)."""
+    terms = [*terms, (const, 0, 1)]
+    sign = _float_sign(terms)
+    if sign:
+        return sign
+    try:
+        x = exact() if exact is not None else cos_sum([(k, angle(num, den)) for k, num, den in terms[:-1]], const)
+    except ConductorError:
+        sign = _float_sign(terms, 128, 1 << 10)
+        if not sign:
+            raise
+        return sign
+    return x.real_sign()
 
 
 def cos_exact(t: Angle) -> Cyclo:

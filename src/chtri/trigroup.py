@@ -17,12 +17,13 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath
 
 from .candidates import entry
-from .exact import Angle, Cyclo, Laurent, _coerce, angle, cos_exact, root_of_unity, sin_exact, to_float
+from .exact import Angle, Cyclo, Laurent, _coerce, angle, cos_exact, cos_sign, root_of_unity, sin_exact, to_float
 from .linalg import (
     DEFAULT_PREC,
     DEFAULT_TOL,
@@ -31,7 +32,6 @@ from .linalg import (
     _cube_roots_exact,
     exact_differences,
     hermitian_signature,
-    invariant_signature,
     projective_equal,
     projective_residual,
     sign_signature,
@@ -53,15 +53,14 @@ def is_candidate(n: int, m: int) -> bool:
     return entry(n, m) is not None
 
 
-@functools.lru_cache(maxsize=None)
+def feasibility_sign(n: int, m: int) -> int:
+    """The sign of 2cos(pi/m) - cos(2pi/n) - 1 = 2(cos(pi/m) - cos^2(pi/n)), exactly (`cos_sign`)."""
+    return cos_sign(((2, 1, m), (-1, 2, n)), -1)
+
+
 def parameter_feasible(n: int, m: int) -> bool:
     """Whether 2*cos(pi/m) >= 2*cos^2(pi/n): the condition for rho to exist."""
-    with mpmath.workprec(128):  # error < 2^-120; exact test (conductor lcm(2m, n)) only near 0
-        diff = 2 * mpmath.cospi(mpmath.mpf(1) / m) - 1 - mpmath.cospi(mpmath.mpf(2) / n)
-        if abs(diff) > mpmath.mpf(2) ** -100:
-            return diff > 0
-    diff = cos_exact(angle(1, m)) * 2 - cos_exact(angle(2, n)) - 1
-    return diff.real_sign() >= 0
+    return feasibility_sign(n, m) >= 0
 
 
 def trace_s(a: Angle, b: Angle) -> Cyclo:
@@ -225,10 +224,13 @@ def form_invariants(n: int, m: int, im_sign: int) -> tuple:
 
 @functools.lru_cache(maxsize=64)
 def _float_terms(n: int, m: int, im_sign: int, wp: int) -> tuple:
-    """Each of the `form_invariants` as (its terms (k, c_k at wp bits), B = 2^(4-wp) * sum_k (1 + mass(c_k)))."""
-    return tuple((tuple((k, c.to_mpc(wp)) for k, c in x.c.items()),
-                  mpmath.mpf(2) ** (4 - wp) * sum(1 + c.coeff_mass() for c in x.c.values()))
-                 for x in form_invariants(n, m, im_sign))
+    """(the `cos_sign` terms of each of the `form_invariants`, the terms (k, c_k at wp bits) of det H).
+    Each c * zeta_N^e * t^k of x = sum_k c_k t^k, c rational, is (c, 2kN, 12e, 6N): at t = zeta_{6p}
+    its real part is c * cos(pi * (2kN + 12pe) / (6pN))."""
+    inv = form_invariants(n, m, im_sign)
+    return (tuple(tuple((Fraction(v, c.d) if c.d > 1 else v, 2 * k * c.n, 12 * e, 6 * c.n)
+                        for k, c in x.c.items() for e, v in c.c.items())
+                  for x in inv), tuple((k, c.to_mpc(wp)) for k, c in inv[2].c.items()))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -239,35 +241,21 @@ def _t_powers(p: int, wp: int) -> dict:
         return {k: mpmath.expjpi(mpmath.mpf(k) / (3 * p)) for k in range(-9, 10, 3)}
 
 
-def _float_invariants(p: int, n: int, m: int, im_sign: int, wp: int) -> list:
-    """(value, B) of each of the `form_invariants` at t = e^{i pi/(3p)}, from `_float_terms`.
-
-    The value is within B: for x = sum_k c_k t^k, `to_mpc(wp)` gives each c_k within
-    2^(3-wp) * (1 + mass(c_k)), and |c_k| <= mass(c_k).  Each t^k of `_t_powers`, `expjpi` of
-    the rounded k/(3p) at wp + 10 bits, is within 2^(-wp-6) of e^{i pi k/(3p)}.  With the
-    products and the few sums, also at wp + 10 bits, that adds less than
-    2^(-wp) * (1 + mass(c_k)) per term: 9 * 2^(-wp) * sum_k (1 + mass(c_k)) < B in all.
-    """
-    with mpmath.workprec(wp + 10):
-        t = _t_powers(p, wp + 10)
-        return [(sum((c * t[k] for k, c in terms), mpmath.mpc(0)), bound)
-                for terms, bound in _float_terms(n, m, im_sign, wp)]
-
-
 def form_signature(p: int, n: int, m: int, im_sign: int, prec: int = DEFAULT_PREC) -> tuple[Signature, object]:
     """Signature and float det of H at p, from the `form_invariants` of candidate (n, m).
 
-    Each invariant is evaluated at t = e^{i pi/(3p)} from its coefficients at wp = max(prec, 128)
-    bits (`_float_invariants`).  When each real part exceeds its error bound in absolute value,
-    the signs give the signature; otherwise, and so whenever an invariant is zero, the exact
-    values at t = zeta_{6p} decide it with their exact zero test.  The det returned is the real
-    part of the float det H.
+    Each invariant's sign at t = zeta_{6p} is the `cos_sign` of its `_float_terms`, exact (`Laurent.at`)
+    only when the doubles cannot decide.  The det, printed and not decided on, is Re det H from its
+    coefficients at wp = max(prec, 128) bits, with t^k and the sum at wp + 10 bits.
     """
-    vals = _float_invariants(p, n, m, im_sign, max(prec, 128))
-    det = vals[2][0].real
-    if all(abs(v.real) > b for v, b in vals):
-        return sign_signature(*(1 if v.real > 0 else -1 for v, _ in vals)), det
-    return invariant_signature(*(x.at(6 * p) for x in form_invariants(n, m, im_sign))), det
+    wp = max(prec, 128)
+    terms, det_terms = _float_terms(n, m, im_sign, wp)
+    signs = [cos_sign([(w, a + b * p, c * p) for w, a, b, c in x_terms], exact=lambda x=x: x.at(6 * p))
+             for x, x_terms in zip(form_invariants(n, m, im_sign), terms)]
+    with mpmath.workprec(wp + 10):
+        t = _t_powers(p, wp + 10)
+        det = sum((c * t[k] for k, c in det_terms), mpmath.mpc(0))
+    return sign_signature(*signs), det.real
 
 
 def symmetric_params(n: int, m: int, im_sign: int = 1, prec: int = DEFAULT_PREC):

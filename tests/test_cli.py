@@ -52,6 +52,14 @@ class TestBuild:
         assert r.returncode == 1
         assert "no such symmetric group" in r.stderr
 
+    def test_feasibility_decided_beyond_the_exact_limit(self, capsys):
+        # 2cos(pi/m) - cos(2pi/n) - 1 is -3.4e-12 at (1393, 985) and 7.7e-13 at (2786, 1970): within the
+        # doubles' bound, and of conductors 2,744,210 and 5,488,420, above the exact limit, so 128 bits decide
+        assert chtri.cli.main(["verify", "--p", "3", "--n", "1393", "--m", "985"]) == 1
+        assert "no such symmetric group" in capsys.readouterr().err
+        assert chtri.cli.main(["build", "--p", "3", "--n", "2786", "--m", "1970"]) == 0
+        assert json.loads(capsys.readouterr().out)["exact"] is False
+
     def test_exact_reals_print_imaginary_part_zero(self, capsys):
         # 2 sin(pi/p) on the diagonal of H is real: its imaginary part prints 0, not rounding noise
         assert chtri.cli.main(["build", "--p", "5", "--n", "5", "--m", "5"]) == 0

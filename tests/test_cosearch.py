@@ -11,7 +11,7 @@ import pytest
 import sympy
 
 import chtri.cli
-from chtri.exact import Cyclo, angle, cos_exact, cos_sum
+from chtri.exact import Cyclo, _float_value, angle, cos_sum
 from chtri.cosearch import (
     COSINE_SUM_LABELS,
     ANGLE_TOL,
@@ -20,13 +20,13 @@ from chtri.cosearch import (
     Candidate,
     _angle_grid,
     _eigenvalues,
-    _invariants,
     canonicalize_ab,
     factorization_residual,
     half_angle_residuals,
     main_residual,
     minor_residual,
     cosine_sum_residual,
+    feasibility_sign,
     orbit,
     parameter_feasible,
     results_to_json,
@@ -79,6 +79,12 @@ class TestResiduals:
                     zeros.append((n, m))
                 assert parameter_feasible(n, m) == (sign >= 0), (n, m)
         assert zeros == [(4, 3)]
+
+
+def doubles_undecided(terms, const):
+    """Whether the doubles of `cos_sign` cannot decide the sign of const + sum(k * cos(pi*num/den))."""
+    v, bound = _float_value([*terms, (const, 0, 1)])
+    return abs(v) <= bound
 
 
 def pi_times(q: Fraction):
@@ -175,18 +181,32 @@ def pair_scan(den_max, n_max, m_max):
                         pair = (grid[i], grid[j])
                         key = (n, m) + canonicalize_ab(*pair)
                         least[key] = min(least.get(key, pair), pair)
-    out = []
-    for (n, m, *_), (a, b) in least.items():
-        confirmed = minor_residual(n, a, b).is_zero() and main_residual(m, n, a, b).is_zero()
-        out.append(Candidate(n, m, a, b, confirmed, parameter_feasible(n, m)))
+    out = [Candidate(n, m, a, b) for (n, m, *_), (a, b) in least.items()
+           if minor_residual(n, a, b).is_zero() and main_residual(m, n, a, b).is_zero()]
     return sorted(out, key=lambda c: (c.n, c.m, c.a.frac, c.b.frac))
 
 
-def invariants(n, m):
-    """(Im^2 s, f(s)) of (n, m) in floats, as the search computes them, and exactly."""
-    x = math.cos(2 * math.pi / n)
-    floats = _invariants(x, 1 + 2 * math.cos(2 * math.pi / m) - 2 * x)
-    return floats, _invariants(cos_exact(angle(2, n)), cos_sum([(2, angle(2, m)), (-2, angle(2, n))], 1))
+@pytest.fixture
+def goldman(monkeypatch):
+    """(n, m) -> (terms, const, sign) of the f(s) sign that `_eigenvalues(n, m)` asks of `cos_sign`, on an
+    infeasible (n, m) too, which `_eigenvalues` rejects before it asks"""
+    import chtri.cosearch as cosearch
+
+    asked, sign, feasible = [], cosearch.cos_sign, cosearch.feasibility_sign
+    monkeypatch.setattr(cosearch, "feasibility_sign", lambda n, m: max(feasible(n, m), 1))
+
+    def spy(terms, const=0):
+        asked.append((terms, const, sign(terms, const)))
+        return asked[-1][2]
+
+    def ask(n, m):
+        asked.clear()
+        _eigenvalues(n, m)
+        (f,) = asked
+        return f
+
+    monkeypatch.setattr(cosearch, "cos_sign", spy)
+    return ask
 
 
 class TestSearch:
@@ -209,8 +229,9 @@ class TestSearch:
 
     def test_eigenvalues_match_mpmath(self):
         # against mpmath's roots of the cubic at 120 bits: None exactly when Im^2 s < 0 or a root
-        # is off the unit circle, and otherwise every angle within 1e-14 (in units of pi), inside ANGLE_TOL;
-        # the largest error, 6e-15 at (24,17), comes from Im^2 s = 8e-5 rounded to doubles
+        # is off the unit circle, and otherwise every angle within 2e-15 (in units of pi), inside ANGLE_TOL.
+        # Im^2 s is read from the small terms 4(sin^2(pi/n) - 2sin^2(pi/2m))(cos(pi/m) + cos^2(pi/n)); the
+        # difference 1 + 2cos(2pi/m) - 2cos(2pi/n) - cos^2(2pi/n) of O(1) terms reached 6e-15 at (24,17)
         worst = 0
         with mpmath.workprec(120):
             for n, m in itertools.product(range(3, 31), repeat=2):
@@ -227,17 +248,39 @@ class TestSearch:
                 for r in roots or []:
                     got = cmath.phase(r) / math.pi
                     worst = max(worst, min(float(abs((got - w + 1) % 2 - 1)) for w in want))
-        assert worst < 1e-14 <= ANGLE_TOL / 10
+        assert worst < 2e-15 < ANGLE_TOL / 10
 
-    def test_the_equality_cases_are_found(self):
-        # (4,3): s = 0, but Im^2 s is rounding noise in floats; (6,6): f(s) = 0, a double eigenvalue
-        (im2, _), (exact_im2, _) = invariants(4, 3)
-        assert exact_im2.is_zero() and im2 != 0
-        (_, f), (_, exact_f) = invariants(6, 6)
-        assert exact_f.is_zero() and f != 0
+    def test_goldman_terms_match_the_closed_form(self, goldman):
+        # the cosine expansion of f(s) against f = |s|^4 - 8 Re(s^3) + 18|s|^2 - 27 at 200 bits, with
+        # Re s = x = cos(2pi/n), |s|^2 = 1 + 2cos(2pi/m) - 2x and Re(s^3) = 4x^3 - 3x|s|^2
+        with mpmath.workprec(200):
+            for n, m in itertools.product(range(3, 40), repeat=2):
+                terms, const, _ = goldman(n, m)
+                x = mpmath.cospi(mpmath.mpf(2) / n)
+                mod2 = 1 + 2 * mpmath.cospi(mpmath.mpf(2) / m) - 2 * x
+                want = mod2 ** 2 - 8 * (4 * x ** 3 - 3 * x * mod2) + 18 * mod2 - 27
+                got = const + sum(k * mpmath.cospi(mpmath.mpf(num) / den) for k, num, den in terms)
+                assert abs(got - want) < mpmath.mpf(2) ** -180, (n, m)
+
+    def test_the_equality_cases_are_found(self, goldman):
+        # (4,3): Im^2 s = 0, so s = 0; (6,6): f(s) = 0, a double eigenvalue.  The doubles cannot
+        # decide either sign, and the exact values are zero
+        assert doubles_undecided(((2, 1, 3), (-1, 2, 4)), -1) and feasibility_sign(4, 3) == 0
+        assert cos_sum([(2, angle(1, 3)), (-1, angle(2, 4))], -1).is_zero()
+        terms, const, f = goldman(6, 6)
+        assert doubles_undecided(terms, const) and f == 0
+        assert cos_sum([(k, angle(num, den)) for k, num, den in terms], const).is_zero()
         res = {(c.n, c.m): (c.a, c.b) for c in search(den_max=12, n_max=6, m_max=6)}
         assert res[(4, 3)] == (angle(0, 1), angle(2, 3)) and trace_s(*res[(4, 3)]).is_zero()
         assert res[(6, 6)] == (angle(1, 3), angle(1, 3))
+
+    def test_a_zero_sign_makes_im_s_exactly_zero(self, monkeypatch):
+        # Im s is 0 when the exact sign of Im^2 s is 0, whatever its double reads: with the sign
+        # forced to 0 at (5,5), whose Im^2 s is 0.90, the three roots sum to the real s = cos(2pi/5)
+        import chtri.cosearch as cosearch
+
+        monkeypatch.setattr(cosearch, "feasibility_sign", lambda n, m: 0)
+        assert abs(sum(_eigenvalues(5, 5)) - math.cos(2 * math.pi / 5)) < 1e-14
 
     def test_work_count(self, monkeypatch):
         # one cubic per (n, m) and one exact test per printed row, at any den_max
@@ -252,12 +295,27 @@ class TestSearch:
             assert cubics == list(itertools.product(range(3, 21), repeat=2))
             assert len(exact) == len(res)
 
+    def test_representative_of_two_read_angles(self, monkeypatch):
+        # the roots for a = pi/2 and b = 4pi/3, with every residual taken as 0: at den_max 3 the third
+        # angle -(a+b) = pi/6 is not read, and the representative comes from the two read angles, among
+        # the images with both denominators <= den_max; at den_max 6 it is (pi/2, pi/6)
+        import chtri.cosearch as cosearch
+
+        roots = [cmath.exp(1j * math.pi * t) for t in (1 / 2, 4 / 3, 1 / 6)]
+        monkeypatch.setattr(cosearch, "minor_residual", lambda n, a, b: Cyclo.zero())
+        monkeypatch.setattr(cosearch, "main_residual", lambda m, n, a, b: Cyclo.zero())
+        monkeypatch.setattr(cosearch, "_eigenvalues", lambda n, m: roots)
+        assert [(c.a, c.b) for c in search(3, 3, 3)] == [(angle(1, 2), angle(4, 3))]
+        assert [(c.a, c.b) for c in search(6, 3, 3)] == [(angle(1, 2), angle(1, 6))]
+        monkeypatch.setattr(cosearch, "_eigenvalues", lambda n, m: roots[::2])
+        assert search(3, 3, 3) == []  # one read angle fixes nothing
+
     def test_small_grid(self):
         # frozen output of the denominator-12 grid with m capped at 7
         res = search(den_max=12, n_max=12, m_max=7)
         got = {(c.n, c.m) for c in res if c.exact_confirmed}
         assert got == {(3, 3), (3, 4), (4, 3), (4, 4), (5, 5), (6, 6), (8, 6)}
-        assert all(c.parameter_feasible for c in res)
+        assert all(parameter_feasible(c.n, c.m) for c in res)
 
     def test_json_schema(self):
         res = search(den_max=8, n_max=6, m_max=6)

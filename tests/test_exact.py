@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from chtri import exact
 from chtri.exact import (
     Angle,
     Cyclo,
@@ -110,10 +111,29 @@ class TestCyclo:
         # pi/8 < pi/7 so cos(pi/8) > cos(pi/7)
         assert (cos_exact(angle(1, 8)) - cos_exact(angle(1, 7))).real_sign() > 0
         assert (cos_exact(angle(1, 7)) - cos_exact(angle(1, 8))).real_sign() < 0
-        # 1 + zeta3 + zeta3^2 cancels: the floats cannot decide, the zero test does
+        # 1 + zeta3 + zeta3^2 cancels: the doubles cannot decide, the zero test does
         assert Cyclo(3, {0: 1, 1: 1, 2: 1}).real_sign() == 0
-        # below the 128-bit error bound but nonzero: decided after a precision doubling
+        # the doubles read each coefficient c[e]/d, rounded once: a tiny one needs no more bits, and
+        # a numerator or d beyond the doubles' range neither overflows nor decides alone
         assert Cyclo(1, {0: Fraction(1, 2**200)}).real_sign() == 1
+        assert Cyclo(3, {0: 1, 1: Fraction(1, 2**1100)}).real_sign() == 1
+        assert Cyclo(1, {0: Fraction(-1, 2**1100)}).real_sign() == -1  # 0.0 in doubles, decided at 128 bits
+        assert Cyclo(1, {0: -2**1100}).real_sign() == -1  # beyond the doubles: decided by the zero test and 128 bits
+
+    def test_real_sign_of_a_tiny_nonzero_value(self, monkeypatch):
+        # x = q cos(pi/7) - p, p/q the best approximation of cos(pi/7) with q < 2^131: |x| < 2^-130, far
+        # below the doubles' bound 2^-40 * (q + p).  The zero test proves x nonzero, and `_float_value`
+        # reads the same terms from 128 bits, doubling until its bound 2^(13-prec) * (q + p) is below |x|
+        with mpmath.workprec(1000):
+            c = mpmath.cospi(mpmath.mpf(1) / 7)
+            man, exp = c.man_exp
+            f = (Fraction(man) * Fraction(2) ** exp).limit_denominator(2 ** 131)
+            want = int(mpmath.sign(c * f.denominator - f.numerator))
+        x = cos_exact(angle(1, 7)) * f.denominator - f.numerator
+        precs, value = [], exact._float_value
+        monkeypatch.setattr(exact, "_float_value", lambda terms, prec=53: precs.append(prec) or value(terms, prec))
+        assert x.real_sign() == want != 0
+        assert precs == [53, 128, 256, 512]
 
     def test_to_mpc_accuracy(self):
         # oracle: direct mpmath evaluation at high precision

@@ -8,8 +8,9 @@ import sympy
 from hypothesis import Phase, assume, given, settings, strategies as st
 from sympy.abc import x as X
 
-from chtri.cosearch import trace_table_angles
-from chtri.exact import Angle, Cyclo, Laurent, _expjpi, angle, cos_exact, cos_sum, cyclotomic_poly, dot
+from chtri.cosearch import _COSINE_SUMS, trace_table_angles
+from chtri.exact import (Angle, ConductorError, Cyclo, Laurent, _float_value, _expjpi, angle, cos_exact, cos_sign,
+                         cos_sum, cyclotomic_poly, dot)
 from chtri.linalg import Mat3
 from chtri.trigroup import generic_group
 
@@ -374,7 +375,7 @@ class TestCosSum:
         with mpmath.workprec(400):
             want = sum((k * mpmath.cospi(mpmath.mpf(t.num) / t.den) for k, t in terms),
                        mpmath.mpf(const.numerator) / const.denominator)
-        assert abs(x.to_mpc(200) - want) <= mpmath.mpf(2) ** (3 - 200) * (1 + x.coeff_mass())
+        assert abs(x.to_mpc(200) - want) <= mpmath.mpf(2) ** (3 - 200) * (1 + sum(abs(v) for v in x.c.values()) / x.d)
         return x
 
     @ORACLE
@@ -404,6 +405,65 @@ class TestCosSum:
             t = angle(num, den)
             by_roots = (Cyclo.root(2 * den, num) + Cyclo.root(2 * den, -num)) / 2
             assert form(cos_exact(t)) == form(cos_sum([(1, t)])) == form(by_roots)
+
+
+# Integer coefficients on angles pi*num/den, den <= 60, drawn from few denominators so that sums cancel;
+# num far beyond 2*den too, which the doubles must reduce first.
+SIGN_TERMS = st.lists(st.tuples(st.integers(-3, 3), st.one_of(st.integers(-120, 120), st.integers(-10**6, 10**6)),
+                                st.sampled_from([1, 2, 3, 5, 12, 60])), max_size=8)
+
+
+class TestCosSign:
+    @ORACLE
+    @given(SIGN_TERMS, CONSTS, st.sampled_from([53, 128, 256]))
+    def test_within_the_bound_and_sign_of_400_bits(self, terms, const, prec):
+        # `_float_value` at prec bits is within its proved 25u * K (u = 2^-prec, + 2^-1012 in doubles) of the
+        # value at 400 bits, so 2^8 times inside its E, which is the stated 2^(13-prec) * K (+ 2^-1000 in
+        # doubles) and no wider; `cos_sign` is the sign at 400 bits, read as 0 below 2^-300
+        v, bound = _float_value([*terms, (const, 0, 1)], prec)
+        subnormal = (prec == 53) * mpmath.mpf(2) ** -1000
+        with mpmath.workprec(400):
+            x = sum((k * mpmath.cospi(mpmath.mpf(num) / den) for k, num, den in terms),
+                    mpmath.mpf(const.numerator) / const.denominator)
+            mass = abs(const) + sum(abs(k) for k, _, _ in terms)
+            assert abs(v - x) <= 25 * mpmath.mpf(2) ** -prec * mass + subnormal / 4096
+            assert 256 * abs(v - x) <= bound <= (1 + 2 ** -50) * (mpmath.mpf(2) ** (13 - prec) * mass + subnormal)
+            want = 0 if abs(x) < mpmath.mpf(2) ** -300 else (1 if x > 0 else -1)
+        assert cos_sign(terms, const) == want
+
+    def test_more_bits_decide_where_the_exact_value_is_too_large(self):
+        # 2cos(pi/985) - cos(2pi/1393) - 1 = -3.4e-12 (2 * 985^2 = 1393^2 + 1) is below the doubles' bound,
+        # and its conductor lcm(1970, 2786) = 2,744,210 is above CONDUCTOR_LIMIT: 128 bits decide it.  An
+        # exact zero of such a conductor stays undecided up to 1024 bits, and the ConductorError stands
+        terms = [(2, 1, 985), (-1, 2, 1393)]
+        v, bound = _float_value([*terms, (-1, 0, 1)])
+        assert abs(v) <= bound and cos_sign(terms, -1) == -1
+        with pytest.raises(ConductorError):
+            cos_sum([(k, angle(num, den)) for k, num, den in terms], -1)
+        with pytest.raises(ConductorError):
+            cos_sign([(1, 1, 1000003), (-1, 3, 3000009)])
+
+    def test_coefficients_beyond_the_doubles_go_exact(self):
+        # a k of 2^1100 overflows a double: the doubles decide nothing, and the exact value decides
+        assert _float_value([(2 ** 1100, 1, 4)]) == (0.0, math.inf)
+        assert cos_sign([(2 ** 1100, 1, 4)]) == 1 and cos_sign([(2 ** 1100, 1, 3)], -2 ** 1099) == 0
+
+    @pytest.mark.parametrize("label", sorted(_COSINE_SUMS))
+    def test_the_cosine_sum_suites_are_exact_zeros(self, label):
+        # each identity at phi = 0: the doubles cannot decide, and the exact value is 0
+        terms, target, _ = _COSINE_SUMS[label]
+        v, bound = _float_value([*terms, (-target, 0, 1)])
+        assert abs(v) <= bound and cos_sign(terms, -target) == 0
+
+    def test_a_given_exact_value_is_built_only_when_the_doubles_cannot_decide(self):
+        built = []
+
+        def exact():
+            built.append(1)
+            return cos_sum([(1, angle(1, 3))], Fraction(-1, 2))
+
+        assert cos_sign([(1, 1, 3)], Fraction(-1, 2), exact) == 0 and built == [1]  # cos(pi/3) - 1/2 = 0
+        assert cos_sign([(1, 1, 4)], Fraction(-1, 2), exact) == 1 and built == [1]
 
 
 class TestSubtraction:

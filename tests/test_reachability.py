@@ -33,6 +33,8 @@ CALLS = [
     *(["verify", *g] for g in GROUPS),
     *(["build", *g] for g in GROUPS),
     *(["classify", "--word", "1 -3 2 3", *g] for g in GROUPS),
+    # a feasibility sign the doubles cannot decide, of a conductor above the exact limit: 128 bits decide it
+    ["build", *_group(2786, 1970, p=3)],
 ]
 
 # (module, qualified name) -> why it stays although no CLI call enters it

@@ -1,6 +1,7 @@
 import functools
 import json
 import operator
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -8,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import chtri.cli
 from chtri.candidates import ALL_IDS, parse_candidate
-from chtri.exact import Cyclo, Laurent, angle, cos_exact, root_of_unity
+from chtri.exact import Cyclo, Laurent, _float_value, angle, cos_exact, root_of_unity
 from chtri.linalg import Mat3, SingularMatrixError, hermitian_signature, invariant_signature, projective_equal
 from chtri.trigroup import (
     Certificate,
     InfeasibleGroupError,
-    _float_invariants,
+    _float_terms,
     _generic_braid,
     braid_length,
     build_group,
@@ -38,6 +39,11 @@ SPORADICS = [(3, 4), (3, 5), (4, 3), (5, 4), (8, 6)]
 # every candidate id at p with (3,0), (2,1), (1,2) and degenerate forms among them:
 # (3,3) p=3, (3,3)- p=6, (4,4) p=2 and (8,6) p=2 are degenerate
 EXACT_ROWS = [(cid, p) for cid in ALL_IDS for p in (2, 3, 5, 6, 7, 12, 20, 40)]
+
+
+def mass(c: Cyclo) -> Fraction:
+    """The sum of the absolute rational coefficients of c."""
+    return Fraction(sum(abs(v) for v in c.c.values()), c.d)
 
 
 class TestCandidates:
@@ -196,10 +202,14 @@ class TestBuild:
                         build_symmetric(2, n, m)
 
     @pytest.mark.parametrize("n,m", [(1001, 1000), (97, 101)])
-    def test_large_conductor_builds_a_float_group(self, n, m):
-        # lcm(2m, n) is 2,002,000 and 19,594: beyond or near the exact limit
+    def test_large_conductor_builds_a_float_group(self, n, m, monkeypatch):
+        # lcm(2m, n) is 2,002,000 and 19,594: beyond or near the exact limit.  The doubles decide
+        # feasibility, so no Cyclo of a conductor above 10^5 is built
+        conductors, of = [], Cyclo._of.__func__
+        monkeypatch.setattr(Cyclo, "_of", classmethod(lambda cls, k, *a: conductors.append(k) or of(cls, k, *a)))
         g = build_symmetric(3, n, m)
         assert not g.exact and g.signature.verdict == "(2,1)"
+        assert conductors and max(conductors) <= 10**5
 
     @pytest.mark.parametrize("cid,p", EXACT_ROWS)
     def test_signature_kept_on_exact_group(self, cid, p):
@@ -214,8 +224,8 @@ class TestBuild:
         h = build_group(p, rho, sigma, sigma).H
         inv = form_invariants(n, m, im_sign)
         assert all((x.at(6 * p) - y).is_zero() for x, y in zip(inv, (h.trace(), h.minor_sum(), h.det())))
-        # the exponents `_t_powers` holds and the error bound of `_float_invariants` assumes
-        assert all(k in range(-9, 10, 3) for x in inv for k in x.c)
+        # the exponents of det H that `_t_powers` holds for the det `form_signature` prints
+        assert all(k in range(-9, 10, 3) for k in inv[2].c)
 
     def test_signature_kept_on_float_group(self):
         g = build_symmetric(4, 5, 6)
@@ -243,17 +253,18 @@ class TestFormSignature:
             assert build_symmetric(p, n, m, im_sign=im_sign).signature == invariant_signature(*exact), (cid, p)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.sampled_from(ALL_IDS), st.integers(2, 200), st.sampled_from([64, 128, 192, 256]))
-    def test_float_invariants_within_the_documented_bound(self, cid, p, prec):
-        # B = 2^(4-wp) * sum_k (1 + mass(c_k)) of `_float_invariants`, against the exact invariants at 512 bits
+    @given(st.sampled_from(ALL_IDS), st.integers(2, 200))
+    def test_float_invariants_within_the_documented_bound(self, cid, p):
+        # the doubles of each invariant's `_float_terms` at t = zeta_{6p}, against the exact invariant at
+        # 512 bits: within the proved 25u * K (K the sum of the absolute rational coefficients) of
+        # `_float_value`, and so 2^8 times inside its E
         n, m, im_sign = parse_candidate(cid)
-        wp = max(prec, 128)
-        floats = _float_invariants(p, n, m, im_sign, wp)
         with mpmath.workprec(512):
-            for (x, bound), exact in zip(floats, form_invariants(n, m, im_sign)):
-                want = mpmath.mpf(2) ** (4 - wp) * sum(1 + c.coeff_mass() for c in exact.c.values())
-                assert abs(bound - want) <= want * mpmath.mpf(2) ** -50
-                assert abs(x - exact.at(6 * p).to_mpc(512)) <= bound
+            for terms, exact in zip(_float_terms(n, m, im_sign, 128)[0], form_invariants(n, m, im_sign)):
+                v, bound = _float_value([(w, a + b * p, c * p) for w, a, b, c in terms])
+                err = abs(v - exact.at(6 * p).to_mpc(512).real)
+                assert err <= 25 * mpmath.mpf(2) ** -53 * sum(map(mass, exact.c.values()))
+                assert 256 * err < bound
 
     def test_non_candidate_rejected(self):
         # a float rho has no generic group in t
@@ -262,25 +273,29 @@ class TestFormSignature:
                 f()
 
     def test_exact_zeros_take_the_exact_path(self, monkeypatch):
-        # the float det of (4,3) at p = 3 is a rounding error, not 0; only the exact path sees the zero
-        det, _ = _float_invariants(3, 4, 3, 1, 256)[2]
-        assert det.real != 0 and form_invariants(4, 3, 1)[2].at(18).is_zero()
-        calls = []
-        monkeypatch.setattr("chtri.trigroup.invariant_signature",
-                            lambda *a, **k: calls.append(a) or invariant_signature(*a, **k))
+        # det H of (4,3) at p = 3 is 0: its doubles cannot decide, and only its exact value, and not
+        # those of tr H and c1, is built
+        tr, c1, det = form_invariants(4, 3, 1)
+        assert det.at(18).is_zero()
+        calls, at = [], Laurent.at
+        monkeypatch.setattr(Laurent, "at", lambda x, n: calls.append(x) or at(x, n))
         assert form_signature(3, 4, 3, 1)[0].verdict == "degenerate"
-        assert len(calls) == 1 and all(isinstance(x, Cyclo) for x in calls[0])
+        assert calls == [det]
         calls.clear()
         assert form_signature(5, 3, 3, 1)[0].verdict == "(2,1)" and calls == []
 
     @pytest.mark.parametrize("cid,p,prec", [("(4,3)", 3, 256), ("(3,3)", 5, 256), ("(5,4)-", 7, 64),
                                             ("(8,6)", 2, 512)])
     def test_det_is_the_float_det_at_the_working_precision(self, cid, p, prec):
-        # the returned det is the real part of the float det H at wp = max(prec, 128) bits, on the
-        # float path and the exact fallback alike
+        # the returned det is the real part of det H read at wp = max(prec, 128) bits: within
+        # 2^(4-wp) * sum_k (1 + mass(c_k)) of the exact det H = sum_k c_k t^k, on a zero det too
         n, m, im_sign = parse_candidate(cid)
         _, det = form_signature(p, n, m, im_sign, prec)
-        assert det == _float_invariants(p, n, m, im_sign, max(prec, 128))[2][0].real
+        exact, wp = form_invariants(n, m, im_sign)[2], max(prec, 128)
+        with mpmath.workprec(1024):
+            bound = mpmath.mpf(2) ** (4 - wp) * sum(1 + mass(c) for c in exact.c.values())
+            assert abs(det - exact.at(6 * p).to_mpc(1024).real) <= bound
+        assert form_signature(p, n, m, im_sign, 64)[1] == form_signature(p, n, m, im_sign, 128)[1]
 
 
 class TestSymmetry:
