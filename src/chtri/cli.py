@@ -91,8 +91,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks, signature = verify_symmetric(args.p, args.n, args.m, im_sign=args.im_sign,
-                                         tol=mpmath.mpf(10) ** (-args.tol), prec=args.prec)
+    checks, signature = verify_symmetric(args.p, args.n, args.m, im_sign=args.im_sign, prec=args.prec)
     lines = [c.to_dict() for c in checks]
     summary = {"summary": True, "checks": len(checks), "passed": sum(c.passed for c in checks),
                "signature": signature.verdict}
@@ -200,13 +199,12 @@ def cmd_classify(args) -> int:
         print("bad word; indices must be in {-3..-1, 1..3}", file=sys.stderr)
         return EXIT_USAGE
     g = build_symmetric(args.p, args.n, args.m, im_sign=args.im_sign, prec=args.prec)
-    tol = mpmath.mpf(10) ** (-args.tol)
     with mpmath.workprec(args.prec):
         mat = evaluate_word(g.to_float(args.prec), word, prec=args.prec)
         tr = mat.trace()
-        kind = classify_isometry(tr, tol=tol, prec=args.prec)
+        kind = classify_isometry(tr, prec=args.prec)
         eigs = eigenvalues3(mat, args.prec)
-        order = projective_order(mat, max_order=200, tol=tol, prec=args.prec)
+        order = projective_order(mat, max_order=200, prec=args.prec)
         doc = {
             "word": word,
             "p": args.p,
@@ -225,14 +223,11 @@ def cmd_classify(args) -> int:
 # Parser
 
 
-def _add_options(sp, prec=False, tol=False, fmt=False, group=False):
+def _add_options(sp, prec=False, fmt=False, group=False):
     """Add --out and, where the subcommand reads them, the shared options."""
     if prec:
-        sp.add_argument("--prec", type=int, default=None, help="precision in bits")  # None: CHTG_PREC
-    if tol:
-        sp.add_argument("--tol", type=int, default=30,
-                        help="tolerance exponent k for 10^-k of the float checks; verify checks a classified "
-                             "candidate exactly, without it")
+        sp.add_argument("--prec", type=int, default=None,  # None: CHTG_PREC
+                        help="precision in bits; float values within 2^-(prec // 2) count as equal")
     sp.add_argument("--out", default=None, help="output file (default stdout)")
     if fmt:
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
@@ -253,7 +248,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_build)
 
     sp = sub.add_parser("verify", help="verify symmetry, traces, braids, eigenvalues")
-    _add_options(sp, prec=True, tol=True, group=True)
+    _add_options(sp, prec=True, group=True)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("search", help="enumerate exact (n,m) trace solutions")
@@ -279,7 +274,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_identities)
 
     sp = sub.add_parser("classify", help="classify the isometry type of a word")
-    _add_options(sp, prec=True, tol=True, group=True)
+    _add_options(sp, prec=True, group=True)
     sp.add_argument("--word", required=True, help="signed generator indices, e.g. '1 2'")
     sp.set_defaults(func=cmd_classify)
     return ap
@@ -292,9 +287,6 @@ def _validate(args) -> bool:
         return False
     if prec < 53:
         print("precision must be >= 53 bits", file=sys.stderr)
-        return False
-    if getattr(args, "tol", 30) < 6:
-        print("tolerance exponent must be >= 6", file=sys.stderr)
         return False
     if getattr(args, "trials", 0) < 0:
         print("--trials must be >= 0", file=sys.stderr)

@@ -413,16 +413,10 @@ class Cyclo:
             return total / self.d
 
     def real_sign(self) -> int:
-        """Sign of the real part (-1, 0, or +1), exactly: the `_float_sign` of its terms (c[e]/d) * cos(2pi*e/n)
-        in doubles, else the exact zero test, else, on a value proved nonzero, from 128 bits, doubling."""
-        terms = [(Fraction(v, self.d) if self.d > 1 else v, 2 * e, self.n) for e, v in self.c.items()]
-        sign = _float_sign(terms)
-        if sign or self.is_zero():
-            return sign
-        sign = _float_sign(terms, 128, 1 << 16)
-        if not sign:
-            raise RuntimeError("cannot determine sign; value may not be real")
-        return sign
+        """Sign of the real part (-1, 0, or +1), exactly: the `cos_sign` of its terms (c[e]/d) * cos(2pi*e/n),
+        with itself as the exact value."""
+        return cos_sign([(Fraction(v, self.d) if self.d > 1 else v, 2 * e, self.n) for e, v in self.c.items()],
+                        exact=lambda: self)
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +471,7 @@ class Laurent:
 
     def __mul__(self, other):
         other = _lift_laurent(other)
-        if other is None:
-            return NotImplemented
-        out: dict = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
-                k = k1 + k2
-                out[k] = out[k] + v1 * v2 if k in out else v1 * v2
-        return Laurent(out)
+        return NotImplemented if other is None else dot((self,), (other,))
 
     __rmul__ = __mul__
 
@@ -502,8 +489,8 @@ class Laurent:
         return next(nonzero, None) is not None and next(nonzero, None) is None
 
     def at(self, n: int) -> Cyclo:
-        """The value at t = zeta_n, exactly."""
-        return sum((v * Cyclo.root(n, k) for k, v in self.c.items()), Cyclo.zero())
+        """The value at t = zeta_n, exactly: one `dot` of the coefficients with the powers of zeta_n."""
+        return dot(self.c.values(), [Cyclo.root(n, k) for k in self.c])
 
     def __repr__(self) -> str:
         return "Laurent(" + (" + ".join(f"{v!r}*t^{k}" for k, v in sorted(self.c.items())) or "0") + ")"
@@ -639,10 +626,11 @@ def _float_sign(terms, prec: int = 53, last: int = 53) -> int:
 
 def cos_sign(terms, const=0, exact=None) -> int:
     """The sign (-1, 0 or +1) of const + sum(k * cos(pi*num/den)) over a sequence of (k, num, den) terms,
-    k and const ints or Fractions: by `_float_value` in doubles when they can decide; else by the
-    `Cyclo.real_sign` of the exact value, exact() when given or the `cos_sum` of the terms (int k); else,
-    when that conductor is above CONDUCTOR_LIMIT, by `_float_value` from 128 bits, doubling up to 1024,
-    which decides a nonzero value (ConductorError when none does)."""
+    k and const ints or Fractions: by `_float_value` in doubles when they can decide; else the exact value
+    is built, exact() when given (a Cyclo whose real part is the sum) or the `cos_sum` of the terms (int k),
+    and it is 0 when that is exactly zero, else `_float_value` from 128 bits, doubling up to 2^16, decides.
+    When the exact value's conductor is above CONDUCTOR_LIMIT, `_float_value` from 128 bits, doubling up
+    to 1024, decides a nonzero value (ConductorError when none does)."""
     terms = [*terms, (const, 0, 1)]
     sign = _float_sign(terms)
     if sign:
@@ -654,7 +642,12 @@ def cos_sign(terms, const=0, exact=None) -> int:
         if not sign:
             raise
         return sign
-    return x.real_sign()
+    if x.is_zero():
+        return 0
+    sign = _float_sign(terms, 128, 1 << 16)
+    if not sign:
+        raise RuntimeError("cannot determine sign; value may not be real")
+    return sign
 
 
 def cos_exact(t: Angle) -> Cyclo:

@@ -17,7 +17,11 @@ import mpmath
 from .exact import Cyclo, Laurent, dot
 
 DEFAULT_PREC = 256
-DEFAULT_TOL = mpmath.mpf("1e-30")
+
+
+def tolerance(prec: int) -> mpmath.mpf:
+    """2^-(prec // 2): the one bound under which two floats computed at `prec` bits count as equal."""
+    return mpmath.ldexp(1, -(prec // 2))
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -117,7 +121,7 @@ class Mat3:
             if not (d - 1).is_zero():
                 raise SingularMatrixError("exact inverse needs det exactly 1")
             return self.adjugate()
-        if abs(d) < mpmath.mpf(2) ** (-mpmath.mp.prec // 2):
+        if abs(d) < tolerance(mpmath.mp.prec):
             raise SingularMatrixError("singular matrix")
         return self.adjugate().scale(1 / d)
 
@@ -195,26 +199,27 @@ def sign_signature(s2: int, s1: int, s0: int) -> Signature:
     return Signature(0, 0, 3)
 
 
-def invariant_signature(tr, c1, det, tol=None) -> Signature:
+def invariant_signature(tr, c1, det, prec: int = DEFAULT_PREC) -> Signature:
     """Eigenvalue sign pattern of a Hermitian 3x3 matrix with char poly x^3 - tr x^2 + c1 x - det.
 
     `sign_signature` of the invariants' signs: the exact signs of Cyclo
-    invariants, and for float ones the sign of the real part, read as 0
-    when it is at most `tol` in absolute value.
+    invariants, and for float ones, computed at `prec` bits, the sign of
+    the real part, read as 0 when it is at most `tolerance(prec)` in
+    absolute value.
     """
     if isinstance(det, Cyclo):
         return sign_signature(tr.real_sign(), c1.real_sign(), det.real_sign())
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = tolerance(prec)
     return sign_signature(*(0 if abs(x.real) <= tol else 1 if x.real > 0 else -1 for x in (tr, c1, det)))
 
 
-def hermitian_signature(h: Mat3, prec: int = DEFAULT_PREC, tol=None) -> Signature:
+def hermitian_signature(h: Mat3, prec: int = DEFAULT_PREC) -> Signature:
     """Eigenvalue sign pattern of a Hermitian 3x3 matrix, from its trace, minor sum and det."""
     with mpmath.workprec(prec + 30):
         skew = h - h.adjoint()
-        if not (skew.is_zero_exact() if h.exact else skew.max_abs() <= mpmath.mpf(2) ** (-prec // 2)):
+        if not (skew.is_zero_exact() if h.exact else skew.max_abs() <= tolerance(prec)):
             raise ValueError("matrix is not Hermitian")
-        return invariant_signature(h.trace(), h.minor_sum(), h.det(), tol)
+        return invariant_signature(h.trace(), h.minor_sum(), h.det(), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +303,18 @@ def projective_residual(a: Mat3, b: Mat3, prec: int = DEFAULT_PREC):
         return best
 
 
-def projective_equal(a: Mat3, b: Mat3, tol=None, prec: int = DEFAULT_PREC) -> bool:
-    """True iff a = w*b for a cube root of unity w, entrywise within tol.
-
-    For floats: projective_residual(a, b) <= tol, each root dropped at its first entry above tol."""
+def projective_equal(a: Mat3, b: Mat3, prec: int = DEFAULT_PREC) -> bool:
+    """True iff a = w*b for a cube root of unity w, exactly, or for floats entrywise within `tolerance(prec)`:
+    projective_residual(a, b) <= tolerance(prec), each root dropped at its first entry above it."""
     if a.exact and b.exact:
         return any(all(d.is_zero() for d in exact_differences(a, b, w)) for w in _cube_roots_exact())
-    tol = DEFAULT_TOL if tol is None else tol
+    tol = tolerance(prec)
     with mpmath.workprec(prec):
         pairs = _entry_pairs(a, b, prec)
         return any(all(abs(x - w * y) <= tol for x, y in pairs) for w in _cube_roots_float(prec))
 
 
-def projective_order(m: Mat3, max_order: int, tol=None, prec: int = DEFAULT_PREC):
+def projective_order(m: Mat3, max_order: int, prec: int = DEFAULT_PREC):
     """Least k <= max_order with m^k projectively the identity, else None."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -319,7 +323,7 @@ def projective_order(m: Mat3, max_order: int, tol=None, prec: int = DEFAULT_PREC
         ident = Mat3.identity(exact=False)
         p = mf
         for k in range(1, max_order + 1):
-            if projective_equal(p, ident, tol, prec):
+            if projective_equal(p, ident, prec):
                 return k
             p = p * mf
     return None
@@ -337,14 +341,14 @@ def trace_discriminant(tr, prec: int = DEFAULT_PREC):
         return a * a - 8 * (t**3).real + 18 * a - 27
 
 
-def classify_isometry(tr, tol=None, prec: int = DEFAULT_PREC) -> str:
-    """Isometry type from the trace of a det-1 form-preserving matrix.
+def classify_isometry(tr, prec: int = DEFAULT_PREC) -> str:
+    """Isometry type from the trace of a det-1 form-preserving matrix, with f = `trace_discriminant`
+    at `prec` bits read as 0 within `tolerance(prec)`.
 
     Returns 'loxodromic', 'regular-elliptic' or 'boundary' (repeated
     modulus-one eigenvalue: parabolic or reflection-like).
     """
-    tol = DEFAULT_TOL if tol is None else tol
     f = trace_discriminant(tr, prec)
-    if abs(f) <= tol:
+    if abs(f) <= tolerance(prec):
         return "boundary"
     return "loxodromic" if f > 0 else "regular-elliptic"

@@ -26,8 +26,8 @@ import mpmath
 
 from .candidates import SPORADIC, claim, entry, parse_candidate
 from .exact import Cyclo, angle, cos_exact, printed_value
-# unused here: perfbench/test_smoke.py checks that its tracer patches chtri.reports.hermitian_signature
-from .linalg import DEFAULT_PREC, hermitian_signature  # noqa: F401
+# hermitian_signature is unused here: perfbench/test_smoke.py checks that its tracer patches it
+from .linalg import DEFAULT_PREC, hermitian_signature, tolerance  # noqa: F401
 from .trigroup import Group, build_symmetric, form_invariants, form_signature, symmetric_params
 
 
@@ -109,20 +109,20 @@ class DetComparison:
     formula: str
 
 
-def detH_closed_form(cid: str, p: int, prec: int = DEFAULT_PREC, tol=None) -> DetComparison:
+def detH_closed_form(cid: str, p: int, prec: int = DEFAULT_PREC) -> DetComparison:
     """Evaluate the registered closed-form det(H) in phi = 2*pi/p and the exact matrix det at p
-    (`form_invariants` at t = zeta_{6p}).  Raises KeyError when `claim(cid)` records no closed form."""
+    (`form_invariants` at t = zeta_{6p}), both at `prec` bits; they match within `tolerance(prec)`.
+    Raises KeyError when `claim(cid)` records no closed form."""
     c = claim(cid)
     if c.det_formula is None:
         raise KeyError(f"no registered closed form for {cid!r}")
     det = form_invariants(*parse_candidate(cid))[2].at(6 * p)
-    tol = mpmath.mpf("1e-40") if tol is None else mpmath.mpf(tol)
     with mpmath.workprec(prec):
         phi = 2 * mpmath.pi / p
         cv = mpmath.mpf(c.det_eval(phi))
         mv = det.to_mpc(prec).real
         diff = abs(cv - mv)
-    return DetComparison(cid, p, cv, mv, diff, bool(diff <= tol), c.det_formula)
+    return DetComparison(cid, p, cv, mv, diff, bool(diff <= tolerance(prec)), c.det_formula)
 
 
 # ---------------------------------------------------------------------------

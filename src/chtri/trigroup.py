@@ -26,7 +26,6 @@ from .candidates import entry
 from .exact import Angle, Cyclo, Laurent, _coerce, angle, cos_exact, cos_sign, root_of_unity, sin_exact, to_float
 from .linalg import (
     DEFAULT_PREC,
-    DEFAULT_TOL,
     Mat3,
     Signature,
     _cube_roots_exact,
@@ -35,6 +34,7 @@ from .linalg import (
     projective_equal,
     projective_residual,
     sign_signature,
+    tolerance,
 )
 
 
@@ -386,20 +386,19 @@ def verify_symmetry(g: Group, prec: int = DEFAULT_PREC) -> dict:
         return {name: _residual(lhs, rhs, prec) for name, (lhs, rhs) in _relations(*_float_view(g, prec)).items()}
 
 
-def trace_invariants(g: Group, prec: int = DEFAULT_PREC, tol=None):
+def trace_invariants(g: Group, prec: int = DEFAULT_PREC):
     """(tr R1R2, tr R2R3, tr R1R3, tr R1R3^-1R2R3), matrix vs closed form (`_trace_pairs`).
 
-    Disagreement beyond tolerance raises (internal consistency failure).
+    Disagreement beyond `tolerance(prec)` raises (internal consistency failure).
     """
-    tol = DEFAULT_TOL if tol is None else tol
     with mpmath.workprec(prec):
         traces, closed = _trace_pairs(*_float_view(g, prec), mpmath.conj)
-        if _residual(traces, closed, prec) > tol:
+        if _residual(traces, closed, prec) > tolerance(prec):
             raise RuntimeError(f"trace formula mismatch: {traces} vs {closed}")
         return traces
 
 
-def braid_length(a: Mat3, b: Mat3, max_l: int = 24, tol=None, prec: int = DEFAULT_PREC):
+def braid_length(a: Mat3, b: Mat3, max_l: int = 24, prec: int = DEFAULT_PREC):
     """Least l <= max_l with the alternating l-fold products projectively equal.
 
     Returns None when no braid relation of length <= max_l is detected;
@@ -414,7 +413,7 @@ def braid_length(a: Mat3, b: Mat3, max_l: int = 24, tol=None, prec: int = DEFAUL
             nxt_l = bf if l % 2 == 0 else af
             nxt_r = af if l % 2 == 0 else bf
             lhs, rhs = lhs * nxt_l, rhs * nxt_r
-            if projective_equal(lhs, rhs, tol, prec):
+            if projective_equal(lhs, rhs, prec):
                 return l
     return None
 
@@ -538,42 +537,42 @@ def _certified_checks(p: int, n: int, m: int, im_sign: int, signature: Signature
     return checks + _braid_checks(signature, lambda: cert.braid_lengths(p))
 
 
-def verify(g: Group, tol=None, prec: int = DEFAULT_PREC) -> list[Check]:
+def verify(g: Group, prec: int = DEFAULT_PREC) -> list[Check]:
     """Every check of a symmetric group, in order: symmetry relations, trace
     formulas, eigenvalue lemma, then the four braid lengths, each searched up
     to its expected length.
 
     The non-braid checks are the pairs of `_check_pairs`.  An exact group (a
     classified candidate) reads its `certificate`, as `verify_symmetric` does,
-    and not its matrices, tol or prec.  Any other group measures each pair
+    and not its matrices or prec.  Any other group measures each pair
     once in floats at `prec` bits (`_residual`) and passes a check whose
-    residual is at most `tol`.  The braid lengths are only checked when H has
-    signature (2,1); otherwise one passing "braid" check records the skip.
+    residual is at most `tolerance(prec)`.  The braid lengths are only
+    checked when H has signature (2,1); otherwise one passing "braid" check
+    records the skip.
     """
     if g.exact:
         return _certified_checks(g.params.p, g.n, g.m, g.im_sign, g.signature)
-    tol = DEFAULT_TOL if tol is None else tol
     with mpmath.workprec(prec):
         residuals = {name: _residual(lhs, rhs, prec)
                      for name, (lhs, rhs) in _check_pairs(*_float_view(g, prec), mpmath.conj).items()}
-    checks = [Check(name, bool(res <= tol), {"residual": mpmath.nstr(mpmath.mpf(res), 10)})
+    checks = [Check(name, bool(res <= tolerance(prec)), {"residual": mpmath.nstr(mpmath.mpf(res), 10)})
               for name, res in residuals.items()]
 
     def lengths():
         with mpmath.workprec(prec):  # R3^-1 R2 R3 of `_braid_pairs` is built at the ambient precision
-            return [(name, expect, braid_length(a, b, max_l=expect, tol=tol, prec=prec))
+            return [(name, expect, braid_length(a, b, max_l=expect, prec=prec))
                     for name, (a, b, expect) in _braid_pairs(g).items()]
 
     return checks + _braid_checks(g.signature, lengths)
 
 
-def verify_symmetric(p: int, n: int, m: int, im_sign: int = 1, tol=None,
+def verify_symmetric(p: int, n: int, m: int, im_sign: int = 1,
                      prec: int = DEFAULT_PREC) -> tuple[list[Check], Signature]:
     """(`verify`, signature of H) of the group of `build_symmetric`.  A candidate builds nothing at p:
     it reads its `certificate` and `form_signature`.  Any other (n, m) builds its float group."""
     if not is_candidate(n, m):
         g = build_symmetric(p, n, m, im_sign, prec)
-        return verify(g, tol, prec), g.signature
+        return verify(g, prec), g.signature
     if p < 2:
         raise ValueError("reflection order p must be >= 2")
     signature = form_signature(p, n, m, im_sign, prec)[0]

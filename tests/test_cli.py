@@ -129,6 +129,15 @@ class TestVerify:
         assert code == 0 and len(lemma) == 1 and lemma[0]["pass"] is True
         assert lines[-1]["passed"] == lines[-1]["checks"]
 
+    @pytest.mark.parametrize("prec", ["53", "64", "96"])
+    def test_a_float_group_passes_at_low_precision(self, prec, capsys):
+        # the float checks read tolerance(prec) = 2^-(prec // 2): a fixed 1e-30 is below the residuals
+        # that 53 to 96 bits can reach, and failed 13 or 14 of the 15 checks of this valid group
+        code = chtri.cli.main(["verify", "--p", "3", "--n", "5", "--m", "6", "--prec", prec])
+        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert code == 0 and all(l["pass"] for l in lines[:-1])
+        assert (lines[-1]["checks"], lines[-1]["passed"]) == (15, 15)
+
     @pytest.mark.parametrize("n,m", [(25, 25), (30, 30), (25, 26)])
     def test_braid_lengths_above_24_pass(self, n, m, capsys):
         # each braid length is searched up to its expected one, (n, n, m, m); (25,26) is a float group
@@ -347,14 +356,15 @@ class TestClassify:
         assert doc["type"] == "regular-elliptic"
         assert doc["projective_order"] == 12
 
-    def test_tol_is_honoured(self):
-        # R1 is a complex reflection of order 5; at 53 bits its residuals (~1e-14) pass only a loose tol
-        r = run("classify", "--word", "1", "--p", "5", "--n", "3", "--m", "4",
-                "--prec", "53", "--tol", "6")
-        assert r.returncode == 0
-        doc = json.loads(r.stdout)
+    @pytest.mark.parametrize("p,n,m,prec,order", [("5", "3", "4", "53", 5), ("3", "5", "6", "64", 3)])
+    def test_low_precision_reads_a_looser_tolerance(self, p, n, m, prec, order, capsys):
+        # R1 is a complex reflection of order p, of the candidate (3,4) converted to floats or of the float
+        # group (5,6).  At 53 and 64 bits R1^p is w*I within about 1e-14 and 1e-19: above a fixed 1e-30,
+        # below tolerance(prec) = 2^-(prec // 2)
+        assert chtri.cli.main(["classify", "--word", "1", "--p", p, "--n", n, "--m", m, "--prec", prec]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["type"] == "boundary"
-        assert doc["projective_order"] == 5
+        assert doc["projective_order"] == order
 
     def test_bad_word(self):
         r = run("classify", "--word", "1 x", "--p", "4", "--n", "4", "--m", "3")
@@ -366,10 +376,6 @@ class TestClassify:
 class TestConfig:
     def test_low_precision_rejected(self):
         r = run("build", "--p", "4", "--n", "4", "--m", "3", "--prec", "10")
-        assert r.returncode == 2
-
-    def test_low_tol_rejected(self):
-        r = run("verify", "--p", "4", "--n", "4", "--m", "3", "--tol", "2")
         assert r.returncode == 2
 
     def test_env_precision(self):
@@ -405,7 +411,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("command,option,value", [
         ("build", "--tol", "30"), ("build", "--format", "json"),
-        ("verify", "--format", "json"), ("classify", "--format", "json"),
+        ("verify", "--tol", "30"), ("verify", "--format", "json"),
+        ("classify", "--tol", "30"), ("classify", "--format", "json"),
         ("search", "--prec", "256"), ("search", "--tol", "30"),
         ("tables", "--tol", "30"),
         ("identities", "--prec", "256"), ("identities", "--tol", "30"),

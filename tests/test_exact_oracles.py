@@ -328,6 +328,8 @@ class TestLaurentEvaluation:
     @given(laurents(), laurents(), st.integers(1, 60))
     def test_evaluation_respects_the_ring_and_conj(self, a, b, n):
         x, y = a.at(n), b.at(n)
+        # `at` is one `dot`, with the (n, c, d) of the term-by-term sum of the c_k * zeta_n^k
+        assert form(x) == form(sum((v * Cyclo.root(n, k) for k, v in a.c.items()), Cyclo.zero()))
         assert ((a + b).at(n) - (x + y)).is_zero()
         assert ((a - b).at(n) - (x - y)).is_zero()
         assert ((a * b).at(n) - x * y).is_zero()
@@ -516,16 +518,29 @@ class TestExactProducts:
         check()
         assert seen == {0, 1, 2, 3}  # terms skipped and terms kept, in every number
 
-    # one `dot` per entry must keep each coefficient's (n, c, d): the term-by-term sum of x * y is the oracle;
-    # denominators 1..6 give the two sides of a product different denominators
+    # one `dot` per entry must keep each coefficient's (n, c, d): the term-by-term sum is the oracle, built
+    # from `Cyclo` products and sums only (a Laurent product is itself one `dot`): c1 * c2 added to the
+    # coefficient of t^(k1 + k2) for each pair of terms c1 t^k1, c2 t^k2 (a Cyclo c is c t^0); denominators
+    # 1..6 give the two sides of a product different denominators
     @pytest.mark.parametrize("entries, zero, examples", [(MIXED_CYCLOS, Cyclo.zero(), 20),
                                                          (laurents(MIXED_CYCLOS), Laurent({}), 8)])
     def test_keep_the_forms_of_the_term_by_term_sum(self, entries, zero, examples):
         def forms(x) -> dict:
             return {k: form(v) for k, v in x.c.items()} if isinstance(x, Laurent) else {0: form(x)}
 
+        def terms(x) -> dict:
+            return x.c if isinstance(x, Laurent) else {0: x}
+
         def term_by_term(xs, ys):
-            return sum((x * y for x, y in zip(xs, ys)), zero)
+            if isinstance(zero, Cyclo):
+                return sum((x * y for x, y in zip(xs, ys)), zero)
+            out = {}
+            for x, y in zip(xs, ys):
+                for k1, c1 in terms(x).items():
+                    for k2, c2 in terms(y).items():
+                        k = k1 + k2
+                        out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+            return Laurent(out)
 
         # no shrink phase, as in test_equal_the_dense_sum
         @settings(max_examples=examples, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
@@ -536,6 +551,8 @@ class TestExactProducts:
                 for j, col in enumerate(cols):
                     want = forms(term_by_term(row, col))
                     assert forms(dot(row, col)) == forms(prod[i, j]) == want
+                    # one product x * y, which for a Laurent is one `dot` as well
+                    assert forms(row[j] * col[i]) == forms(term_by_term(row[j:j + 1], col[i:i + 1]))
             v = c.rows[0]  # a Cyclo vector with zero entries; times a Laurent matrix it gives a Laurent vector
             for row, got in zip(a.rows, a.apply(v)):
                 assert type(got) is type(zero) and forms(got) == forms(term_by_term(row, v))

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from chtri.exact import Cyclo, Laurent, angle, cos_exact, root_of_unity
 from chtri.linalg import (
-    DEFAULT_TOL,
     Mat3,
     SingularMatrixError,
     classify_isometry,
@@ -16,6 +15,7 @@ from chtri.linalg import (
     projective_equal,
     projective_order,
     projective_residual,
+    tolerance,
     trace_discriminant,
 )
 
@@ -62,6 +62,15 @@ class TestMat3:
         m = Mat3([[one, one, one], [one, one, one], [z, z, one]])
         with pytest.raises(SingularMatrixError):
             m.inverse()
+
+    def test_float_inverse_reads_the_tolerance_of_the_working_precision(self):
+        # det 2^-100 is below tolerance(128) = 2^-64, and above tolerance(256) = 2^-128
+        one, zero = mpmath.mpc(1), mpmath.mpc(0)
+        m = Mat3([[mpmath.mpc(mpmath.ldexp(1, -100)), zero, zero], [zero, one, zero], [zero, zero, one]])
+        with mpmath.workprec(128), pytest.raises(SingularMatrixError):
+            m.inverse()
+        with mpmath.workprec(256):
+            assert m.inverse()[0, 0] == mpmath.ldexp(1, 100)
 
     def test_exact_inverse_needs_det_one(self):
         # an exact matrix with det 2, and a Laurent matrix with det 1 + t
@@ -125,9 +134,10 @@ class TestSignature:
             assert hermitian_signature(diag(1, 1, 1)).verdict == "(3,0)"
             assert hermitian_signature(diag(1, -1, -1)).verdict == "(1,2)"
             assert hermitian_signature(diag(1, 1, 0)).verdict == "degenerate"
-        # a float invariant within tol of 0 has sign 0: det = 1e-40 reads as a zero eigenvalue
+        # a float invariant within tolerance(prec) of 0 has sign 0: det = 1e-40 reads as a zero eigenvalue
+        # at 256 bits (2^-128 = 2.9e-39), and as positive at 512 (2^-256 = 8.6e-78)
         assert hermitian_signature(diag(1, 1, mpmath.mpf("1e-40"))).verdict == "degenerate"
-        assert hermitian_signature(diag(1, 1, mpmath.mpf("1e-40")), tol=mpmath.mpf("1e-50")).verdict == "(3,0)"
+        assert hermitian_signature(diag(1, 1, mpmath.mpf("1e-40")), 512).verdict == "(3,0)"
 
     def test_sylvester_invariance(self):
         # congruence by an invertible matrix preserves the signature
@@ -211,7 +221,7 @@ class TestProjectiveFastPaths:
                 a = Mat3([[x + mpmath.mpc(1e-3 * (i - j)) for j, x in enumerate(r)] for i, r in enumerate(a.rows)])
         got, want = projective_residual(a, b, prec), reference_residual(a, b, prec)
         assert got._mpf_ == want._mpf_
-        assert projective_equal(a, b, prec=prec) == (want <= DEFAULT_TOL)
+        assert projective_equal(a, b, prec=prec) == (want <= tolerance(prec))
 
     @FAST_PATH
     @given(float_mats(WIDE), st.sampled_from([1 / 3, 1, 5 / 3]), st.floats(-1e-3, 1e-3), PRECS)
@@ -222,12 +232,21 @@ class TestProjectiveFastPaths:
         assert projective_residual(a, b, prec)._mpf_ == reference_residual(a, b, prec)._mpf_
 
     @FAST_PATH
-    @given(st.one_of(float_mats(WIDE), float_mats(TIED)), st.one_of(float_mats(WIDE), float_mats(TIED)), PRECS,
-           st.sampled_from([0, 1e-30, 0.5, 1, 2, 5, None]))
-    def test_equal_agrees_with_the_residual(self, a, b, prec, tol):
-        res = projective_residual(a, b, prec)
-        tol = res if tol is None else mpmath.mpf(tol)  # None: tol is exactly the residual, a tie
-        assert projective_equal(a, b, tol, prec) == (res <= tol)
+    @given(st.one_of(float_mats(WIDE), float_mats(TIED)), st.one_of(float_mats(WIDE), float_mats(TIED)), PRECS)
+    def test_equal_agrees_with_the_residual(self, a, b, prec):
+        assert projective_equal(a, b, prec) == (projective_residual(a, b, prec) <= tolerance(prec))
+
+    @FAST_PATH
+    @given(float_mats(TIED), st.integers(0, 8), PRECS, st.sampled_from([-1, 0, 1]))
+    def test_a_residual_of_exactly_the_tolerance(self, b, k, prec, shift):
+        # a is b with entry k moved by 2^shift * tolerance(prec), exactly: the other entries of a - b are 0,
+        # and those of a - w*b for w != 1 are 0 or at least sqrt(3)/2, so the step is the residual; at
+        # shift 0 it ties with the bound, and the pair is equal
+        step = mpmath.ldexp(tolerance(prec), shift)
+        with mpmath.workprec(prec):
+            a = Mat3([[x + step if 3 * i + j == k else x for j, x in enumerate(r)] for i, r in enumerate(b.rows)])
+        assert projective_residual(a, b, prec) == step
+        assert projective_equal(a, b, prec) == (shift <= 0)
 
     def test_ties(self):
         zero = Mat3([[mpmath.mpc(0)] * 3] * 3)
@@ -235,7 +254,8 @@ class TestProjectiveFastPaths:
         for a, b in ((m, zero), (zero, m), (m, m), (zero, zero)):
             assert projective_residual(a, b, 128)._mpf_ == reference_residual(a, b, 128)._mpf_
         assert projective_residual(m, zero, 128) == 1  # every root ties at max|m_ij| = 1
-        assert projective_equal(m, zero, 1, 128) and not projective_equal(m, zero, 0.5, 128)
+        t = tolerance(128)  # every root ties at max|t*m_ij| = t, on the bound, and at 2t above it
+        assert projective_equal(m.scale(t), zero, 128) and not projective_equal(m.scale(2 * t), zero, 128)
 
 
 class TestIsometryType:

@@ -350,7 +350,7 @@ class TestWords:
         lhs = evaluate_word(g, [-2, 1, 2, 1, 2, -1])
         rhs = evaluate_word(g, [1, 2])
         assert not lhs.exact and not rhs.exact
-        assert projective_equal(lhs, rhs, tol=mpmath.mpf("1e-30"))
+        assert projective_equal(lhs, rhs, 256)
 
     @pytest.mark.parametrize("to_float", [False, True])
     def test_bad_index_rejected(self, to_float):
