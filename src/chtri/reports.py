@@ -9,14 +9,15 @@ classification.
 
 The source of truth is `trigroup.form_invariants`: (tr H, c1, det H) of
 the generic H of a candidate, as Laurent polynomials in t = e^{i pi/(3p)}.
-`trigroup.form_signature` certifies the signature at p from them and the
-printed det is the float value of det H there.  The recorded closed-form
-expressions and tabulated verdicts are treated as claims under test and
-any disagreement is flagged rather than papered over.
+`trigroup.form_signature` certifies the signature at p from them; the
+scan's printed det is `float_det`, the float value of det H there.  The
+recorded closed-form expressions and tabulated verdicts are treated as
+claims under test and any disagreement is flagged rather than papered over.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -65,6 +66,29 @@ class SignatureReport:
         return tuple(r for r in self.rows if r.mismatch)
 
 
+@functools.lru_cache(maxsize=64)
+def _det_terms(n: int, m: int, im_sign: int, wp: int) -> tuple:
+    """The terms (k, c_k at wp bits) of det H = sum_k c_k t^k, the last of the `form_invariants`."""
+    return tuple((k, c.to_mpc(wp)) for k, c in form_invariants(n, m, im_sign)[2].c.items())
+
+
+@functools.lru_cache(maxsize=1024)
+def _t_powers(p: int, wp: int) -> dict:
+    """t^k = e^{i pi k/(3p)} at wp bits for the exponents k = 0, +-3, +-6, +-9 of the `form_invariants`:
+    one entry per p, shared by every candidate of a scan."""
+    with mpmath.workprec(wp):
+        return {k: mpmath.expjpi(mpmath.mpf(k) / (3 * p)) for k in range(-9, 10, 3)}
+
+
+def float_det(p: int, n: int, m: int, im_sign: int, prec: int):
+    """Re det H at p, printed and not decided on: its `_det_terms` at wp = max(prec, 128) bits,
+    with t^k and the sum at wp + 10 bits."""
+    wp = max(prec, 128)
+    with mpmath.workprec(wp + 10):
+        t = _t_powers(p, wp + 10)
+        return sum((c * t[k] for k, c in _det_terms(n, m, im_sign, wp)), mpmath.mpc(0)).real
+
+
 def signature_scan(cid: str, p_min: int = 2, p_max: int = 20, prec: int = DEFAULT_PREC) -> SignatureReport:
     """det(H) and the signature of H for p in [p_min, p_max], with no group built at p.
 
@@ -73,7 +97,7 @@ def signature_scan(cid: str, p_min: int = 2, p_max: int = 20, prec: int = DEFAUL
     (negative det <=> signature (2,1)), read off the signature; a row is
     flagged when the signature disagrees with it (det > 0 can also mean
     (1,2)), or when the verdict recorded in `claim(cid)` disagrees with it.
-    The printed det is the float det `form_signature` read, at
+    The printed det is `float_det`, read once per non-degenerate row at
     max(prec, 128) bits, and an exact 0 on degenerate rows.
     """
     if not (2 <= p_min <= p_max):
@@ -82,10 +106,10 @@ def signature_scan(cid: str, p_min: int = 2, p_max: int = 20, prec: int = DEFAUL
     recorded = claim(cid)
     rows = []
     for p in range(p_min, p_max + 1):
-        sig, det = form_signature(p, n, m, im_sign, prec)
+        sig = form_signature(p, n, m, im_sign)
         flags = []
         verdict = "degenerate" if sig.n_zero else "(2,1)" if sig.n_neg % 2 else "(3,0)"
-        det_val = mpmath.mpf(0) if sig.n_zero else det
+        det_val = mpmath.mpf(0) if sig.n_zero else float_det(p, n, m, im_sign, prec)
         if verdict != sig.verdict:
             flags.append(f"det-sign verdict {verdict} but exact signature {sig.verdict}")
         claimed = recorded.verdict(p)

@@ -223,39 +223,24 @@ def form_invariants(n: int, m: int, im_sign: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _float_terms(n: int, m: int, im_sign: int, wp: int) -> tuple:
-    """(the `cos_sign` terms of each of the `form_invariants`, the terms (k, c_k at wp bits) of det H).
+def _sign_terms(n: int, m: int, im_sign: int) -> tuple:
+    """The `cos_sign` terms of each of the `form_invariants`, exact rationals and so the same at any `prec`.
     Each c * zeta_N^e * t^k of x = sum_k c_k t^k, c rational, is (c, 2kN, 12e, 6N): at t = zeta_{6p}
     its real part is c * cos(pi * (2kN + 12pe) / (6pN))."""
-    inv = form_invariants(n, m, im_sign)
-    return (tuple(tuple((Fraction(v, c.d) if c.d > 1 else v, 2 * k * c.n, 12 * e, 6 * c.n)
-                        for k, c in x.c.items() for e, v in c.c.items())
-                  for x in inv), tuple((k, c.to_mpc(wp)) for k, c in inv[2].c.items()))
+    return tuple(tuple((Fraction(v, c.d) if c.d > 1 else v, 2 * k * c.n, 12 * e, 6 * c.n)
+                       for k, c in x.c.items() for e, v in c.c.items())
+                 for x in form_invariants(n, m, im_sign))
 
 
-@functools.lru_cache(maxsize=1024)
-def _t_powers(p: int, wp: int) -> dict:
-    """t^k = e^{i pi k/(3p)} at wp bits for the exponents k = 0, +-3, +-6, +-9 of the `form_invariants`:
-    one entry per p, shared by every candidate of a scan."""
-    with mpmath.workprec(wp):
-        return {k: mpmath.expjpi(mpmath.mpf(k) / (3 * p)) for k in range(-9, 10, 3)}
+def form_signature(p: int, n: int, m: int, im_sign: int) -> Signature:
+    """Signature of H at p, from the `form_invariants` of candidate (n, m).
 
-
-def form_signature(p: int, n: int, m: int, im_sign: int, prec: int = DEFAULT_PREC) -> tuple[Signature, object]:
-    """Signature and float det of H at p, from the `form_invariants` of candidate (n, m).
-
-    Each invariant's sign at t = zeta_{6p} is the `cos_sign` of its `_float_terms`, exact (`Laurent.at`)
-    only when the doubles cannot decide.  The det, printed and not decided on, is Re det H from its
-    coefficients at wp = max(prec, 128) bits, with t^k and the sum at wp + 10 bits.
+    Each invariant's sign at t = zeta_{6p} is the `cos_sign` of its `_sign_terms`, exact (`Laurent.at`)
+    only when the doubles cannot decide.
     """
-    wp = max(prec, 128)
-    terms, det_terms = _float_terms(n, m, im_sign, wp)
     signs = [cos_sign([(w, a + b * p, c * p) for w, a, b, c in x_terms], exact=lambda x=x: x.at(6 * p))
-             for x, x_terms in zip(form_invariants(n, m, im_sign), terms)]
-    with mpmath.workprec(wp + 10):
-        t = _t_powers(p, wp + 10)
-        det = sum((c * t[k] for k, c in det_terms), mpmath.mpc(0))
-    return sign_signature(*signs), det.real
+             for x, x_terms in zip(form_invariants(n, m, im_sign), _sign_terms(n, m, im_sign))]
+    return sign_signature(*signs)
 
 
 def symmetric_params(n: int, m: int, im_sign: int = 1, prec: int = DEFAULT_PREC):
@@ -289,7 +274,7 @@ def build_symmetric(p: int, n: int, m: int, im_sign: int = 1, prec: int = DEFAUL
     rho, sigma = symmetric_params(n, m, im_sign, prec)
     g = build_group(p, rho, sigma, sigma, prec=prec)
     smat = symmetry_matrix(p, rho, sigma, prec=prec)
-    sig = form_signature(p, n, m, im_sign, prec)[0] if g.exact else hermitian_signature(g.H, prec)
+    sig = form_signature(p, n, m, im_sign) if g.exact else hermitian_signature(g.H, prec)
     return Group(g.params, g.R1, g.R2, g.R3, g.H, S=smat, n=n, m=m, signature=sig, im_sign=im_sign)
 
 
@@ -575,5 +560,5 @@ def verify_symmetric(p: int, n: int, m: int, im_sign: int = 1,
         return verify(g, prec), g.signature
     if p < 2:
         raise ValueError("reflection order p must be >= 2")
-    signature = form_signature(p, n, m, im_sign, prec)[0]
+    signature = form_signature(p, n, m, im_sign)
     return _certified_checks(p, n, m, im_sign, signature), signature

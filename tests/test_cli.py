@@ -12,8 +12,10 @@ import pytest
 
 import chtri.cli
 import chtri.cosearch
+import chtri.reports
 import chtri.trigroup
 from chtri.candidates import ALL_IDS, parse_candidate
+from chtri.exact import Cyclo
 
 CMD = [sys.executable, "-m", "chtri.cli"]
 
@@ -224,6 +226,29 @@ class TestVerifyCandidate:
         summaries = [json.loads(line) for line in capsys.readouterr().out.splitlines() if '"summary"' in line]
         assert [s["signature"] for s in summaries] == ["(1,2)", "(1,2)", "(2,1)"]
         assert [s["checks"] for s in summaries] == [12, 12, 15]
+
+    @pytest.mark.parametrize("command", [["verify"], ["build"], ["classify", "--word", "1"]],
+                             ids=["verify", "build", "classify"])
+    def test_no_det_is_evaluated(self, command, monkeypatch, capsys):
+        # only `tables` prints a det: the signature of (4,3) at p = 5 comes from the signs of its
+        # invariants, and `verify` converts no exact value to mpmath
+        for cached in (chtri.trigroup.generic_group, chtri.trigroup.form_invariants, chtri.trigroup._sign_terms,
+                       chtri.trigroup.certificate, chtri.reports._det_terms, chtri.reports._t_powers):
+            cached.cache_clear()
+        calls = []
+        for owner, name in ((chtri.reports, "float_det"), (chtri.reports, "_t_powers"), (Cyclo, "to_mpc")):
+            monkeypatch.setattr(owner, name, lambda *a, f=getattr(owner, name), name=name, **k:
+                                calls.append(name) or f(*a, **k))
+        assert chtri.cli.main([command[0], "--p", "5", "--n", "4", "--m", "3", *command[1:]]) == 0
+        assert "float_det" not in calls and "_t_powers" not in calls
+        assert command != ["verify"] or calls == []
+
+    def test_the_sign_terms_are_built_once_at_any_precision(self, capsys):
+        # the sign terms are exact rationals: a second --prec reads the same cache entry
+        chtri.trigroup._sign_terms.cache_clear()
+        for prec in ("64", "512"):
+            assert chtri.cli.main(["verify", "--p", "5", "--n", "4", "--m", "3", "--prec", prec]) == 0
+        assert chtri.trigroup._sign_terms.cache_info().misses == 1
 
     @pytest.mark.parametrize("cid", ALL_IDS)
     def test_the_same_checks_as_verify_on_the_group(self, cid):

@@ -160,8 +160,9 @@ class TestSignatureScan:
 
     def test_scan_builds_no_group_and_evaluates_once_per_row(self, capsys, monkeypatch):
         # work counts of `tables --candidate all` for p = 2..60 (590 rows): no group is built at p,
-        # one generic H gives the invariants of each candidate and their float terms, each invariant's
-        # sign is asked once per row, and only the 8 EXACT_ROWS invariants are evaluated exactly
+        # one generic H gives the invariants of each candidate, their sign terms and det coefficients,
+        # each invariant's sign is asked once per row, only the 8 EXACT_ROWS invariants are evaluated
+        # exactly, and the printed det is evaluated once per row but the 5 degenerate ones
         builds = []
         for mod, name in ((trigroup, "build_symmetric"), (reports, "build_symmetric"),
                           (reports, "build_candidate")):
@@ -171,7 +172,10 @@ class TestSignatureScan:
             monkeypatch.setattr(mod, name, spy)
         trigroup.generic_group.cache_clear()
         trigroup.form_invariants.cache_clear()
-        trigroup._float_terms.cache_clear()
+        trigroup._sign_terms.cache_clear()
+        reports._det_terms.cache_clear()
+        dets, float_det = [], reports.float_det
+        monkeypatch.setattr(reports, "float_det", lambda *a: dets.append(a) or float_det(*a))
         signs, cos_sign = [], trigroup.cos_sign
         monkeypatch.setattr(trigroup, "cos_sign", lambda *a, **k: signs.append(1) or cos_sign(*a, **k))
         rows = self._spy_exact_rows(monkeypatch)
@@ -179,7 +183,9 @@ class TestSignatureScan:
         assert len(capsys.readouterr().out.splitlines()) == 1 + 590
         assert builds == []
         assert trigroup.form_invariants.cache_info().misses == 10
-        assert trigroup._float_terms.cache_info().misses == 10
+        assert trigroup._sign_terms.cache_info().misses == 10
+        assert reports._det_terms.cache_info().misses == 10
+        assert len(dets) == 590 - 5
         assert len(signs) == 10 + 3 * 590  # parameter_feasible once per generic group, then 3 per row
         assert rows == self.EXACT_ROWS
 

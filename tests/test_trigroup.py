@@ -11,11 +11,12 @@ import chtri.cli
 from chtri.candidates import ALL_IDS, parse_candidate
 from chtri.exact import Cyclo, Laurent, _float_value, angle, cos_exact, root_of_unity
 from chtri.linalg import Mat3, SingularMatrixError, hermitian_signature, invariant_signature, projective_equal
+from chtri.reports import float_det
 from chtri.trigroup import (
     Certificate,
     InfeasibleGroupError,
-    _float_terms,
     _generic_braid,
+    _sign_terms,
     braid_length,
     build_group,
     build_symmetric,
@@ -224,7 +225,7 @@ class TestBuild:
         h = build_group(p, rho, sigma, sigma).H
         inv = form_invariants(n, m, im_sign)
         assert all((x.at(6 * p) - y).is_zero() for x, y in zip(inv, (h.trace(), h.minor_sum(), h.det())))
-        # the exponents of det H that `_t_powers` holds for the det `form_signature` prints
+        # the exponents of det H that `reports._t_powers` holds for the det `float_det` prints
         assert all(k in range(-9, 10, 3) for k in inv[2].c)
 
     def test_signature_kept_on_float_group(self):
@@ -255,12 +256,12 @@ class TestFormSignature:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.sampled_from(ALL_IDS), st.integers(2, 200))
     def test_float_invariants_within_the_documented_bound(self, cid, p):
-        # the doubles of each invariant's `_float_terms` at t = zeta_{6p}, against the exact invariant at
+        # the doubles of each invariant's `_sign_terms` at t = zeta_{6p}, against the exact invariant at
         # 512 bits: within the proved 25u * K (K the sum of the absolute rational coefficients) of
         # `_float_value`, and so 2^8 times inside its E
         n, m, im_sign = parse_candidate(cid)
         with mpmath.workprec(512):
-            for terms, exact in zip(_float_terms(n, m, im_sign, 128)[0], form_invariants(n, m, im_sign)):
+            for terms, exact in zip(_sign_terms(n, m, im_sign), form_invariants(n, m, im_sign)):
                 v, bound = _float_value([(w, a + b * p, c * p) for w, a, b, c in terms])
                 err = abs(v - exact.at(6 * p).to_mpc(512).real)
                 assert err <= 25 * mpmath.mpf(2) ** -53 * sum(map(mass, exact.c.values()))
@@ -279,23 +280,23 @@ class TestFormSignature:
         assert det.at(18).is_zero()
         calls, at = [], Laurent.at
         monkeypatch.setattr(Laurent, "at", lambda x, n: calls.append(x) or at(x, n))
-        assert form_signature(3, 4, 3, 1)[0].verdict == "degenerate"
+        assert form_signature(3, 4, 3, 1).verdict == "degenerate"
         assert calls == [det]
         calls.clear()
-        assert form_signature(5, 3, 3, 1)[0].verdict == "(2,1)" and calls == []
+        assert form_signature(5, 3, 3, 1).verdict == "(2,1)" and calls == []
 
     @pytest.mark.parametrize("cid,p,prec", [("(4,3)", 3, 256), ("(3,3)", 5, 256), ("(5,4)-", 7, 64),
                                             ("(8,6)", 2, 512)])
     def test_det_is_the_float_det_at_the_working_precision(self, cid, p, prec):
-        # the returned det is the real part of det H read at wp = max(prec, 128) bits: within
+        # `float_det` is the real part of det H read at wp = max(prec, 128) bits: within
         # 2^(4-wp) * sum_k (1 + mass(c_k)) of the exact det H = sum_k c_k t^k, on a zero det too
         n, m, im_sign = parse_candidate(cid)
-        _, det = form_signature(p, n, m, im_sign, prec)
+        det = float_det(p, n, m, im_sign, prec)
         exact, wp = form_invariants(n, m, im_sign)[2], max(prec, 128)
         with mpmath.workprec(1024):
             bound = mpmath.mpf(2) ** (4 - wp) * sum(1 + mass(c) for c in exact.c.values())
             assert abs(det - exact.at(6 * p).to_mpc(1024).real) <= bound
-        assert form_signature(p, n, m, im_sign, 64)[1] == form_signature(p, n, m, im_sign, 128)[1]
+        assert float_det(p, n, m, im_sign, 64) == float_det(p, n, m, im_sign, 128)
 
 
 class TestSymmetry:
