@@ -481,13 +481,6 @@ class Laurent:
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.c.values())
 
-    def is_monomial(self) -> bool:
-        """Exactly one nonzero coefficient: c*t^k with c != 0, which is nonzero at every t on the circle.
-
-        The zero tests stop at the second nonzero coefficient."""
-        nonzero = (k for k, v in self.c.items() if not v.is_zero())
-        return next(nonzero, None) is not None and next(nonzero, None) is None
-
     def at(self, n: int) -> Cyclo:
         """The value at t = zeta_n, exactly: one `dot` of the coefficients with the powers of zeta_n."""
         return dot(self.c.values(), [Cyclo.root(n, k) for k in self.c])

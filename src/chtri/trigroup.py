@@ -14,6 +14,7 @@ is the group at p.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import operator
 from dataclasses import dataclass
@@ -28,8 +29,6 @@ from .linalg import (
     DEFAULT_PREC,
     Mat3,
     Signature,
-    _cube_roots_exact,
-    exact_differences,
     hermitian_signature,
     projective_equal,
     projective_residual,
@@ -307,14 +306,19 @@ def _relations(g: Group, u) -> dict:
     }
 
 
+def _pair_params(pr: GroupParams, conj) -> tuple:
+    """x = rho, sigma, tau, sigma*tau - conj(rho) of the pairs (R1,R2), (R2,R3), (R1,R3), (R1,R3^-1R2R3)."""
+    return pr.rho, pr.sigma, pr.tau, pr.sigma * pr.tau - conj(pr.rho)
+
+
 def _trace_pairs(g: Group, u, conj) -> tuple:
     """(traces, closed forms) of w = R1R2, R2R3, R1R3, R1R3^-1R2R3: tr w against u(2 - |x|^2) + ub^2
-    for x = rho, sigma, tau, sigma*tau - conj(rho)."""
-    (r1, r2, r3), pr = g.generators(), g.params
+    for the x of `_pair_params`."""
+    r1, r2, r3 = g.generators()
     words = (r1 * r2, r2 * r3, r1 * r3, r1 * r3.inverse() * r2 * r3)
     ub = conj(u)
-    xs = (pr.rho, pr.sigma, pr.tau, pr.sigma * pr.tau - conj(pr.rho))
-    return tuple(w.trace() for w in words), tuple(u * (2 - x * conj(x)) + ub * ub for x in xs)
+    return tuple(w.trace() for w in words), tuple(u * (2 - x * conj(x)) + ub * ub
+                                                   for x in _pair_params(g.params, conj))
 
 
 def _lemma_pair(g: Group, u, conj) -> tuple:
@@ -356,11 +360,12 @@ def _residual(lhs, rhs, prec: int):
     return max(abs(x - y) for x, y in zip(lhs, rhs))
 
 
-def _braid_pairs(g: Group) -> dict:
-    """The generator pairs whose braid lengths are checked, by name, with the expected lengths (n, n, m, m)."""
-    r1, r2, r3 = g.generators()
-    return {"br(R1,R3)": (r1, r3, g.n), "br(R2,R3)": (r2, r3, g.n), "br(R1,R2)": (r1, r2, g.m),
-            "br(R1,R3^-1R2R3)": (r1, r3.inverse() * r2 * r3, g.m)}
+def _braid_params(pr: GroupParams, n: int, m: int, conj) -> tuple:
+    """(name, x, expected length) of each braid pair that `verify` checks, in its output order:
+    R1,R3 (tau), R2,R3 (sigma), R1,R2 (rho) and R1,R3^-1R2R3 (sigma*tau - conj(rho)), of lengths (n, n, m, m)."""
+    rho, sigma, tau, conj_pair = _pair_params(pr, conj)
+    return (("br(R1,R3)", tau, n), ("br(R2,R3)", sigma, n), ("br(R1,R2)", rho, m),
+            ("br(R1,R3^-1R2R3)", conj_pair, m))
 
 
 def verify_symmetry(g: Group, prec: int = DEFAULT_PREC) -> dict:
@@ -383,76 +388,68 @@ def trace_invariants(g: Group, prec: int = DEFAULT_PREC):
         return traces
 
 
-def braid_length(a: Mat3, b: Mat3, max_l: int = 24, prec: int = DEFAULT_PREC):
-    """Least l <= max_l with the alternating l-fold products projectively equal.
+def braid_length(x, max_l: int, prec: int = DEFAULT_PREC):
+    """The least l <= max_l with |x|^2 = 4cos^2(pi/l), else None: the braid length of the pair of
+    complex reflections of order p whose parameter is x (`_pair_params`).
 
-    Returns None when no braid relation of length <= max_l is detected;
-    that means "longer than max_l", not "no braiding".
+    An exact x (Cyclo, int or Fraction) is decided exactly, each sign of 4cos^2(pi/l) - |x|^2 by
+    `Cyclo.real_sign`; an mpmath x at `prec` bits, where a difference within `tolerance(prec)` counts
+    as 0.  4cos^2(pi/l) = 2 + 2cos(2pi/l) rises strictly with l, so at most one l matches, and a
+    bisection over l = 2..max_l finds the least l whose difference is not negative: the only one that
+    can match.
+
+    Why |x| gives the length.  Let A, B be the two reflections, u = e^{2 pi i/(3p)}, each A = ub on C^3
+    modulo its polar vector and A = u^2 on it, and V the span of the two polar vectors.
+    - On C^3/V both act as ub, so both alternating products of length l act as ub^l there: they can
+      agree up to a cube root of unity w only with w = 1.
+    - On V, the pair is fixed up to conjugacy by u and tr(AB|V) = tr(AB) - ub^2 = u(2 - |x|^2) (the
+      `trace_formulas` check proves tr(AB)).  With |x| = 2cos(zeta), 0 <= zeta <= pi/2, AB|V has the
+      eigenvalues -u e^{+-2i zeta} (the eigenvalue lemma), and the products of length l agree on V
+      iff l*zeta is in pi*Z.  So the least length is l exactly when |x| = 2cos(pi/l).  (A |x| of
+      2cos(k pi/l), k > 1 prime to l, has length l too, and reads None here; every x that `verify`
+      reads has |x| = 2cos(pi/n) or 2cos(pi/m) by construction.)
+    - The block of A and B from C^3/V to V vanishes.  When H on V is nondegenerate, V^perp is an
+      invariant complement, on which both act as ub: the products then agree on C^3.  H on V has
+      det 4sin^2(pi/p) - |x|^2, 0 exactly at the Euclidean (p, l) in {(3,6), (4,4), (6,3)}, where
+      1/p + 1/l = 1/2.  There, the difference of the two products is a Laurent polynomial in
+      t = e^{i pi/(3p)}, with rho and sigma fixed, that vanishes at all but finitely many t on the unit
+      circle, so it vanishes everywhere.
     """
     if max_l < 2:
         raise ValueError("max_l must be >= 2")
-    with mpmath.workprec(prec):
-        af, bf = a.to_float(prec), b.to_float(prec)
-        lhs, rhs = af, bf  # alternating products of length l, starting a / b
-        for l in range(2, max_l + 1):
-            nxt_l = bf if l % 2 == 0 else af
-            nxt_r = af if l % 2 == 0 else bf
-            lhs, rhs = lhs * nxt_l, rhs * nxt_r
-            if projective_equal(lhs, rhs, prec):
-                return l
-    return None
+    lengths = range(2, max_l + 1)
+    exact = _coerce(x)
+    if exact is not None:
+        abs2 = exact * exact.conj()
 
+        def sign(l: int) -> int:
+            return (cos_exact(angle(2, l)) * 2 + 2 - abs2).real_sign()
+    else:
+        with mpmath.workprec(prec):
+            abs2, tol = abs(x) ** 2, tolerance(prec)
 
-def _generic_braid(a: Mat3, b: Mat3, max_l: int):
-    """Braid length of generic matrices: (least l, undecided), exactly and for every p.
-
-    l is the least length <= max_l whose alternating products are equal up
-    to a cube root of unity w as an identity in t, or None.  A shorter
-    length fails at every p when, for each w, the difference has an entry
-    c*t^k with c != 0; the entries are built in turn up to the first such
-    one.  `undecided` lists the others as (l, differences), each with all
-    its entries, to be evaluated at t = zeta_{6p}.
-    """
-    lhs, rhs, undecided = a, b, []
-    for l in range(2, max_l + 1):
-        lhs, rhs = lhs * (b if l % 2 == 0 else a), rhs * (a if l % 2 == 0 else b)
-        diffs = []
-        for w in _cube_roots_exact():
-            entries = []
-            for x in exact_differences(lhs, rhs, w):
-                if x.is_monomial():
-                    break
-                entries.append(x)
-            else:
-                if all(x.is_zero() for x in entries):
-                    return l, tuple(undecided)
-                diffs.append(Mat3([entries[:3], entries[3:6], entries[6:]]))
-        if diffs:
-            undecided.append((l, tuple(diffs)))
-    return None, tuple(undecided)
+        def sign(l: int) -> int:
+            with mpmath.workprec(prec):
+                d = 2 * mpmath.cospi(mpmath.mpf(2) / l) + 2 - abs2
+            return 0 if abs(d) <= tol else 1 if d > 0 else -1
+    i = bisect.bisect_left(lengths, 0, key=sign)
+    return lengths[i] if i < len(lengths) and sign(lengths[i]) == 0 else None
 
 
 @dataclass(frozen=True)
 class Certificate:
     """The verdicts of `verify` on a classified candidate, each proved once for every p.
 
-    Every verdict is an identity in t = e^{i pi/(3p)} on the generic group.
-    `checks` holds a (name, holds) pair for each pair of `_check_pairs`;
-    `braids` holds (name, expected length, least generic length up to it or
-    None, undecided shorter lengths) as in `_generic_braid`.
+    `checks` holds a (name, holds) pair for each pair of `_check_pairs`: an identity in
+    t = e^{i pi/(3p)} on the generic group.  `braids` holds (name, expected length, length) for each
+    pair of `_braid_params`: the `braid_length` of its exact x from `symmetric_params`, which no p
+    changes.  So every braid verdict rests on the lemma proved there: outside the Euclidean p it holds
+    at p on the group at p; at a Euclidean p the difference of the two products is a Laurent
+    polynomial in t that vanishes wherever H on V is nondegenerate, so at every t.
     """
 
     checks: tuple
     braids: tuple
-
-    def braid_lengths(self, p: int) -> list:
-        """(name, expected, length at p) of each pair: the least undecided length whose difference
-        vanishes at t = zeta_{6p} (exact zero test), else the generic one."""
-        def vanishes(d: Mat3) -> bool:
-            return all(x.at(6 * p).is_zero() for r in d.rows for x in r)
-
-        return [(name, expect, next((l for l, diffs in undecided if any(map(vanishes, diffs))), generic))
-                for name, expect, generic, undecided in self.braids]
 
 
 @functools.lru_cache(maxsize=64)
@@ -462,15 +459,17 @@ def certificate(n: int, m: int, im_sign: int) -> Certificate:
     It reads the `generic_group`, whose entries are Laurent polynomials in
     t over Q(zeta_N), with u = t^2: each pair of `_check_pairs` is decided
     by `projective_equal` (matrices) or by the exact zero test of each
-    entry difference (vectors), and the braid lengths of `_braid_pairs` by
-    `_generic_braid`, each searched up to its expected length.
+    entry difference (vectors).  The braid lengths are the `braid_length`
+    of each exact x, each read up to its expected length.
     """
     g = generic_group(n, m, im_sign)
     checks = tuple((name, projective_equal(lhs, rhs) if isinstance(lhs, Mat3)
                     else all((x - y).is_zero() for x, y in zip(lhs, rhs)))
                    for name, (lhs, rhs) in _check_pairs(g, Laurent.t(2), _conj).items())
-    braids = tuple((name, expect, *_generic_braid(x, y, expect))
-                   for name, (x, y, expect) in _braid_pairs(g).items())
+    rho, sigma = symmetric_params(n, m, im_sign)
+    params = GroupParams(None, rho, sigma, sigma, exact=True)
+    braids = tuple((name, expect, braid_length(x, expect))
+                   for name, x, expect in _braid_params(params, n, m, _conj))
     return Certificate(checks, braids)
 
 
@@ -507,48 +506,45 @@ class Check:
         return {"check": self.name, **self.details, "pass": self.passed}
 
 
-def _braid_checks(signature: Signature, lengths) -> list[Check]:
-    """A check of each (name, expected, got) of `lengths()` when H has signature (2,1), else one of the skip."""
+def _braid_checks(signature: Signature, braids) -> list[Check]:
+    """A check of each (name, expected, got) of `braids` when H has signature (2,1), else one of the skip."""
     verdict = signature.verdict
     if verdict != "(2,1)":
         return [Check("braid", True, {"skipped": f"signature {verdict}"})]
-    return [Check(name, got == expect, {"expected": expect, "got": got}) for name, expect, got in lengths()]
+    return [Check(name, got == expect, {"expected": expect, "got": got}) for name, expect, got in braids]
 
 
-def _certified_checks(p: int, n: int, m: int, im_sign: int, signature: Signature) -> list[Check]:
-    """Every check of candidate (n, m) at p, from its `certificate` of exact identities in t."""
+def _certified_checks(n: int, m: int, im_sign: int, signature: Signature) -> list[Check]:
+    """Every check of candidate (n, m) at a p where H has `signature`, from its `certificate`."""
     cert = certificate(n, m, im_sign)
     checks = [Check(name, ok, {"residual": "0" if ok else "nonzero"}) for name, ok in cert.checks]
-    return checks + _braid_checks(signature, lambda: cert.braid_lengths(p))
+    return checks + _braid_checks(signature, cert.braids)
 
 
 def verify(g: Group, prec: int = DEFAULT_PREC) -> list[Check]:
     """Every check of a symmetric group, in order: symmetry relations, trace
-    formulas, eigenvalue lemma, then the four braid lengths, each searched up
+    formulas, eigenvalue lemma, then the four braid lengths, each read up
     to its expected length.
 
     The non-braid checks are the pairs of `_check_pairs`.  An exact group (a
     classified candidate) reads its `certificate`, as `verify_symmetric` does,
     and not its matrices or prec.  Any other group measures each pair
     once in floats at `prec` bits (`_residual`) and passes a check whose
-    residual is at most `tolerance(prec)`.  The braid lengths are only
+    residual is at most `tolerance(prec)`, and reads each braid length from
+    its x by `braid_length` at `prec` bits.  The braid lengths are only
     checked when H has signature (2,1); otherwise one passing "braid" check
     records the skip.
     """
     if g.exact:
-        return _certified_checks(g.params.p, g.n, g.m, g.im_sign, g.signature)
+        return _certified_checks(g.n, g.m, g.im_sign, g.signature)
     with mpmath.workprec(prec):
         residuals = {name: _residual(lhs, rhs, prec)
                      for name, (lhs, rhs) in _check_pairs(*_float_view(g, prec), mpmath.conj).items()}
+        braids = [(name, expect, braid_length(x, expect, prec))
+                  for name, x, expect in _braid_params(g.params, g.n, g.m, mpmath.conj)]
     checks = [Check(name, bool(res <= tolerance(prec)), {"residual": mpmath.nstr(mpmath.mpf(res), 10)})
               for name, res in residuals.items()]
-
-    def lengths():
-        with mpmath.workprec(prec):  # R3^-1 R2 R3 of `_braid_pairs` is built at the ambient precision
-            return [(name, expect, braid_length(a, b, max_l=expect, prec=prec))
-                    for name, (a, b, expect) in _braid_pairs(g).items()]
-
-    return checks + _braid_checks(g.signature, lengths)
+    return checks + _braid_checks(g.signature, braids)
 
 
 def verify_symmetric(p: int, n: int, m: int, im_sign: int = 1,
@@ -561,4 +557,4 @@ def verify_symmetric(p: int, n: int, m: int, im_sign: int = 1,
     if p < 2:
         raise ValueError("reflection order p must be >= 2")
     signature = form_signature(p, n, m, im_sign)
-    return _certified_checks(p, n, m, im_sign, signature), signature
+    return _certified_checks(n, m, im_sign, signature), signature

@@ -29,6 +29,7 @@ from chtri.trigroup import (
     verify,
     verify_symmetry,
 )
+from test_trigroup import braid_pairs, product_braid_length
 
 TOL30 = mpmath.mpf("1e-30")
 SPORADICS = [(3, 4), (3, 5), (4, 3), (5, 4), (8, 6)]
@@ -92,6 +93,7 @@ def test_acceptance_3_symmetry_suite():
 
 
 def test_acceptance_4_braid_suite():
+    # the lengths `verify` reads from |x| = 2cos(pi/l), against the alternating products of the float group
     ok = True
     checked = 0
     for n, m in CANDIDATES:
@@ -101,15 +103,10 @@ def test_acceptance_4_braid_suite():
                 continue
             checked += 1
             with mpmath.workprec(256):
-                r1, r2, r3 = g.to_float(256).generators()
-                conj = r3.inverse() * r2 * r3
-                got = (
-                    braid_length(r1, r3),
-                    braid_length(r2, r3),
-                    braid_length(r1, r2),
-                    braid_length(r1, conj),
-                )
-            ok &= got == (n, n, m, m)
+                pairs = braid_pairs(g.to_float(256))
+                got = tuple(product_braid_length(*ab) for ab, _ in pairs)
+                rule = tuple(braid_length(x, 24) for _, x in braid_pairs(g))
+            ok &= got == rule == (n, n, m, m)
     report(4, ok, f"{checked} groups with signature (2,1)")
 
 

@@ -140,9 +140,9 @@ class TestVerify:
         assert code == 0 and all(l["pass"] for l in lines[:-1])
         assert (lines[-1]["checks"], lines[-1]["passed"]) == (15, 15)
 
-    @pytest.mark.parametrize("n,m", [(25, 25), (30, 30), (25, 26)])
+    @pytest.mark.parametrize("n,m", [(25, 25), (30, 30), (25, 26), (40, 40), (2786, 1970)])
     def test_braid_lengths_above_24_pass(self, n, m, capsys):
-        # each braid length is searched up to its expected one, (n, n, m, m); (25,26) is a float group
+        # each braid length is read up to its expected one, (n, n, m, m); (25,26) and (2786,1970) are float groups
         assert chtri.cli.main(["verify", "--p", "5", "--n", str(n), "--m", str(m)]) == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert [(l["expected"], l["got"]) for l in lines if l.get("check", "").startswith("br(")] == [
@@ -210,9 +210,36 @@ class TestBuildClassifyGolden:
         assert [_main_digest(argv) for argv in self.CALLS] == want
 
 
+class TestVerifyDigests:
+    # every candidate at p = 2..40, each Euclidean p (3, 4, 6) with it; the float groups of CI, of
+    # tests/test_reachability.py and of the long braid lengths; the same groups at the reachability argv
+    CALLS = (
+        *(["verify", *_verify_args(cid, p)] for cid in ALL_IDS for p in range(2, 41)),
+        *(["verify", "--p", p, "--n", n, "--m", m, *extra] for p, n, m, extra in (
+            ("3", "5", "6", ()), ("4", "5", "6", ()), ("3", "4", "5", ()), ("3", "3", "7", ()),
+            ("5", "25", "26", ()), ("3", "5", "6", ("--prec", "128")), ("3", "5", "6", ("--prec", "64")),
+            ("3", "5", "6", ("--prec", "53")), ("3", "5", "6", ("--prec", "96")),
+            ("3", "5", "6", ("--im-sign", "-1")), ("3", "2786", "1970", ()), ("5", "40", "40", ()),
+            ("4", "5", "6", ("--im-sign", "1")))),
+        *(["verify", "--p", "7", "--n", str(n), "--m", str(m), "--im-sign", str(s)]
+          for n, m, s in map(parse_candidate, ALL_IDS)),
+    )
+    GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_digests.jsonl"
+
+    @classmethod
+    def write_golden(cls):
+        """Write the golden file from the code on the import path."""
+        cls.GOLDEN.write_text("".join(json.dumps(_main_digest(argv)) + "\n" for argv in cls.CALLS))
+
+    def test_matches_the_golden_output(self):
+        # pins the bytes and exit code of verify, braid lengths included, at every p of the scan
+        want = [json.loads(line) for line in self.GOLDEN.read_text().splitlines()]
+        assert [_main_digest(argv) for argv in self.CALLS] == want
+
+
 class TestVerifyCandidate:
     def test_a_cached_candidate_builds_no_group(self, monkeypatch, capsys):
-        # checks from the certificate, braid lengths from braid_lengths(p), signature from form_signature
+        # checks and braid lengths from the certificate, signature from form_signature
         argv = ["verify", "--n", "3", "--m", "5", "--im-sign", "-1"]
         assert chtri.cli.main([*argv, "--p", "8"]) == 0  # caches the certificate and the generic H
         built = []

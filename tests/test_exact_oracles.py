@@ -336,14 +336,6 @@ class TestLaurentEvaluation:
         assert (a.conj().at(n) - x.conj()).is_zero()
         assert (a * b - b * a).is_zero() and (a - a).is_zero()
 
-    def test_is_monomial_stops_at_the_second_nonzero_coefficient(self, monkeypatch):
-        zero, one = Cyclo(3, {0: 1, 1: 1, 2: 1}), Cyclo.one()  # 1 + zeta_3 + zeta_3^2 = 0, not zero as written
-        tested, is_zero = [], Cyclo.is_zero
-        monkeypatch.setattr(Cyclo, "is_zero", lambda x: tested.append(x) or is_zero(x))
-        assert not Laurent({0: zero, 1: one, 2: one, 3: one}).is_monomial() and len(tested) == 3
-        tested.clear()
-        assert Laurent({0: zero, 5: one}).is_monomial() and len(tested) == 2
-
 
 @st.composite
 def matrices(draw, entries, zero):
@@ -587,5 +579,3 @@ class TestExactProducts:
         b = Mat3([[zero, one, one], [one, one, one], [one, one, one]])
         entry = (a * b)[0, 0]
         assert type(entry) is type(zero) and entry.is_zero() and not entry.c
-        if isinstance(entry, Laurent):
-            assert not entry.is_monomial()

@@ -65,9 +65,6 @@ ALLOWED = {
         "tests/test_cosearch.py uses it as its grid",
     ("cosearch", "orbit"): "canonicalize_ab, a traced name, reads it",
     ("exact", "Angle.frac"): "public Angle API, the angle as a Fraction of pi, that the tests' oracles read",
-    ("trigroup", "Certificate.braid_lengths.<locals>.vanishes"):
-        "decides an undecided braid length at p; no classified candidate has one, but the certificate must "
-        "stay sound if one does",
 }
 
 

@@ -9,13 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 import chtri.cli
 from chtri.candidates import ALL_IDS, parse_candidate
-from chtri.exact import Cyclo, Laurent, _float_value, angle, cos_exact, root_of_unity
-from chtri.linalg import Mat3, SingularMatrixError, hermitian_signature, invariant_signature, projective_equal
+from chtri.exact import Cyclo, Laurent, _float_value, angle, cos_exact, root_of_unity, to_float
+from chtri.linalg import (
+    DEFAULT_PREC,
+    Mat3,
+    SingularMatrixError,
+    hermitian_signature,
+    invariant_signature,
+    projective_equal,
+)
 from chtri.reports import float_det
 from chtri.trigroup import (
-    Certificate,
     InfeasibleGroupError,
-    _generic_braid,
     _sign_terms,
     braid_length,
     build_group,
@@ -318,21 +323,69 @@ class TestSymmetry:
             assert abs(tr12 - want) < 1e-60
 
 
+def product_braid_length(a: Mat3, b: Mat3, max_l: int = 24, prec: int = DEFAULT_PREC):
+    """Least l <= max_l whose alternating products a*b*a*... and b*a*b*..., l factors each, are equal up to a
+    cube root of unity, else None: the braid-length oracle, independent of the |x| = 2cos(pi/l) rule.
+
+    Exact matrices (a group at p) are compared exactly by `projective_equal`, float ones within
+    tolerance(prec) at `prec` bits."""
+    with mpmath.workprec(prec):
+        lhs, rhs = a, b
+        for l in range(2, max_l + 1):
+            lhs, rhs = lhs * (b if l % 2 == 0 else a), rhs * (a if l % 2 == 0 else b)
+            if projective_equal(lhs, rhs, prec):
+                return l
+    return None
+
+
+def braid_pairs(g) -> list:
+    """((a, b), x) of each pair whose braid length `verify` reads, in its order: (R1,R3) with tau, (R2,R3) with
+    sigma, (R1,R2) with rho and (R1,R3^-1R2R3) with sigma*tau - conj(rho), in g's scalar type."""
+    (r1, r2, r3), pr = g.generators(), g.params
+    conj = mpmath.conj if not g.exact else (lambda x: x.conj())
+    return [((r1, r3), pr.tau), ((r2, r3), pr.sigma), ((r1, r2), pr.rho),
+            ((r1, r3.inverse() * r2 * r3), pr.sigma * pr.tau - conj(pr.rho))]
+
+
+FEASIBLE_8 = [(n, m) for n in range(3, 9) for m in range(3, 9) if parameter_feasible(n, m)]
+
+
 class TestBraids:
     @pytest.mark.parametrize("n,m", SPORADICS)
     def test_braid_lengths(self, n, m):
-        g = build_symmetric(5, n, m)
+        g = build_symmetric(5, n, m).to_float(256)
         with mpmath.workprec(256):
-            r1, r2, r3 = g.to_float(256).generators()
-            assert braid_length(r1, r3) == n
-            assert braid_length(r2, r3) == n
-            assert braid_length(r1, r2) == m
-            conj = r3.inverse() * r2 * r3
-            assert braid_length(r1, conj) == m
+            assert [product_braid_length(*ab) for ab, _ in braid_pairs(g)] == [n, n, m, m]
+            assert [braid_length(x, 24) for _, x in braid_pairs(g)] == [n, n, m, m]
 
     def test_no_braid_returns_none(self):
+        # br(R1,R2) = 6 for (5,6): neither the products nor |rho| = 2cos(pi/6) give a length <= 4
         g = build_symmetric(4, 5, 6, prec=192)
-        assert braid_length(g.R1, g.R2, max_l=4, prec=192) is None
+        assert product_braid_length(g.R1, g.R2, max_l=4, prec=192) is None
+        assert braid_length(g.params.rho, 4, prec=192) is None and braid_length(g.params.rho, 6, prec=192) == 6
+
+    @pytest.mark.parametrize("n,m", FEASIBLE_8)
+    def test_the_rule_matches_the_product_oracle(self, n, m):
+        # every pair at p = 2..7, the Euclidean p = 3, 4 and 6 among them, with either sign: a candidate's
+        # group at p exactly, any other at 256 bits
+        for im_sign in (1, -1):
+            for p in range(2, 8):
+                g = build_symmetric(p, n, m, im_sign=im_sign)
+                with mpmath.workprec(256):
+                    pairs = braid_pairs(g)
+                    assert [product_braid_length(*ab, max_l=12) for ab, _ in pairs] == [n, n, m, m], (p, im_sign)
+                    assert [braid_length(x, 12) for _, x in pairs] == [n, n, m, m], (p, im_sign)
+
+    def test_the_rule_reads_the_least_length(self):
+        # |x|^2 = 4cos^2(pi/l) = 0, 1, 2, 3 at l = 2, 3, 4, 6, exactly and in floats; none at |x|^2 = 9/4, between
+        # l = 4 and 5, nor at |x| = 2
+        for x, want in ((0, 2), (1, 3), (cos_exact(angle(1, 4)) * 2, 4), (cos_exact(angle(1, 6)) * 2, 6),
+                        (Cyclo.one() * 3 / 2, None), (2, None)):
+            assert braid_length(x, 40) == want
+            assert braid_length(to_float(x, 256), 40, prec=256) == want
+        assert braid_length(cos_exact(angle(1, 7)) * 2, 6) is None and braid_length(cos_exact(angle(1, 7)) * 2, 7) == 7
+        with pytest.raises(ValueError, match="max_l must be >= 2"):
+            braid_length(1, 1)
 
 
 class TestWords:
@@ -477,45 +530,11 @@ class TestCertificate:
     @pytest.mark.parametrize("n,m,im_sign", [parse_candidate(cid) for cid in ALL_IDS]
                              + [(k, k, 1) for k in range(3, 9)])
     def test_every_shorter_braid_length_is_ruled_out_by_a_monomial(self, n, m, im_sign):
-        # the lengths (n, n, m, m) hold for every p >= 2: no shorter length is left to an evaluation at p
+        # the lengths (n, n, m, m) hold for every p >= 2, read once from the exact |x| of each pair: no shorter
+        # length l has |x| = 2cos(pi/l), so none is left to an evaluation at p
         cert = certificate(n, m, im_sign)
         assert cert.checks == tuple((name, True) for name in SYMMETRY_CHECKS + ["trace_formulas", "eigenvalue_lemma"])
-        assert [b[1:] for b in cert.braids] == [(n, n, ()), (n, n, ()), (m, m, ()), (m, m, ())]
-
-    def test_undecided_length_is_decided_at_p(self):
-        # a difference t^3 - i, not a monomial, vanishes only at t = zeta_{6p} with e^{i pi/p} = i: p = 2
-        t, i = Laurent.t, Cyclo.i()
-        one, zero, f = Laurent({0: Cyclo.one()}), Laurent({}), t(3) - i
-        a = Mat3([[one, f, zero], [zero, one, zero], [zero, zero, one]])
-        b = Mat3([[one, zero, zero], [one, one, zero], [zero, zero, one]])
-        generic, undecided = _generic_braid(a, b, 2)
-        assert generic is None and [l for l, _ in undecided] == [2]
-        cert = Certificate((), (("br", 2, generic, undecided),))
-        assert cert.braid_lengths(2) == [("br", 2, 2)]
-        assert all(cert.braid_lengths(p) == [("br", 2, None)] for p in range(3, 30))
-        # the kept difference (w = 1 only: 1 - w at (2,2) rules out the others) has all 9 entries of ab - ba
-        (_, (d,)), = undecided
-        assert d == a * b - b * a
-
-    def test_a_length_ruled_out_only_at_the_last_entry(self):
-        # for every w, the one monomial of ab - w*ba is entry (2,2): XP + YQ + 1 - w, with XP + YQ = 2
-        t, i = Laurent.t, Cyclo.i()
-        one, zero = Laurent({0: Cyclo.one()}), Laurent({})
-        x, y, p, q = one + t(3), one + t(3) * i, one - t(3), one - t(3) * i
-        a = Mat3([[one, zero, zero], [zero, one, zero], [p, q, one]])
-        b = Mat3([[one, zero, x], [zero, one, y], [zero, zero, one]])
-        for w in (Cyclo.one(), Cyclo.root(3, 1), Cyclo.root(3, 2)):
-            d = a * b - (b * a).scale(w)
-            assert [e.is_monomial() for r in d.rows for e in r] == [False] * 8 + [True]
-        assert _generic_braid(a, b, 2) == (None, ())
-
-    def test_braid_lengths_read_every_entry_of_a_difference(self):
-        # t^3 - i vanishes at p = 2 and t^3 + i at no p: the entry (2,2) keeps the length from holding
-        t, i = Laurent.t, Cyclo.i()
-        zero, f = Laurent({}), t(3) - i
-        d = Mat3([[f, zero, zero], [zero, f, zero], [zero, zero, t(3) + i]])
-        cert = Certificate((), (("br", 2, None, ((2, (d,)),)),))
-        assert all(cert.braid_lengths(p) == [("br", 2, None)] for p in range(2, 30))
+        assert cert.braids == tuple(zip(BRAID_CHECKS, (n, n, m, m), (n, n, m, m)))
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (0, 2), (1, 0), (2, 1), (2, 2)])
     def test_a_sign_flipped_in_s_fails(self, entry, monkeypatch, capsys):
