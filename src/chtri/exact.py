@@ -11,10 +11,16 @@ Reduction modulo the N-th cyclotomic polynomial, whose power basis is a
 Q-basis, is kept for the coefficients that ``canonical`` reports.  Signs are
 read in doubles, or at more bits, with one proved bound (``_float_value``), and
 exactly only when that cannot decide (``cos_sign``, ``Cyclo.real_sign``).
+A ``Laurent`` is a polynomial in t and 1/t over Q(zeta_N) whose coefficients
+are each packed into one integer (Kronecker substitution, zeta_N -> 2^32), so
+that its products are big-integer products; a tracked bound keeps every packed
+numerator from overflowing its slot (see ``Laurent``).
 """
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -420,50 +426,146 @@ class Cyclo:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials over Q(zeta_N)
+# Laurent polynomials over Q(zeta_N), packed
+
+# B, the width of one slot of a packed Laurent coefficient.  The certificates' bounds times 2^w stay below
+# 2^16 (every candidate id, and every (k,k) up to k = 60), so 32 bits leave 2^15 of room at half the
+# integer length of 64, and a value past the room raises.
+SLOT_BITS = 32
+_SLOT_TYPE = next(t for t in "bhilq" if array(t).itemsize * 8 == SLOT_BITS)  # the signed C integer of one slot
+
+
+@lru_cache(maxsize=None)
+def _slot_offset(n: int) -> int:
+    """2^(B-1) in each of n slots: the sign bit of every slot."""
+    return ((1 << (SLOT_BITS * n)) - 1) // ((1 << SLOT_BITS) - 1) << (SLOT_BITS - 1)
+
+
+def _slots(v: int, n: int) -> list[int]:
+    """The n signed slots c_e of v = sum(c_e * 2^(B*e)), each |c_e| < 2^(B-1), ascending in e."""
+    off = _slot_offset(n)
+    return memoryview(((v + off) ^ off).to_bytes(SLOT_BITS // 8 * n, sys.byteorder)).cast(_SLOT_TYPE).tolist()
+
+
+def _pack(slots) -> int:
+    """sum(c_e * 2^(B*e)) over the signed slots c_e, each |c_e| < 2^(B-1); `_slots` inverts it."""
+    off = _slot_offset(len(slots))
+    return (int.from_bytes(array(_SLOT_TYPE, slots).tobytes(), sys.byteorder) ^ off) - off
+
+
+@lru_cache(maxsize=None)
+def _slot_room(n: int) -> int:
+    """2^(B-1-w), w the number of primes dividing n: the bound of a Laurent in conductor n stays below it."""
+    if n > CONDUCTOR_LIMIT:
+        raise ConductorError("conductor too large")
+    return 1 << (SLOT_BITS - 1 - len(_prime_factors(n)))
+
+
+def _fold(v: int, n: int) -> int:
+    """R(X) modulo X^n - 1 at X = 2^B, for v = R(2^B) with deg R < 2n - 1 and every |coefficient| below
+    2^(B-1): v split at 2^(B*n), rounded to nearest (see `Laurent`)."""
+    w = SLOT_BITS * n
+    hi = (v + (1 << (w - 1))) >> w
+    return v - (hi << w) + hi
 
 
 class Laurent:
-    """sum(c[k] * t^k) with Cyclo coefficients, for t on the unit circle (t = e^{i*pi/(3p)} in `trigroup`).
+    """sum(P_k(zeta_n) / d * t^k), for t on the unit circle (t = e^{i*pi/(3p)} in `trigroup`), each
+    P_k(X) = sum(c[k, e] * X^e) in Z[X]/(X^n - 1) packed into the one integer c[k] = P_k(2^B), B = SLOT_BITS.
 
-    conj maps t to 1/t and conjugates each coefficient, so it is complex
-    conjugation at every such t.  Coefficients that are zero as written are
-    dropped; `is_zero` tests the others exactly.
+    This is Kronecker substitution, zeta_n^e -> 2^(B*e), with one conductor n and one denominator d for
+    every coefficient: a product of two coefficients is one integer product and one `_fold`.  `bound` is
+    an upper bound on the numerators' L1 norm, sum(|c[k, e]|).  conj maps t to 1/t and conjugates each
+    coefficient, so it is complex conjugation at every such t.  Coefficients that are zero as written
+    are dropped; `is_zero` tests the others exactly, and `coeffs` reads them back as Cyclos.
+
+    Claim: every c[k] holds its c[k, e] exactly, and every operation reads and writes them exactly,
+    while bound * 2^w < 2^(B-1), w the number of primes dividing n; a value whose bound reaches that
+    raises OverflowError when it is made (`_of`), so no slot ever wraps.  Proof:
+    - an integer sum(c_e * 2^(B*e)) with every |c_e| < 2^(B-1) fixes its c_e: adding 2^(B-1) to each
+      slot makes it lie in [0, 2^B), with no carry (`_slots`); each |c[k, e]| is at most the L1 norm;
+    - the L1 norm of a sum is at most the sum of theirs; of a product before folding at most the product
+      of theirs, as each coefficient of P * Q sums products of one c of P and one of Q (`dot` adds these
+      products over its pairs, and so their bounds); scaling to a common denominator by f scales both by
+      f; negation, conj and a view in a multiple of n (`_view`) move or spread the slots and keep the norm;
+    - a product P * Q has degree below 2n - 1 and splits as R_lo + X^n * R_hi, deg R_lo < n, with
+      |R_lo(2^B)| <= (2^(B-1) - 1) * (2^(B*n) - 1) / (2^B - 1) < 2^(B*n - 1): so the split of the
+      integer at 2^(B*n) rounded to nearest gives R_lo(2^B) and R_hi(2^B) exactly, and their sum is
+      the product modulo X^n - 1, of no larger norm (`_fold`);
+    - `is_zero`'s w annihilator passes v <- v - X^(n/p) * v each at most double the norm of v, so
+      every slot stays below bound * 2^w < 2^(B-1) through all of them.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "n", "d", "bound")
 
     def __init__(self, coeffs: dict):
         """coeffs maps integer exponents to Cyclo coefficients."""
-        self.c = {k: v for k, v in coeffs.items() if v.c}
+        coeffs = {k: v for k, v in coeffs.items() if v.c}
+        n = math.lcm(1, *(v.n for v in coeffs.values()))
+        d = math.lcm(1, *(v.d for v in coeffs.values()))
+        c, bound = {}, 0
+        for k, v in coeffs.items():
+            step, f = n // v.n, d // v.d
+            c[k] = sum(x * f << SLOT_BITS * e * step for e, x in v.c.items())
+            bound += f * sum(map(abs, v.c.values()))
+        x = Laurent._of(c, n, d, bound)
+        self.c, self.n, self.d, self.bound = x.c, x.n, x.d, x.bound
+
+    @classmethod
+    def _of(cls, c: dict, n: int, d: int, bound: int) -> "Laurent":
+        """The value of the nonzero packed coefficients c in conductor n over d; raises OverflowError
+        when bound * 2^w reaches 2^(B-1) (see the class docstring)."""
+        if bound >= _slot_room(n):
+            raise OverflowError("Laurent coefficients may overflow their slots")
+        x = object.__new__(cls)
+        x.c, x.n, x.d, x.bound = (c, n, d, bound) if c else ({}, 1, 1, 0)
+        return x
 
     @classmethod
     def t(cls, k: int) -> "Laurent":
         """t^k."""
-        return cls({k: Cyclo.one()})
+        return cls._of({k: 1}, 1, 1, 1)
+
+    def _view(self, n: int, d: int) -> dict:
+        """The packed coefficients in conductor n (a multiple of self.n) over d (a multiple of self.d); in
+        conductor 1 a coefficient is its one slot at every n."""
+        c = self.c
+        if n != self.n and self.n > 1:
+            s, c, spread = n // self.n, {}, array(_SLOT_TYPE, bytes(SLOT_BITS // 8 * n))
+            for k, v in self.c.items():
+                spread[::s] = array(_SLOT_TYPE, _slots(v, self.n))
+                c[k] = _pack(spread)
+        if d != self.d:
+            f = d // self.d
+            c = {k: v * f for k, v in c.items()}
+        return c
+
+    def _plus(self, other: "Laurent", sign: int) -> "Laurent":
+        """self + sign * other, over the lcm of the conductors and of the denominators."""
+        n, d = self.n, self.d
+        if other.n != n or other.d != d:
+            n, d = math.lcm(n, other.n), math.lcm(d, other.d)
+        out = dict(self._view(n, d))
+        for k, v in other._view(n, d).items():
+            v = out[k] + sign * v if k in out else sign * v
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        return Laurent._of(out, n, d, self.bound * (d // self.d) + other.bound * (d // other.d))
 
     def __add__(self, other):
         other = _lift_laurent(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = out[k] + v if k in out else v
-        return Laurent(out)
+        return NotImplemented if other is None else self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent({k: -v for k, v in self.c.items()})
+        return Laurent._of({k: -v for k, v in self.c.items()}, self.n, self.d, self.bound)
 
     def __sub__(self, other):
         other = _lift_laurent(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = out[k] - v if k in out else -v
-        return Laurent(out)
+        return NotImplemented if other is None else self._plus(other, -1)
 
     def __rsub__(self, other):
         other = _lift_laurent(other)
@@ -471,22 +573,44 @@ class Laurent:
 
     def __mul__(self, other):
         other = _lift_laurent(other)
-        return NotImplemented if other is None else dot((self,), (other,))
+        if other is None:
+            return NotImplemented
+        n = math.lcm(self.n, other.n)
+        pair = (self._view(n, self.d), self.bound), (other._view(n, other.d), other.bound)
+        return _sum_of_products((pair,), n, self.d * other.d)
 
     __rmul__ = __mul__
 
     def conj(self) -> "Laurent":
-        return Laurent({-k: v.conj() for k, v in self.c.items()})
+        def reverse(v):
+            slots = _slots(v, self.n)
+            return _pack(slots[:1] + slots[:0:-1])
+        return Laurent._of({-k: reverse(v) for k, v in self.c.items()}, self.n, self.d, self.bound)
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.c.values())
+        """Whether every coefficient is zero: `Cyclo.is_zero`'s annihilator passes, each one
+        v <- v - X^(n/p) * v as a shift, a subtraction and a `_fold` of the packed integer."""
+        n = self.n
+        for v in self.c.values():
+            for p in _prime_factors(n):
+                if not v:
+                    break
+                v -= _fold(v << SLOT_BITS * (n // p), n)
+            if v:
+                return False
+        return True
+
+    def coeffs(self) -> dict:
+        """{k: c_k} with each c_k read back as a Cyclo in `Cyclo._of`'s normal form."""
+        return {k: Cyclo._of(self.n, {e: x for e, x in enumerate(_slots(v, self.n)) if x}, self.d)
+                for k, v in self.c.items()}
 
     def at(self, n: int) -> Cyclo:
-        """The value at t = zeta_n, exactly: one `dot` of the coefficients with the powers of zeta_n."""
-        return dot(self.c.values(), [Cyclo.root(n, k) for k in self.c])
+        """The value at t = zeta_n, exactly: one `dot` of the read-back coefficients with the powers of zeta_n."""
+        return dot(self.coeffs().values(), [Cyclo.root(n, k) for k in self.c])
 
     def __repr__(self) -> str:
-        return "Laurent(" + (" + ".join(f"{v!r}*t^{k}" for k, v in sorted(self.c.items())) or "0") + ")"
+        return "Laurent(" + (" + ".join(f"{v!r}*t^{k}" for k, v in sorted(self.coeffs().items())) or "0") + ")"
 
 
 def _lift_laurent(x):
@@ -496,54 +620,88 @@ def _lift_laurent(x):
     return None if x is None else Laurent({0: x})
 
 
-def _coeffs(x) -> tuple:
-    """(whether x is a Laurent, its coefficients {k: c_k}); a Cyclo, int or Fraction c is {0: c}, or {} when c is 0."""
-    if isinstance(x, Laurent):
-        return True, x.c
-    x = _coerce(x)
-    return False, {0: x} if x.c else {}
-
-
 def dot(xs, ys):
-    """sum(x * y) over the pairs of exact scalars (Cyclo, Laurent, int or Fraction) of xs and ys, in one pass.
+    """sum(x * y) over the pairs of exact scalars (Cyclo, Laurent, int or Fraction) of xs and ys, in one
+    pass: the one entry of their `dot_table`."""
+    return dot_table((tuple(xs),), (tuple(ys),))[0][0]
 
-    A pair with a factor that is zero as written adds no term.  A factor that is not a Laurent
-    is the constant c*t^0, as `_lift_laurent` lifts it.  Every coefficient is viewed in one
-    conductor N, the lcm of theirs, over one denominator per side; the integer numerators of
-    each power of t are accumulated together and reduced by one `Cyclo._of`.  The view in
-    conductor N is a ring homomorphism and `_of`'s normal form depends only on the element,
-    so each coefficient has the (n, c, d) of the term-by-term sum.  The sum is a Laurent when
-    a factor is one, else a Cyclo; with no terms it is zero.
+
+def dot_table(rows, cols) -> list:
+    """[[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows] of exact scalars (Cyclo,
+    Laurent, int or Fraction), in one pass per entry; a pair with a factor that is zero as written adds
+    no term.
+
+    When an entry is a Laurent, every entry is lifted to one (`_lift_laurent`) and the table is their
+    `_dot_table`.  Otherwise, for each entry, every factor is viewed in one conductor N, the lcm of
+    theirs, over one denominator per side; the integer numerators are accumulated together and reduced
+    by one `Cyclo._of`.  The view in conductor N is a ring homomorphism and `_of`'s normal form depends
+    only on the element, so each entry has the (n, c, d) of the term-by-term sum.  With no terms an
+    entry is zero.
     """
-    laurent, pairs, n, dx, dy = False, [], 1, 1, 1
+    kinds = {type(x) for v in (*rows, *cols) for x in v}
+    if Laurent in kinds:
+        if len(kinds) > 1:
+            rows = [[_lift_laurent(x) for x in v] for v in rows]
+            cols = [[_lift_laurent(y) for y in v] for v in cols]
+        return _dot_table(rows, cols)
+    rows = [[_coerce(x) for x in v] for v in rows]
+    cols = [[_coerce(y) for y in v] for v in cols]
+    return [[_dot_cyclo(row, col) for col in cols] for row in rows]
+
+
+def _dot_cyclo(xs, ys) -> Cyclo:
+    """sum(x * y) over the pairs of Cyclos of xs and ys, for `dot_table`."""
+    terms, n, dx, dy = [], 1, 1, 1
     for x, y in zip(xs, ys):
-        lx, cx = _coeffs(x)
-        ly, cy = _coeffs(y)
-        laurent = laurent or lx or ly
-        if cx and cy:
-            pairs.append((cx, cy))
-            for c in cx.values():
-                n, dx = math.lcm(n, c.n), math.lcm(dx, c.d)
-            for c in cy.values():
-                n, dy = math.lcm(n, c.n), math.lcm(dy, c.d)
-    sums: dict = {}  # power of t -> numerators over conductor n and denominator dx * dy
-    for cx, cy in pairs:
-        for k1, a in cx.items():
-            sa, fa = n // a.n, dx // a.d
-            for k2, b in cy.items():
-                sb, f = n // b.n, fa * (dy // b.d)
-                acc = sums.get(k1 + k2)
-                if acc is None:
-                    acc = sums[k1 + k2] = {}
-                for e1, v1 in a.c.items():
-                    e1, v1 = e1 * sa, v1 * f
-                    for e2, v2 in b.c.items():
-                        e = (e1 + e2 * sb) % n
-                        acc[e] = acc.get(e, 0) + v1 * v2
-    d = dx * dy
-    if laurent:
-        return Laurent({k: Cyclo._of(n, c, d) for k, c in sums.items()})
-    return Cyclo._of(n, sums.get(0, {}), d)
+        if x.c and y.c:
+            terms.append((x, y))
+            n, dx, dy = math.lcm(n, x.n, y.n), math.lcm(dx, x.d), math.lcm(dy, y.d)
+    acc: dict = {}  # numerators over conductor n and denominator dx * dy
+    for a, b in terms:
+        sa, sb, f = n // a.n, n // b.n, (dx // a.d) * (dy // b.d)
+        for e1, v1 in a.c.items():
+            e1, v1 = e1 * sa, v1 * f
+            for e2, v2 in b.c.items():
+                e = (e1 + e2 * sb) % n
+                acc[e] = acc.get(e, 0) + v1 * v2
+    return Cyclo._of(n, acc, dx * dy)
+
+
+def _dot_table(rows, cols) -> list:
+    """The `dot_table` of rows and columns of Laurents, each entry viewed once (`Laurent._view`): in one
+    conductor n, the lcm of all of theirs, over one denominator for the rows and one for the columns."""
+    n = math.lcm(*{x.n for v in (*rows, *cols) for x in v})
+    dx = math.lcm(*{x.d for v in rows for x in v})
+    dy = math.lcm(*{y.d for v in cols for y in v})
+    rows = [[(x._view(n, dx), x.bound * (dx // x.d)) for x in v] for v in rows]
+    cols = [[(y._view(n, dy), y.bound * (dy // y.d)) for y in v] for v in cols]
+    return [[_sum_of_products(zip(row, col), n, dx * dy) for col in cols] for row in rows]
+
+
+def _sum_of_products(pairs, n: int, d: int) -> Laurent:
+    """sum(a * b) over the ((a's packed coefficients, bound), (b's, bound)) pairs, all in conductor n, over d.
+
+    The products of the packed coefficients of each power of t are added, and folded once (`_fold`): so
+    the sum is exact in Z[X]/(X^n - 1), and `coeffs` reads it back in the normal form of the term-by-term
+    sum.  A pair with a factor that is zero as written adds no term.
+    """
+    sums, bound = {}, 0  # power of t -> the unfolded packed sum
+    for (ca, ba), (cb, bb) in pairs:
+        if ca and cb:
+            bound += ba * bb
+            for k1, v1 in ca.items():
+                for k2, v2 in cb.items():
+                    k = k1 + k2
+                    if k in sums:
+                        sums[k] += v1 * v2
+                    else:
+                        sums[k] = v1 * v2
+    c = {}
+    for k, v in sums.items():
+        v = _fold(v, n)
+        if v:
+            c[k] = v
+    return Laurent._of(c, n, d, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import mpmath
 
-from .exact import Cyclo, Laurent, dot
+from .exact import Cyclo, Laurent, dot_table
 
 DEFAULT_PREC = 256
 
@@ -28,10 +28,6 @@ class SingularMatrixError(ZeroDivisionError):
     pass
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (Cyclo, Laurent))
-
-
 class Mat3:
     """A 3x3 matrix with exact (Cyclo or Laurent) or mpmath (float) entries."""
 
@@ -42,7 +38,7 @@ class Mat3:
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("Mat3 needs 3x3 entries")
         self.rows = rows
-        self.exact = all(_is_exact(x) for r in rows for x in r)
+        self.exact = all(isinstance(x, (Cyclo, Laurent)) for r in rows for x in r)
 
     @classmethod
     def identity(cls, exact: bool = True) -> "Mat3":
@@ -59,12 +55,12 @@ class Mat3:
     # -- ring operations ----------------------------------------------------
 
     def __mul__(self, other):
-        """The product; of exact matrices, each entry is one `dot`, which skips a term with a factor zero as written."""
+        """The product; of exact matrices, one `dot_table`, which skips a term with a factor zero as written."""
         if not isinstance(other, Mat3):
             return NotImplemented
         cols = tuple(zip(*other.rows))
         if self.exact and other.exact:
-            return Mat3([[dot(row, col) for col in cols] for row in self.rows])
+            return Mat3(dot_table(self.rows, cols))
         return Mat3([[row[0] * col[0] + row[1] * col[1] + row[2] * col[2] for col in cols] for row in self.rows])
 
     def __sub__(self, other):
@@ -150,9 +146,9 @@ class Mat3:
         raise TypeError("Mat3 is not hashable")
 
     def apply(self, v):
-        """Matrix-vector product; v is a length-3 sequence of entries.  Of an exact matrix, each entry is one `dot`."""
+        """Matrix-vector product; v is a length-3 sequence of entries.  Of an exact matrix, one `dot_table`."""
         if self.exact:
-            return tuple(dot(row, v) for row in self.rows)
+            return tuple(x for x, in dot_table(self.rows, (tuple(v),)))
         return tuple(row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in self.rows)
 
 

@@ -69,24 +69,25 @@ class SignatureReport:
 @functools.lru_cache(maxsize=64)
 def _det_terms(n: int, m: int, im_sign: int, wp: int) -> tuple:
     """The terms (k, c_k at wp bits) of det H = sum_k c_k t^k, the last of the `form_invariants`."""
-    return tuple((k, c.to_mpc(wp)) for k, c in form_invariants(n, m, im_sign)[2].c.items())
+    return tuple((k, c.to_mpc(wp)) for k, c in form_invariants(n, m, im_sign)[2].coeffs().items())
 
 
 @functools.lru_cache(maxsize=1024)
-def _t_powers(p: int, wp: int) -> dict:
-    """t^k = e^{i pi k/(3p)} at wp bits for the exponents k = 0, +-3, +-6, +-9 of the `form_invariants`:
-    one entry per p, shared by every candidate of a scan."""
+def _t_powers(p: int, wp: int, ks: tuple) -> dict:
+    """t^k = e^{i pi k/(3p)} at wp bits for each exponent k in ks, those of det H (+-3 and +-9 for every
+    candidate): one entry per p and ks, shared by every candidate of a scan."""
     with mpmath.workprec(wp):
-        return {k: mpmath.expjpi(mpmath.mpf(k) / (3 * p)) for k in range(-9, 10, 3)}
+        return {k: mpmath.expjpi(mpmath.mpf(k) / (3 * p)) for k in ks}
 
 
 def float_det(p: int, n: int, m: int, im_sign: int, prec: int):
     """Re det H at p, printed and not decided on: its `_det_terms` at wp = max(prec, 128) bits,
     with t^k and the sum at wp + 10 bits."""
     wp = max(prec, 128)
+    terms = _det_terms(n, m, im_sign, wp)
     with mpmath.workprec(wp + 10):
-        t = _t_powers(p, wp + 10)
-        return sum((c * t[k] for k, c in _det_terms(n, m, im_sign, wp)), mpmath.mpc(0)).real
+        t = _t_powers(p, wp + 10, tuple(sorted(k for k, _ in terms)))
+        return sum((c * t[k] for k, c in terms), mpmath.mpc(0)).real
 
 
 def signature_scan(cid: str, p_min: int = 2, p_max: int = 20, prec: int = DEFAULT_PREC) -> SignatureReport:

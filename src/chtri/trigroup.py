@@ -227,7 +227,7 @@ def _sign_terms(n: int, m: int, im_sign: int) -> tuple:
     Each c * zeta_N^e * t^k of x = sum_k c_k t^k, c rational, is (c, 2kN, 12e, 6N): at t = zeta_{6p}
     its real part is c * cos(pi * (2kN + 12pe) / (6pN))."""
     return tuple(tuple((Fraction(v, c.d) if c.d > 1 else v, 2 * k * c.n, 12 * e, 6 * c.n)
-                       for k, c in x.c.items() for e, v in c.c.items())
+                       for k, c in x.coeffs().items() for e, v in c.c.items())
                  for x in form_invariants(n, m, im_sign))
 
 
@@ -281,25 +281,33 @@ def build_symmetric(p: int, n: int, m: int, im_sign: int = 1, prec: int = DEFAUL
 # Verification
 
 
-def _relations(g: Group, u) -> dict:
+def _words(g: Group) -> tuple:
+    """(R3^-1, (R1R2, R2R3, R1R3, R1R3^-1R2R3)): the inverse and the words of the pairs of `_pair_params`,
+    each formed once, left to right, for every check that reads them."""
+    r1, r2, r3 = g.generators()
+    r3_inv = r3.inverse()
+    return r3_inv, (r1 * r2, r2 * r3, r1 * r3, r1 * r3_inv * r2 * r3)
+
+
+def _relations(g: Group, u, r3_inv: Mat3, words) -> dict:
     """The symmetry relations satisfied by S, by name, as (lhs, rhs) pairs in the scalar type of g.
 
     First matrices equal up to a cube root of unity: S^2 = R1R2R3, the three
     S-conjugation relations and the two derived pair relations; then vectors
     equal exactly, the polar-vector images S v1 = R1 v2, S v2 = R1 R3 v1 and
-    S v3 = -u R1 v3.  Products are taken left to right.
+    S v3 = -u R1 v3.  Products are taken left to right; r3_inv and `words` are g's `_words`.
     """
     (r1, r2, r3), s = g.generators(), g.S
-    s_inv, r1_inv, r3_inv = s.inverse(), r1.inverse(), r3.inverse()
-    r1r2, r1r3 = r1 * r2, r1 * r3
+    r1r2, r2r3, r1r3, conj_word = words
+    s_inv, r1_inv = s.inverse(), r1.inverse()
     e = Mat3.identity(s.exact).rows
     return {
         "square": (s * s, r1r2 * r3),
         "conj_r1": (s * r1 * s_inv, r1r2 * r1_inv),
         "conj_r2": (s * r2 * s_inv, r1r3 * r1 * r3_inv * r1_inv),
         "conj_r3": (s * r3 * s_inv, r1r3 * r1_inv),
-        "pair_23": (s * (r2 * r3) * s_inv, r1r3),
-        "pair_conj": (s * (r1 * r3_inv * r2 * r3) * s_inv, r1r2),
+        "pair_23": (s * r2r3 * s_inv, r1r3),
+        "pair_conj": (s * conj_word * s_inv, r1r2),
         "vec1": (s.apply(e[0]), r1.apply(e[1])),
         "vec2": (s.apply(e[1]), r1r3.apply(e[0])),
         "vec3": (s.apply(e[2]), tuple(-u * x for x in r1.apply(e[2]))),
@@ -311,38 +319,35 @@ def _pair_params(pr: GroupParams, conj) -> tuple:
     return pr.rho, pr.sigma, pr.tau, pr.sigma * pr.tau - conj(pr.rho)
 
 
-def _trace_pairs(g: Group, u, conj) -> tuple:
-    """(traces, closed forms) of w = R1R2, R2R3, R1R3, R1R3^-1R2R3: tr w against u(2 - |x|^2) + ub^2
-    for the x of `_pair_params`."""
-    r1, r2, r3 = g.generators()
-    words = (r1 * r2, r2 * r3, r1 * r3, r1 * r3.inverse() * r2 * r3)
+def _trace_pairs(words, pr: GroupParams, u, conj) -> tuple:
+    """(traces, closed forms) of the words w = R1R2, R2R3, R1R3, R1R3^-1R2R3 of `_words`: tr w against
+    u(2 - |x|^2) + ub^2 for the x of `_pair_params`."""
     ub = conj(u)
-    return tuple(w.trace() for w in words), tuple(u * (2 - x * conj(x)) + ub * ub
-                                                   for x in _pair_params(g.params, conj))
+    return tuple(w.trace() for w in words), tuple(u * (2 - x * conj(x)) + ub * ub for x in _pair_params(pr, conj))
 
 
-def _lemma_pair(g: Group, u, conj) -> tuple:
+def _lemma_pair(r1r2: Mat3, rho, u, conj) -> tuple:
     """The eigenvalue lemma for R1R2 as its characteristic polynomial, (X - a)(X^2 + bX + c) with
     a = ub^2, b = u(|rho|^2 - 2), c = u^2: its roots are ub^2 and -u e^{+-2i zeta} for |rho| = 2cos(zeta).
 
     X^3 - tr X^2 + c1 X - det = X^3 - (a - b)X^2 + (c - ab)X - ac, so the pair is
     ((tr, c1, det) of R1R2, (a - b, c - ab, ac)).
     """
-    r1r2, rho = g.R1 * g.R2, g.params.rho
     a, b, c = conj(u) * conj(u), u * (rho * conj(rho) - 2), u * u
     return (r1r2.trace(), r1r2.minor_sum(), r1r2.det()), (a - b, c - a * b, a * c)
 
 
 def _check_pairs(g: Group, u, conj) -> dict:
     """Every check of `verify` but the braid lengths, by name, as (lhs, rhs) pairs in the scalar type of g:
-    the `_relations`, the `_trace_pairs` as one vector pair and the `_lemma_pair`.
+    the `_relations`, the `_trace_pairs` as one vector pair and the `_lemma_pair`, all on one `_words`.
 
     u = e^{2 pi i/(3p)} and conj are given in that scalar type.  A matrix pair holds when its sides
     are equal up to a cube root of unity, a vector pair when they are equal entry by entry.
     """
-    pairs = {f"symmetry:{name}": pair for name, pair in _relations(g, u).items()}
-    pairs["trace_formulas"] = _trace_pairs(g, u, conj)
-    pairs["eigenvalue_lemma"] = _lemma_pair(g, u, conj)
+    r3_inv, words = _words(g)
+    pairs = {f"symmetry:{name}": pair for name, pair in _relations(g, u, r3_inv, words).items()}
+    pairs["trace_formulas"] = _trace_pairs(words, g.params, u, conj)
+    pairs["eigenvalue_lemma"] = _lemma_pair(words[0], g.params.rho, u, conj)
     return pairs
 
 
@@ -373,7 +378,8 @@ def verify_symmetry(g: Group, prec: int = DEFAULT_PREC) -> dict:
     if g.S is None:
         raise ValueError("group has no symmetry S")
     with mpmath.workprec(prec):
-        return {name: _residual(lhs, rhs, prec) for name, (lhs, rhs) in _relations(*_float_view(g, prec)).items()}
+        g, u = _float_view(g, prec)
+        return {name: _residual(lhs, rhs, prec) for name, (lhs, rhs) in _relations(g, u, *_words(g)).items()}
 
 
 def trace_invariants(g: Group, prec: int = DEFAULT_PREC):
@@ -382,21 +388,24 @@ def trace_invariants(g: Group, prec: int = DEFAULT_PREC):
     Disagreement beyond `tolerance(prec)` raises (internal consistency failure).
     """
     with mpmath.workprec(prec):
-        traces, closed = _trace_pairs(*_float_view(g, prec), mpmath.conj)
+        g, u = _float_view(g, prec)
+        traces, closed = _trace_pairs(_words(g)[1], g.params, u, mpmath.conj)
         if _residual(traces, closed, prec) > tolerance(prec):
             raise RuntimeError(f"trace formula mismatch: {traces} vs {closed}")
         return traces
 
 
 def braid_length(x, max_l: int, prec: int = DEFAULT_PREC):
-    """The least l <= max_l with |x|^2 = 4cos^2(pi/l), else None: the braid length of the pair of
-    complex reflections of order p whose parameter is x (`_pair_params`).
+    """The l <= max_l with |x|^2 = 4cos^2(pi/l), else None: the braid length of the pair of complex
+    reflections of order p whose parameter is x (`_pair_params`).
 
-    An exact x (Cyclo, int or Fraction) is decided exactly, each sign of 4cos^2(pi/l) - |x|^2 by
-    `Cyclo.real_sign`; an mpmath x at `prec` bits, where a difference within `tolerance(prec)` counts
-    as 0.  4cos^2(pi/l) = 2 + 2cos(2pi/l) rises strictly with l, so at most one l matches, and a
-    bisection over l = 2..max_l finds the least l whose difference is not negative: the only one that
-    can match.
+    4cos^2(pi/l) = 2 + 2cos(2pi/l) rises strictly with l, so at most one l matches, and a bisection over
+    l = 2..max_l finds the least l whose difference 4cos^2(pi/l) - |x|^2 is not negative.  An exact x
+    (Cyclo, int or Fraction) is decided exactly, each sign by `Cyclo.real_sign`: that l matches or none
+    does.  An mpmath x is read at `prec` bits: of that l and the one below it, the one whose difference
+    is nearer 0 matches when that difference is within `tolerance(prec)`.  The tolerance can be wider
+    than the gap between two lengths (about 8pi^2/l^3: 3.6e-9 at l = 2786, against 2^-26 at 53 bits);
+    |x|^2 is read within about 2^-prec, far below half that gap, so the nearer length is the one of x.
 
     Why |x| gives the length.  Let A, B be the two reflections, u = e^{2 pi i/(3p)}, each A = ub on C^3
     modulo its polar vector and A = u^2 on it, and V the span of the two polar vectors.
@@ -422,18 +431,21 @@ def braid_length(x, max_l: int, prec: int = DEFAULT_PREC):
     if exact is not None:
         abs2 = exact * exact.conj()
 
+        @functools.cache  # the bisection's last probe is read again
         def sign(l: int) -> int:
             return (cos_exact(angle(2, l)) * 2 + 2 - abs2).real_sign()
-    else:
-        with mpmath.workprec(prec):
-            abs2, tol = abs(x) ** 2, tolerance(prec)
+        i = bisect.bisect_left(lengths, 0, key=sign)
+        return lengths[i] if i < len(lengths) and sign(lengths[i]) == 0 else None
+    with mpmath.workprec(prec):
+        abs2, tol = abs(x) ** 2, tolerance(prec)
 
-        def sign(l: int) -> int:
-            with mpmath.workprec(prec):
-                d = 2 * mpmath.cospi(mpmath.mpf(2) / l) + 2 - abs2
-            return 0 if abs(d) <= tol else 1 if d > 0 else -1
-    i = bisect.bisect_left(lengths, 0, key=sign)
-    return lengths[i] if i < len(lengths) and sign(lengths[i]) == 0 else None
+    @functools.cache  # the bisection's last probe is read again
+    def diff(l: int):
+        with mpmath.workprec(prec):
+            return 2 * mpmath.cospi(mpmath.mpf(2) / l) + 2 - abs2
+    i = bisect.bisect_left(lengths, 0, key=diff)
+    near = min(lengths[max(i - 1, 0):i + 1], key=lambda l: abs(diff(l)))
+    return near if abs(diff(near)) <= tol else None
 
 
 @dataclass(frozen=True)
@@ -491,7 +503,8 @@ def lemma_eigenvalues_residual(g: Group, prec: int = DEFAULT_PREC):
     """Float residual at `prec` bits of the eigenvalue lemma for R1R2, `_lemma_pair`: the largest
     difference of (tr, c1, det) of R1R2 from the lemma's characteristic coefficients."""
     with mpmath.workprec(prec):
-        return _residual(*_lemma_pair(*_float_view(g, prec), mpmath.conj), prec)
+        g, u = _float_view(g, prec)
+        return _residual(*_lemma_pair(g.R1 * g.R2, g.params.rho, u, mpmath.conj), prec)
 
 
 @dataclass(frozen=True)

@@ -140,10 +140,16 @@ class TestVerify:
         assert code == 0 and all(l["pass"] for l in lines[:-1])
         assert (lines[-1]["checks"], lines[-1]["passed"]) == (15, 15)
 
-    @pytest.mark.parametrize("n,m", [(25, 25), (30, 30), (25, 26), (40, 40), (2786, 1970)])
-    def test_braid_lengths_above_24_pass(self, n, m, capsys):
+    @pytest.mark.parametrize("n,m,more", [
+        *(pytest.param(n, m, ["--p", "5"], id=f"{n}-{m}")
+          for n, m in [(25, 25), (30, 30), (25, 26), (40, 40), (2786, 1970)]),
+        # at 53 bits tolerance(53) = 2^-26 holds seven lengths around 2786: the nearest one is read
+        *(pytest.param(2786, 1970, ["--p", "3", "--prec", prec], id=f"2786-1970-p3-prec{prec}")
+          for prec in ("53", "64")),
+    ])
+    def test_braid_lengths_above_24_pass(self, n, m, more, capsys):
         # each braid length is read up to its expected one, (n, n, m, m); (25,26) and (2786,1970) are float groups
-        assert chtri.cli.main(["verify", "--p", "5", "--n", str(n), "--m", str(m)]) == 0
+        assert chtri.cli.main(["verify", *more, "--n", str(n), "--m", str(m)]) == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert [(l["expected"], l["got"]) for l in lines if l.get("check", "").startswith("br(")] == [
             (n, n), (n, n), (m, m), (m, m)]

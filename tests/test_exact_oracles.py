@@ -8,6 +8,7 @@ import sympy
 from hypothesis import Phase, assume, given, settings, strategies as st
 from sympy.abc import x as X
 
+from chtri import exact
 from chtri.cosearch import _COSINE_SUMS, trace_table_angles
 from chtri.exact import (Angle, ConductorError, Cyclo, Laurent, _float_value, _expjpi, angle, cos_exact, cos_sign,
                          cos_sum, cyclotomic_poly, dot)
@@ -329,12 +330,130 @@ class TestLaurentEvaluation:
     def test_evaluation_respects_the_ring_and_conj(self, a, b, n):
         x, y = a.at(n), b.at(n)
         # `at` is one `dot`, with the (n, c, d) of the term-by-term sum of the c_k * zeta_n^k
-        assert form(x) == form(sum((v * Cyclo.root(n, k) for k, v in a.c.items()), Cyclo.zero()))
+        assert form(x) == form(sum((v * Cyclo.root(n, k) for k, v in a.coeffs().items()), Cyclo.zero()))
         assert ((a + b).at(n) - (x + y)).is_zero()
         assert ((a - b).at(n) - (x - y)).is_zero()
         assert ((a * b).at(n) - x * y).is_zero()
         assert (a.conj().at(n) - x.conj()).is_zero()
         assert (a * b - b * a).is_zero() and (a - a).is_zero()
+
+
+class DictLaurent:
+    """The Laurent polynomial that `exact.Laurent` packs, kept as it was before the packing: sum(c[k] * t^k)
+    with one Cyclo per power of t, every operation term by term on Cyclos.  The oracle of the packed kernel."""
+
+    def __init__(self, coeffs: dict):
+        self.c = {k: v for k, v in coeffs.items() if v.c}
+
+    def __add__(self, other):
+        out = dict(self.c)
+        for k, v in other.c.items():
+            out[k] = out[k] + v if k in out else v
+        return DictLaurent(out)
+
+    def __neg__(self):
+        return DictLaurent({k: -v for k, v in self.c.items()})
+
+    def __sub__(self, other):
+        out = dict(self.c)
+        for k, v in other.c.items():
+            out[k] = out[k] - v if k in out else -v
+        return DictLaurent(out)
+
+    def __mul__(self, other):
+        # as `dot` formed it: every coefficient viewed in one conductor n over one denominator per side,
+        # the numerators of each power of t accumulated together and reduced by one `Cyclo._of`
+        n = math.lcm(*(c.n for c in (*self.c.values(), *other.c.values())))
+        dx, dy = math.lcm(*(c.d for c in self.c.values())), math.lcm(*(c.d for c in other.c.values()))
+        sums = {}
+        for k1, a in self.c.items():
+            sa, fa = n // a.n, dx // a.d
+            for k2, b in other.c.items():
+                sb, f = n // b.n, fa * (dy // b.d)
+                acc = sums.setdefault(k1 + k2, {})
+                for e1, v1 in a.c.items():
+                    for e2, v2 in b.c.items():
+                        e = (e1 * sa + e2 * sb) % n
+                        acc[e] = acc.get(e, 0) + v1 * f * v2
+        return DictLaurent({k: Cyclo._of(n, c, dx * dy) for k, c in sums.items()})
+
+    def conj(self):
+        return DictLaurent({-k: v.conj() for k, v in self.c.items()})
+
+    def is_zero(self) -> bool:
+        return all(v.is_zero() for v in self.c.values())
+
+    def at(self, n: int) -> Cyclo:
+        return sum((v * Cyclo.root(n, k) for k, v in self.c.items()), Cyclo.zero())
+
+
+def laurent_forms(x) -> dict:
+    """{k: (n, d, c)} of the coefficients of a Laurent (read back as Cyclos) or of a DictLaurent."""
+    return {k: form(v) for k, v in (x.coeffs() if isinstance(x, Laurent) else x.c).items()}
+
+
+# the conductors of the certificates' values, t-exponents of both signs, and coefficients over small
+# denominators, so that sums cancel and the two sides of a product have different denominators
+@st.composite
+def packed_and_oracle(draw):
+    """(Laurent, DictLaurent) of the same coefficients: up to 4 terms c_k * t^k, k in -9..9."""
+    def coefficient(n):
+        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=draw(st.sampled_from([1, 1, 2, 6])))
+        return st.dictionaries(st.integers(0, n - 1), coeff, max_size=6).map(lambda c: Cyclo(n, c))
+
+    n = draw(st.sampled_from([1, 12, 30, 42, 48, 84]))
+    coeffs = draw(st.dictionaries(st.integers(-9, 9), st.sampled_from([1, n]).flatmap(coefficient), max_size=4))
+    return Laurent(coeffs), DictLaurent(coeffs)
+
+
+class TestPackedLaurent:
+    # every operation of the packed Laurent against the dict-of-Cyclo oracle: the same coefficients, read
+    # back in the same normal forms, the same zero tests and the same values at t = zeta_n
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(packed_and_oracle(), packed_and_oracle(), st.sampled_from([1, 2, 6, 12, 18, 42]))
+    def test_matches_the_dict_oracle(self, a, b, n):
+        (x, ox), (y, oy) = a, b
+        assert laurent_forms(x) == laurent_forms(ox)
+        pairs = [(x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy), (-x, -ox), (x.conj(), ox.conj()),
+                 (x * y - y * x, ox * oy - oy * ox), (x - x, ox - ox), (x * x.conj(), ox * ox.conj())]
+        for got, want in pairs:
+            assert laurent_forms(got) == laurent_forms(want)
+            assert got.is_zero() == want.is_zero()
+            assert form(got.at(n)) == form(want.at(n))
+        assert (x * y - y * x).is_zero() and (x - x).is_zero() and not (x - x).c
+
+    @pytest.mark.parametrize("n", [12, 30, 42, 48, 84])
+    def test_zero_tests_of_the_annihilator(self, n):
+        # the rotated regular p-gons of each prime p | n are zero, and so is any sum of them; one term is not
+        for p in sympy.primefactors(n):
+            gon = Laurent({-3: Cyclo(n, polygon(n, p, 1)), 5: Cyclo(n, polygon(n, p, 2, -2))})
+            assert gon.c and gon.is_zero() and DictLaurent(gon.coeffs()).is_zero()
+            assert not (gon + Laurent.t(7)).is_zero()
+
+    def test_a_bound_at_the_slot_limit_raises(self):
+        # conductor 1 has no prime: a value is made while its bound is below 2^(B-1), and each slot of a
+        # larger one could wrap, so it raises; conductor 6 has two primes, so 4 * bound must stay below
+        limit = 2 ** (exact.SLOT_BITS - 1)
+        big = Laurent({0: Cyclo(1, {0: limit // 2})})
+        assert big.coeffs()[0] == limit // 2 and (big - Laurent({0: Cyclo.one()})).coeffs()[0] == limit // 2 - 1
+        with pytest.raises(OverflowError):
+            big + big  # 2^(B-1): one slot past the largest it can hold
+        with pytest.raises(OverflowError):
+            big * Laurent({0: Cyclo(1, {0: 2})})
+        with pytest.raises(OverflowError):
+            Laurent({1: Cyclo(6, {1: limit // 4})})
+        x = Laurent({1: Cyclo(6, {1: limit // 4 - 1})})
+        assert x.coeffs()[1] == Cyclo(6, {1: limit // 4 - 1}) and not x.is_zero()
+        root = Laurent({0: Cyclo(6, {0: 1, 1: 1})})  # 1 + zeta_6, of bound 2
+        with pytest.raises(OverflowError):
+            Laurent({0: Cyclo(6, {1: limit // 8})}) * root
+        # over the common denominator 3 the numerator limit // 2 of half is 3 * limit // 2, past the limit
+        third, half = Laurent({0: Cyclo(1, {0: Fraction(1, 3)})}), Laurent({0: Cyclo(1, {0: limit // 2})})
+        one = Laurent.t(0)
+        for combine in (lambda: third + half, lambda: dot([third, half], [one, one]),
+                        lambda: dot([one, one], [third, half])):
+            with pytest.raises(OverflowError):
+                combine()
 
 
 @st.composite
@@ -479,7 +598,7 @@ class TestSubtraction:
     @given(laurents(), laurents(), cyclos(), st.integers(-3, 3))
     def test_laurent(self, a, b, x, k):
         def forms(f: Laurent) -> dict:
-            return {e: form(v) for e, v in f.c.items()}
+            return {e: form(v) for e, v in f.coeffs().items()}
 
         assert forms(a - b) == forms(a + (-b))
         assert forms(a - x) == forms(a + (-x)) and forms(x - a) == forms(-a + x)
@@ -518,10 +637,10 @@ class TestExactProducts:
                                                          (laurents(MIXED_CYCLOS), Laurent({}), 8)])
     def test_keep_the_forms_of_the_term_by_term_sum(self, entries, zero, examples):
         def forms(x) -> dict:
-            return {k: form(v) for k, v in x.c.items()} if isinstance(x, Laurent) else {0: form(x)}
+            return {k: form(v) for k, v in x.coeffs().items()} if isinstance(x, Laurent) else {0: form(x)}
 
         def terms(x) -> dict:
-            return x.c if isinstance(x, Laurent) else {0: x}
+            return x.coeffs() if isinstance(x, Laurent) else {0: x}
 
         def term_by_term(xs, ys):
             if isinstance(zero, Cyclo):
@@ -552,23 +671,21 @@ class TestExactProducts:
         check()
 
     def test_one_pass_per_entry(self, monkeypatch):
-        # a 3x3 Laurent product multiplies no Cyclo or Laurent, and reduces once per (entry, power of t)
+        # a 3x3 Laurent product multiplies no Cyclo or Laurent, builds no Cyclo, and folds its packed sums
+        # once per (entry, power of t)
         g = generic_group(5, 4, 1)
         a, b = g.S * g.S, g.R1 * g.R3  # 24 term pairs over 12 (entry, power of t)
         powers = sum(len({k1 + k2 for k in range(3) for k1 in a[i, k].c for k2 in b[k, j].c})
                      for i in range(3) for j in range(3))
-        products, reductions, of = [], [], Cyclo._of
-
-        def spy_of(cls, n, c, d):
-            reductions.append(n)
-            return of(n, c, d)
+        products, folds, cyclos, fold, of = [], [], [], exact._fold, Cyclo._of
 
         for cls in (Cyclo, Laurent):
             for name in ("__mul__", "__rmul__"):
                 monkeypatch.setattr(cls, name, lambda x, y, f=getattr(cls, name): products.append(f) or f(x, y))
-        monkeypatch.setattr(Cyclo, "_of", classmethod(spy_of))
+        monkeypatch.setattr(exact, "_fold", lambda v, n: folds.append(n) or fold(v, n))
+        monkeypatch.setattr(Cyclo, "_of", classmethod(lambda cls, n, c, d: cyclos.append(n) or of(n, c, d)))
         prod = a * b
-        assert products == [] and 0 < len(reductions) <= powers
+        assert products == [] and cyclos == [] and len(folds) == powers
         monkeypatch.undo()
         assert prod == Mat3([[sum((a[i, k] * b[k, j] for k in range(3)), Laurent({})) for j in range(3)]
                              for i in range(3)])

@@ -141,6 +141,18 @@ class TestSignatureScan:
         assert capsys.readouterr().out == (DATA / "scan_all_p2_60.csv").read_text()
         assert rows == self.EXACT_ROWS
 
+    def test_the_t_powers_are_those_of_det_h(self, monkeypatch):
+        # float_det reads t^k only for the exponents of det H, +-3 and +-9: 4 expjpi calls per p of a scan,
+        # shared by every candidate, where t^0 and t^+-6 as well took 7
+        for cid in candidates.ALL_IDS:
+            signature_scan(cid, 2, 12)  # the det terms and their powers of zeta_N, cached
+        reports._t_powers.cache_clear()
+        calls, expjpi = [], mpmath.expjpi
+        monkeypatch.setattr(mpmath, "expjpi", lambda x: calls.append(x) or expjpi(x))
+        for cid in candidates.ALL_IDS:
+            signature_scan(cid, 2, 12)
+        assert len(calls) == 4 * 11
+
     def test_every_printed_det_digit_is_correct(self):
         # each nonzero detH of the p <= 60 scan agrees to 29 significant digits with the exact
         # det of the matrix H built at p, evaluated at 512 bits

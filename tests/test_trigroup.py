@@ -230,8 +230,8 @@ class TestBuild:
         h = build_group(p, rho, sigma, sigma).H
         inv = form_invariants(n, m, im_sign)
         assert all((x.at(6 * p) - y).is_zero() for x, y in zip(inv, (h.trace(), h.minor_sum(), h.det())))
-        # the exponents of det H that `reports._t_powers` holds for the det `float_det` prints
-        assert all(k in range(-9, 10, 3) for k in inv[2].c)
+        # det H has the exponents +-3 and +-9 only, the t^k that `reports._t_powers` holds for `float_det`
+        assert sorted(inv[2].c) == [-9, -3, 3, 9]
 
     def test_signature_kept_on_float_group(self):
         g = build_symmetric(4, 5, 6)
@@ -269,7 +269,7 @@ class TestFormSignature:
             for terms, exact in zip(_sign_terms(n, m, im_sign), form_invariants(n, m, im_sign)):
                 v, bound = _float_value([(w, a + b * p, c * p) for w, a, b, c in terms])
                 err = abs(v - exact.at(6 * p).to_mpc(512).real)
-                assert err <= 25 * mpmath.mpf(2) ** -53 * sum(map(mass, exact.c.values()))
+                assert err <= 25 * mpmath.mpf(2) ** -53 * sum(map(mass, exact.coeffs().values()))
                 assert 256 * err < bound
 
     def test_non_candidate_rejected(self):
@@ -299,7 +299,7 @@ class TestFormSignature:
         det = float_det(p, n, m, im_sign, prec)
         exact, wp = form_invariants(n, m, im_sign)[2], max(prec, 128)
         with mpmath.workprec(1024):
-            bound = mpmath.mpf(2) ** (4 - wp) * sum(1 + mass(c) for c in exact.c.values())
+            bound = mpmath.mpf(2) ** (4 - wp) * sum(1 + mass(c) for c in exact.coeffs().values())
             assert abs(det - exact.at(6 * p).to_mpc(1024).real) <= bound
         assert float_det(p, n, m, im_sign, 64) == float_det(p, n, m, im_sign, 128)
 
@@ -535,6 +535,24 @@ class TestCertificate:
         cert = certificate(n, m, im_sign)
         assert cert.checks == tuple((name, True) for name in SYMMETRY_CHECKS + ["trace_formulas", "eigenvalue_lemma"])
         assert cert.braids == tuple(zip(BRAID_CHECKS, (n, n, m, m), (n, n, m, m)))
+
+    @pytest.mark.parametrize("cid", ["(3,3)", "(5,4)"])
+    def test_each_word_is_formed_once(self, cid, monkeypatch):
+        # R1R2, R2R3, R1R3, R3^-1 and R1R3^-1R2R3 are formed once and read by every check that needs them:
+        # 23 products of generic matrices and 3 inverses (S, R1, R3) per certificate, where the relations,
+        # the trace formulas and the eigenvalue lemma each forming their own took 30 and 4
+        n, m, im_sign = parse_candidate(cid)
+        generic_group(n, m, im_sign)
+        calls = []
+        for name in ("__mul__", "inverse"):
+            monkeypatch.setattr(Mat3, name, lambda *a, f=getattr(Mat3, name), name=name: calls.append(name) or f(*a))
+        certificate.cache_clear()
+        try:
+            cert = certificate(n, m, im_sign)
+        finally:
+            certificate.cache_clear()
+        assert (calls.count("__mul__"), calls.count("inverse")) == (23, 3)
+        assert all(ok for _, ok in cert.checks)
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (0, 2), (1, 0), (2, 1), (2, 2)])
     def test_a_sign_flipped_in_s_fails(self, entry, monkeypatch, capsys):
