@@ -182,7 +182,7 @@ class Cyclo:
     The numerators and d >= 1 have no common factor; zero has n = d = 1.
     """
 
-    __slots__ = ("n", "c", "d", "_canon")
+    __slots__ = ("n", "c", "d")
 
     def __init__(self, n: int, coeffs: dict):
         """coeffs maps exponents to int or Fraction coefficients."""
@@ -195,7 +195,7 @@ class Cyclo:
                 e %= n
                 c[e] = c.get(e, 0) + v.numerator * (d // v.denominator)
         x = Cyclo._of(n, c, d)
-        self.n, self.c, self.d, self._canon = x.n, x.c, x.d, None
+        self.n, self.c, self.d = x.n, x.c, x.d
 
     @classmethod
     def _of(cls, n: int, c: dict[int, int], d: int) -> "Cyclo":
@@ -218,7 +218,7 @@ class Cyclo:
         else:
             n = d = 1
         x = object.__new__(cls)
-        x.n, x.c, x.d, x._canon = n, c, d, None
+        x.n, x.c, x.d = n, c, d
         return x
 
     # -- constructors -------------------------------------------------------
@@ -249,9 +249,7 @@ class Cyclo:
 
     def canonical(self) -> tuple[Fraction, ...]:
         """Coefficients on the power basis 1..zeta^{phi(n)-1}, reduced mod Phi_n."""
-        if self._canon is None:
-            self._canon = _canonical_coeffs(self.n, self.c, self.d)
-        return self._canon
+        return _canonical_coeffs(self.n, self.c, self.d)
 
     def canonical_at(self, n: int) -> tuple[Fraction, ...]:
         """Canonical coefficients viewed in conductor n (a multiple of self.n)."""
@@ -408,12 +406,13 @@ class Cyclo:
     # -- numeric conversion -------------------------------------------------
 
     def to_mpc(self, prec: int = 53):
-        """Numeric value at `prec` bits; error <= 2^(3-prec)*(1+sum|coeffs|)."""
+        """Numeric value at `prec` bits; error <= 2^(3-prec)*(1+sum|coeffs|).  The terms are added in
+        exponent order, so the bits depend on (n, c, d) alone."""
         if prec < 53:
             raise ValueError("precision must be at least 53 bits")
         with mpmath.workprec(prec + 10):
             total = mpmath.mpc(0)
-            for e, v in self.c.items():
+            for e, v in sorted(self.c.items()):
                 g = math.gcd(2 * e, self.n)
                 total += v * _expjpi(2 * e // g, self.n // g, prec + 10)
             return total / self.d
@@ -485,7 +484,7 @@ class Laurent:
     - an integer sum(c_e * 2^(B*e)) with every |c_e| < 2^(B-1) fixes its c_e: adding 2^(B-1) to each
       slot makes it lie in [0, 2^B), with no carry (`_slots`); each |c[k, e]| is at most the L1 norm;
     - the L1 norm of a sum is at most the sum of theirs; of a product before folding at most the product
-      of theirs, as each coefficient of P * Q sums products of one c of P and one of Q (`dot` adds these
+      of theirs, as each coefficient of P * Q sums products of one c of P and one of Q (`dot_table` adds these
       products over its pairs, and so their bounds); scaling to a common denominator by f scales both by
       f; negation, conj and a view in a multiple of n (`_view`) move or spread the slots and keep the norm;
     - a product P * Q has degree below 2n - 1 and splits as R_lo + X^n * R_hi, deg R_lo < n, with
@@ -606,8 +605,8 @@ class Laurent:
                 for k, v in self.c.items()}
 
     def at(self, n: int) -> Cyclo:
-        """The value at t = zeta_n, exactly: one `dot` of the read-back coefficients with the powers of zeta_n."""
-        return dot(self.coeffs().values(), [Cyclo.root(n, k) for k in self.c])
+        """The value at t = zeta_n, exactly: the sum of the read-back coefficients c_k times zeta_n^k."""
+        return sum((v * Cyclo.root(n, k) for k, v in self.coeffs().items()), Cyclo.zero())
 
     def __repr__(self) -> str:
         return "Laurent(" + (" + ".join(f"{v!r}*t^{k}" for k, v in sorted(self.coeffs().items())) or "0") + ")"
@@ -620,56 +619,17 @@ def _lift_laurent(x):
     return None if x is None else Laurent({0: x})
 
 
-def dot(xs, ys):
-    """sum(x * y) over the pairs of exact scalars (Cyclo, Laurent, int or Fraction) of xs and ys, in one
-    pass: the one entry of their `dot_table`."""
-    return dot_table((tuple(xs),), (tuple(ys),))[0][0]
-
-
 def dot_table(rows, cols) -> list:
     """[[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows] of exact scalars (Cyclo,
-    Laurent, int or Fraction), in one pass per entry; a pair with a factor that is zero as written adds
-    no term.
+    Laurent, int or Fraction), at least one a Laurent, in one pass per entry; a pair with a factor that is
+    zero as written adds no term.
 
-    When an entry is a Laurent, every entry is lifted to one (`_lift_laurent`) and the table is their
-    `_dot_table`.  Otherwise, for each entry, every factor is viewed in one conductor N, the lcm of
-    theirs, over one denominator per side; the integer numerators are accumulated together and reduced
-    by one `Cyclo._of`.  The view in conductor N is a ring homomorphism and `_of`'s normal form depends
-    only on the element, so each entry has the (n, c, d) of the term-by-term sum.  With no terms an
-    entry is zero.
+    Every entry is lifted to a Laurent (`_lift_laurent`) and viewed once (`Laurent._view`): in one
+    conductor n, the lcm of all of theirs, over one denominator for the rows and one for the columns.
     """
-    kinds = {type(x) for v in (*rows, *cols) for x in v}
-    if Laurent in kinds:
-        if len(kinds) > 1:
-            rows = [[_lift_laurent(x) for x in v] for v in rows]
-            cols = [[_lift_laurent(y) for y in v] for v in cols]
-        return _dot_table(rows, cols)
-    rows = [[_coerce(x) for x in v] for v in rows]
-    cols = [[_coerce(y) for y in v] for v in cols]
-    return [[_dot_cyclo(row, col) for col in cols] for row in rows]
-
-
-def _dot_cyclo(xs, ys) -> Cyclo:
-    """sum(x * y) over the pairs of Cyclos of xs and ys, for `dot_table`."""
-    terms, n, dx, dy = [], 1, 1, 1
-    for x, y in zip(xs, ys):
-        if x.c and y.c:
-            terms.append((x, y))
-            n, dx, dy = math.lcm(n, x.n, y.n), math.lcm(dx, x.d), math.lcm(dy, y.d)
-    acc: dict = {}  # numerators over conductor n and denominator dx * dy
-    for a, b in terms:
-        sa, sb, f = n // a.n, n // b.n, (dx // a.d) * (dy // b.d)
-        for e1, v1 in a.c.items():
-            e1, v1 = e1 * sa, v1 * f
-            for e2, v2 in b.c.items():
-                e = (e1 + e2 * sb) % n
-                acc[e] = acc.get(e, 0) + v1 * v2
-    return Cyclo._of(n, acc, dx * dy)
-
-
-def _dot_table(rows, cols) -> list:
-    """The `dot_table` of rows and columns of Laurents, each entry viewed once (`Laurent._view`): in one
-    conductor n, the lcm of all of theirs, over one denominator for the rows and one for the columns."""
+    if not all(isinstance(x, Laurent) for v in (*rows, *cols) for x in v):
+        rows = [[_lift_laurent(x) for x in v] for v in rows]
+        cols = [[_lift_laurent(y) for y in v] for v in cols]
     n = math.lcm(*{x.n for v in (*rows, *cols) for x in v})
     dx = math.lcm(*{x.d for v in rows for x in v})
     dy = math.lcm(*{y.d for v in cols for y in v})

@@ -4,7 +4,7 @@ Matrices carry either exact entries (cyclotomic numbers, or Laurent
 polynomials in t over them) or arbitrary-precision mpmath complex
 entries.  Exact matrices support exact determinants,
 exact equality and exact signature computation; the float path is used
-for residual checks, eigenvalues and braid searches.
+for residual checks and eigenvalues.
 """
 from __future__ import annotations
 
@@ -26,6 +26,14 @@ def tolerance(prec: int) -> mpmath.mpf:
 
 class SingularMatrixError(ZeroDivisionError):
     pass
+
+
+def _products(rows, cols) -> list:
+    """[[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows] of length-3 rows and
+    columns: one `dot_table` when an entry is a Laurent, else the three-term sum of Cyclo or float entries."""
+    if any(isinstance(x, Laurent) for v in (*rows, *cols) for x in v):
+        return dot_table(rows, cols)
+    return [[row[0] * col[0] + row[1] * col[1] + row[2] * col[2] for col in cols] for row in rows]
 
 
 class Mat3:
@@ -55,13 +63,10 @@ class Mat3:
     # -- ring operations ----------------------------------------------------
 
     def __mul__(self, other):
-        """The product; of exact matrices, one `dot_table`, which skips a term with a factor zero as written."""
+        """The product, by `_products`."""
         if not isinstance(other, Mat3):
             return NotImplemented
-        cols = tuple(zip(*other.rows))
-        if self.exact and other.exact:
-            return Mat3(dot_table(self.rows, cols))
-        return Mat3([[row[0] * col[0] + row[1] * col[1] + row[2] * col[2] for col in cols] for row in self.rows])
+        return Mat3(_products(self.rows, tuple(zip(*other.rows))))
 
     def __sub__(self, other):
         if not isinstance(other, Mat3):
@@ -111,15 +116,17 @@ class Mat3:
         return Mat3(cof)
 
     def inverse(self) -> "Mat3":
-        """The inverse: of an exact matrix, the adjugate once det is exactly 1 (else it raises)."""
-        d = self.det()
+        """The adjugate over det, with det read as row 0 times the adjugate's column 0: of an exact matrix
+        the adjugate itself, once det is exactly 1; a float det below `tolerance` is singular."""
+        adj, r = self.adjugate(), self.rows[0]
+        d = r[0] * adj.rows[0][0] + r[1] * adj.rows[1][0] + r[2] * adj.rows[2][0]
         if self.exact:
             if not (d - 1).is_zero():
                 raise SingularMatrixError("exact inverse needs det exactly 1")
-            return self.adjugate()
+            return adj
         if abs(d) < tolerance(mpmath.mp.prec):
             raise SingularMatrixError("singular matrix")
-        return self.adjugate().scale(1 / d)
+        return adj.scale(1 / d)
 
     # -- conversions --------------------------------------------------------
 
@@ -146,10 +153,8 @@ class Mat3:
         raise TypeError("Mat3 is not hashable")
 
     def apply(self, v):
-        """Matrix-vector product; v is a length-3 sequence of entries.  Of an exact matrix, one `dot_table`."""
-        if self.exact:
-            return tuple(x for x, in dot_table(self.rows, (tuple(v),)))
-        return tuple(row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in self.rows)
+        """Matrix-vector product, by `_products`; v is a length-3 sequence of entries."""
+        return tuple(x for x, in _products(self.rows, (tuple(v),)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from sympy.abc import x as X
 from chtri import exact
 from chtri.cosearch import _COSINE_SUMS, trace_table_angles
 from chtri.exact import (Angle, ConductorError, Cyclo, Laurent, _float_value, _expjpi, angle, cos_exact, cos_sign,
-                         cos_sum, cyclotomic_poly, dot)
+                         cos_sum, cyclotomic_poly, dot_table)
 from chtri.linalg import Mat3
 from chtri.trigroup import generic_group
 
@@ -286,10 +286,11 @@ class TestIntegerNumerators:
 
 
 def uncached_to_mpc(x: Cyclo, prec: int):
-    """sum(v * e^{2*pi*i*e/n}) / d at prec + 10 bits, each power from expjpi on the unreduced 2e/n."""
+    """sum(v * e^{2*pi*i*e/n}) / d at prec + 10 bits, in exponent order, each power from expjpi on the
+    unreduced 2e/n."""
     with mpmath.workprec(prec + 10):
         total = mpmath.mpc(0)
-        for e, v in x.c.items():
+        for e, v in sorted(x.c.items()):
             total += v * mpmath.expjpi(mpmath.mpf(2 * e) / x.n)
         return total / x.d
 
@@ -313,6 +314,14 @@ class TestCachedToMpc:
             assert second.to_mpc(prec)._mpc_ == uncached_to_mpc(second, prec)._mpc_
             assert _expjpi.cache_info().hits > hits
 
+    @pytest.mark.parametrize("prec", [53, 128, 256])
+    def test_equal_values_round_to_equal_bits_whatever_the_insertion_order(self, prec):
+        # one (n, c, d) with its numerators inserted in two orders; summed in dict order, the two round apart
+        terms = [(3, -4), (1, 2), (6, 8), (4, 2), (2, -7)]
+        x, y = Cyclo(7, dict(terms)), Cyclo(7, dict(reversed(terms)))
+        assert form(x) == form(y) and list(x.c) != list(y.c)
+        assert x.to_mpc(prec)._mpc_ == y.to_mpc(prec)._mpc_
+
     def test_the_cache_is_bounded(self):
         assert _expjpi.cache_info().maxsize == 1024
 
@@ -329,7 +338,7 @@ class TestLaurentEvaluation:
     @given(laurents(), laurents(), st.integers(1, 60))
     def test_evaluation_respects_the_ring_and_conj(self, a, b, n):
         x, y = a.at(n), b.at(n)
-        # `at` is one `dot`, with the (n, c, d) of the term-by-term sum of the c_k * zeta_n^k
+        # `at` has the (n, c, d) of the term-by-term sum of the c_k * zeta_n^k
         assert form(x) == form(sum((v * Cyclo.root(n, k) for k, v in a.coeffs().items()), Cyclo.zero()))
         assert ((a + b).at(n) - (x + y)).is_zero()
         assert ((a - b).at(n) - (x - y)).is_zero()
@@ -361,7 +370,7 @@ class DictLaurent:
         return DictLaurent(out)
 
     def __mul__(self, other):
-        # as `dot` formed it: every coefficient viewed in one conductor n over one denominator per side,
+        # as `dot_table` formed it: every coefficient viewed in one conductor n over one denominator per side,
         # the numerators of each power of t accumulated together and reduced by one `Cyclo._of`
         n = math.lcm(*(c.n for c in (*self.c.values(), *other.c.values())))
         dx, dy = math.lcm(*(c.d for c in self.c.values())), math.lcm(*(c.d for c in other.c.values()))
@@ -450,8 +459,8 @@ class TestPackedLaurent:
         # over the common denominator 3 the numerator limit // 2 of half is 3 * limit // 2, past the limit
         third, half = Laurent({0: Cyclo(1, {0: Fraction(1, 3)})}), Laurent({0: Cyclo(1, {0: limit // 2})})
         one = Laurent.t(0)
-        for combine in (lambda: third + half, lambda: dot([third, half], [one, one]),
-                        lambda: dot([one, one], [third, half])):
+        for combine in (lambda: third + half, lambda: dot_table([[third, half]], [[one, one]]),
+                        lambda: dot_table([[one, one]], [[third, half]])):
             with pytest.raises(OverflowError):
                 combine()
 
@@ -629,8 +638,8 @@ class TestExactProducts:
         check()
         assert seen == {0, 1, 2, 3}  # terms skipped and terms kept, in every number
 
-    # one `dot` per entry must keep each coefficient's (n, c, d): the term-by-term sum is the oracle, built
-    # from `Cyclo` products and sums only (a Laurent product is itself one `dot`): c1 * c2 added to the
+    # each entry of a product must keep each coefficient's (n, c, d): the term-by-term sum is the oracle, built
+    # from `Cyclo` products and sums only (a Laurent product is one packed sum of products): c1 * c2 added to the
     # coefficient of t^(k1 + k2) for each pair of terms c1 t^k1, c2 t^k2 (a Cyclo c is c t^0); denominators
     # 1..6 give the two sides of a product different denominators
     @pytest.mark.parametrize("entries, zero, examples", [(MIXED_CYCLOS, Cyclo.zero(), 20),
@@ -661,8 +670,8 @@ class TestExactProducts:
             for i, row in enumerate(a.rows):
                 for j, col in enumerate(cols):
                     want = forms(term_by_term(row, col))
-                    assert forms(dot(row, col)) == forms(prod[i, j]) == want
-                    # one product x * y, which for a Laurent is one `dot` as well
+                    assert forms(prod[i, j]) == want
+                    # one product x * y
                     assert forms(row[j] * col[i]) == forms(term_by_term(row[j:j + 1], col[i:i + 1]))
             v = c.rows[0]  # a Cyclo vector with zero entries; times a Laurent matrix it gives a Laurent vector
             for row, got in zip(a.rows, a.apply(v)):

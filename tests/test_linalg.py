@@ -84,6 +84,28 @@ class TestMat3:
             with pytest.raises(SingularMatrixError):
                 x.inverse()
 
+    def test_inverse_reads_det_from_the_adjugate(self, monkeypatch):
+        # a Cyclo, a Laurent and a float matrix of det 1 invert, and three of other dets raise, with no
+        # `Mat3.det` call: det is row 0 times the adjugate's column 0
+        det, calls = Mat3.det, []
+        monkeypatch.setattr(Mat3, "det", lambda m: calls.append(m) or det(m))
+        one, zero, two, t = Cyclo.one(), Cyclo.zero(), Cyclo(1, {0: 2}), Laurent.t(1)
+        lone, lzero = Laurent({0: one}), Laurent({})
+        ident = Mat3.identity(exact=True)
+        cyclo = Mat3([[one, Cyclo.i(), zero], [zero, one, zero], [Cyclo(1, {0: 3}), zero, one]])
+        for m in (cyclo, Mat3([[lone, t, lzero], [lzero, lone, lzero], [t * t, lone + t, lone]])):
+            assert m * m.inverse() == ident and m.inverse() * m == ident
+        with mpmath.workprec(128):
+            f = cyclo.to_float(128)
+            assert (f * f.inverse() - Mat3.identity(exact=False)).max_abs() <= tolerance(128)
+        fone, fzero = mpmath.mpc(1), mpmath.mpc(0)
+        for m in (Mat3([[two, one, zero], [zero, one, zero], [zero, zero, one]]),
+                  Mat3([[lone + t, lzero, lzero], [lzero, lone, t], [lzero, lzero, lone]]),
+                  Mat3([[fone, fone, fone], [fone, fone, fone], [fzero, fzero, fone]])):
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+        assert calls == []
+
     def test_adjoint_is_conjugate_transpose(self):
         m = _rand_exact_mat(random.Random(4))
         adj = m.adjoint()
